@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet staticcheck test race check par-smoke portfolio-smoke daemon-smoke latency-smoke query-smoke attr-smoke bench-smoke bench-diff trace-smoke tracestat-smoke fuzz clean
+.PHONY: all build vet staticcheck test race check par-smoke portfolio-smoke daemon-smoke latency-smoke query-smoke attr-smoke servebench-test bench-smoke bench-diff trace-smoke tracestat-smoke fuzz clean
 
 all: check
 
@@ -27,10 +27,11 @@ race:
 	$(GO) test -race ./...
 
 # check is the full verification gate: static analysis, a clean build, the
-# test suite under the race detector (which subsumes plain `go test`), a
-# smoke run of the evaluator benchmarks with a regression diff against the
-# committed report, and trace emission + analysis smoke runs.
-check: vet staticcheck build race par-smoke portfolio-smoke daemon-smoke latency-smoke query-smoke attr-smoke bench-smoke bench-diff trace-smoke tracestat-smoke
+# test suite under the race detector (which subsumes plain `go test`), the
+# serving benchmark's own module, a smoke run of the evaluator benchmarks
+# with a regression diff against the committed report, and trace emission +
+# analysis smoke runs.
+check: vet staticcheck build race par-smoke portfolio-smoke daemon-smoke latency-smoke query-smoke attr-smoke servebench-test bench-smoke bench-diff trace-smoke tracestat-smoke
 
 # par-smoke is the quick parallel-correctness gate: one mid-size instance
 # through parallel BB-ghw and one through parallel det-k-decomp, Workers=4,
@@ -82,6 +83,14 @@ query-smoke:
 # contribution table.
 attr-smoke:
 	$(GO) test -race -count=1 -run 'TestAttributionSmoke' ./cmd/decomposed/
+
+# servebench-test vets and tests the socket-level serving benchmark. It is
+# its own module (servebench/go.mod, `replace hypertree => ../`), so the
+# root `go build ./...` and `go test ./...` never compile it, yet it calls
+# into internal/csp/engine, core and hypergraph: an API change there breaks
+# it silently unless this target runs.
+servebench-test:
+	cd servebench && $(GO) vet ./... && $(GO) test ./...
 
 # bench-smoke reruns the ghw evaluator microbenchmarks (benchstat-compatible
 # output) into a scratch report and validates both it and the committed

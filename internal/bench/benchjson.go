@@ -193,7 +193,7 @@ func RunBenchJSON(instances []string, logf func(format string, args ...interface
 			logf("BenchmarkSearch/%s/%s\t%s\n", name, mode.name, r.String()+"\t"+r.MemString())
 		}
 	}
-	report.QueryUnit = "query-compile: one engine.Compile; query-ref: one pinned SolveFromTD; query-serial/par/lat-*: one pinned Plan.Solve"
+	report.QueryUnit = "query-compile: one engine.CompileBudget (nil budget); query-ref: one pinned SolveFromTD; query-serial/par/lat-*: one pinned Plan.Solve"
 	if err := runQueryBench(report, logf); err != nil {
 		return nil, err
 	}

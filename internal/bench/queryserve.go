@@ -58,7 +58,7 @@ func newQueryBenchSetup(name string) (*queryBenchSetup, error) {
 	if err != nil {
 		return nil, fmt.Errorf("bench: decomposing %s: %w", name, err)
 	}
-	plan, err := engine.Compile(c, d.TD)
+	plan, err := engine.CompileBudget(c, d.TD, nil)
 	if err != nil {
 		return nil, fmt.Errorf("bench: compiling %s: %w", name, err)
 	}
@@ -126,7 +126,7 @@ func runQueryBench(report *BenchReport, logf func(format string, args ...interfa
 		rc := testing.Benchmark(func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := engine.Compile(s.c, s.td); err != nil {
+				if _, err := engine.CompileBudget(s.c, s.td, nil); err != nil {
 					b.Fatal(err)
 				}
 			}

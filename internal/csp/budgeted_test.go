@@ -3,119 +3,42 @@ package csp
 import (
 	"context"
 	"errors"
-	"math/rand"
-	"reflect"
 	"testing"
-	"testing/quick"
 
 	"hypertree/internal/budget"
+	"hypertree/internal/decomp"
 )
 
-// Property: under a nil budget every budgeted materializer is byte-identical
-// to its unbudgeted counterpart, including row order — the engine's
-// exact-equality contract with the reference solvers rides on this.
-func TestBudgetedOpsNilBudgetMatchReference(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		a, b := randomTable(rng), randomTable(rng)
-		gotJ, err := JoinBudget(a, b, nil)
-		if err != nil || !reflect.DeepEqual(gotJ, Join(a, b)) {
-			return false
-		}
-		vars := rng.Perm(5)[:1+rng.Intn(3)]
-		gotP, err := ProjectBudget(a, vars, nil)
-		if err != nil || !reflect.DeepEqual(gotP, Project(a, vars)) {
-			return false
-		}
-		c := randomBinaryCSP(rng)
-		bag := rng.Perm(c.NumVars)[:1+rng.Intn(c.NumVars)]
-		var cover []int
-		for ci := range c.Constraints {
-			cover = append(cover, ci)
-		}
-		gotB, err := c.BagTableBudget(bag, cover, nil)
-		return err == nil && reflect.DeepEqual(gotB, c.BagTable(bag, cover))
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// randomBinaryCSP builds a small random CSP for bag-table differentials:
-// 3-5 variables over a 3-value domain with a couple of sparse binary
-// constraints (constraints evaluated inside the bag walk, so their scopes
-// must fall inside any bag — keep them unary/binary over low vars).
-func randomBinaryCSP(rng *rand.Rand) *CSP {
-	n := 3 + rng.Intn(3)
-	domain := []Value{0, 1, 2}
-	c := New(n, domain)
-	for k := 0; k < 2; k++ {
-		u, v := rng.Intn(n), rng.Intn(n)
-		if u == v {
-			v = (v + 1) % n
-		}
-		var tuples [][]Value
-		for _, x := range domain {
-			for _, y := range domain {
-				if rng.Intn(3) != 0 {
-					tuples = append(tuples, []Value{x, y})
-				}
-			}
-		}
-		c.AddConstraint([]int{u, v}, tuples)
-	}
-	return c
-}
-
-// coveringConstraints returns the constraint indices whose scopes fall
-// entirely inside bag — the only ones BagTable may evaluate.
-func coveringConstraints(c *CSP, bag []int) []int {
-	in := make(map[int]bool, len(bag))
-	for _, v := range bag {
-		in[v] = true
-	}
-	var out []int
-	for ci, con := range c.Constraints {
-		ok := true
-		for _, v := range con.Scope {
-			if !in[v] {
-				ok = false
-				break
-			}
-		}
-		if ok {
-			out = append(out, ci)
-		}
-	}
-	return out
-}
-
-// A tiny node budget must trip BagTableBudget with a typed *InterruptedError
-// carrying the node-budget reason, and no partial table may escape.
+// A tiny node budget must trip the bag enumeration behind TDTables with a
+// typed *InterruptedError carrying the node-budget reason, and no partial
+// table may escape.
 func TestBagTableBudgetTripsOnNodeBudget(t *testing.T) {
 	domain := make([]Value, 10)
 	for i := range domain {
 		domain[i] = Value(i)
 	}
 	c := New(8, domain) // 10^8 candidate walk, budget allows 50 ticks
-	bag := []int{0, 1, 2, 3, 4, 5, 6, 7}
+	td := &decomp.TreeDecomposition{
+		Tree: decomp.Tree{Parent: []int{-1}, Root: 0},
+		Bags: [][]int{{0, 1, 2, 3, 4, 5, 6, 7}},
+	}
 	bu := budget.New(context.Background(), budget.Limits{MaxNodes: 50, CheckEvery: 1})
-	tbl, err := c.BagTableBudget(bag, coveringConstraints(c, bag), bu)
-	if tbl != nil {
-		t.Fatalf("BagTableBudget returned a partial table: %d rows", len(tbl.Rows))
+	tables, err := TDTables(c, td, bu)
+	if tables != nil {
+		t.Fatalf("TDTables returned partial tables: %d", len(tables))
 	}
 	var ie *InterruptedError
 	if !errors.As(err, &ie) {
-		t.Fatalf("BagTableBudget error = %v, want *InterruptedError", err)
+		t.Fatalf("TDTables error = %v, want *InterruptedError", err)
 	}
 	if ie.Reason != budget.StopNodes {
 		t.Fatalf("Reason = %q, want %q", ie.Reason, budget.StopNodes)
 	}
 }
 
-// A pre-canceled context must trip the budgeted operators with the
-// cancellation reason — this is the path the server leans on for client
-// disconnects and drain.
+// A pre-canceled context must trip Join and Project with the cancellation
+// reason — this is the path the server leans on for client disconnects and
+// drain.
 func TestBudgetedOpsHonorContextCancel(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
@@ -125,19 +48,19 @@ func TestBudgetedOpsHonorContextCancel(t *testing.T) {
 	for i := 0; i < 64; i++ {
 		big.Rows = append(big.Rows, []Value{Value(i)})
 	}
-	if _, err := JoinBudget(big, big, bu); err == nil {
-		t.Fatal("JoinBudget ran to completion under a canceled context")
+	if _, err := Join(big, big, bu); err == nil {
+		t.Fatal("Join ran to completion under a canceled context")
 	}
-	_, err := ProjectBudget(big, []int{0}, bu)
+	_, err := Project(big, []int{0}, bu)
 	var ie *InterruptedError
 	if !errors.As(err, &ie) || ie.Reason != budget.StopCanceled {
-		t.Fatalf("ProjectBudget error = %v, want *InterruptedError(canceled)", err)
+		t.Fatalf("Project error = %v, want *InterruptedError(canceled)", err)
 	}
 }
 
-// JoinBudget's output ticks must bound multiplicative blowups: two 64-row
-// tables sharing no variables produce 4096 output rows, far above the
-// 200-tick budget, so the join must abandon rather than materialize.
+// Join's output ticks must bound multiplicative blowups: two 64-row tables
+// sharing no variables produce 4096 output rows, far above the 200-tick
+// budget, so the join must abandon rather than materialize.
 func TestJoinBudgetBoundsOutput(t *testing.T) {
 	a := &Table{Vars: []int{0}}
 	b := &Table{Vars: []int{1}}
@@ -146,7 +69,7 @@ func TestJoinBudgetBoundsOutput(t *testing.T) {
 		b.Rows = append(b.Rows, []Value{Value(i)})
 	}
 	bu := budget.New(context.Background(), budget.Limits{MaxNodes: 200, CheckEvery: 1})
-	if _, err := JoinBudget(a, b, bu); err == nil {
-		t.Fatal("JoinBudget materialized a cross product past its node budget")
+	if _, err := Join(a, b, bu); err == nil {
+		t.Fatal("Join materialized a cross product past its node budget")
 	}
 }

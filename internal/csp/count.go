@@ -1,7 +1,7 @@
 package csp
 
 import (
-	"fmt"
+	"math"
 
 	"hypertree/internal/decomp"
 )
@@ -12,20 +12,15 @@ import (
 // in counting form. The work is O(nodes · d^(width+1)); by the
 // connectedness condition every complete assignment decomposes uniquely
 // into compatible bag tuples, so each is counted exactly once.
-// Variables in no bag contribute a factor |domain|.
+// Variables in no bag contribute a factor |domain|. A count too large for
+// an int saturates at math.MaxInt instead of wrapping.
 func CountFromTD(c *CSP, td *decomp.TreeDecomposition) int {
-	if err := td.Validate(c.Hypergraph()); err != nil {
-		panic(fmt.Sprintf("csp: invalid tree decomposition: %v", err))
+	tables, err := TDTables(c, td, nil)
+	if err != nil {
+		panic(err)
 	}
-	// Place constraints and enumerate bag tables exactly as SolveFromTD.
-	placed := PlaceConstraints(c, td.Bags)
-	tables := make([]*Table, len(td.Bags))
-	for i, bag := range td.Bags {
-		tables[i] = enumerateBag(c, bag, placed[i])
-	}
-
 	children := td.Children()
-	order := topDownOrder(td.Parent, td.Root)
+	order := TopDownOrder(td.Parent, td.Root)
 
 	// counts[node][rowIdx] = number of assignments of the subtree's
 	// variables (minus the bag's own, which are pinned by the row).
@@ -43,10 +38,10 @@ func CountFromTD(c *CSP, td *decomp.TreeDecomposition) int {
 				ai, bi := sharedColumns(t, ct)
 				for cri, crow := range ct.Rows {
 					if compatible(row, crow, ai, bi) {
-						sub += counts[ch][cri]
+						sub, _ = SatAdd(sub, counts[ch][cri])
 					}
 				}
-				total *= sub
+				total, _ = SatMul(total, sub)
 				if total == 0 {
 					break
 				}
@@ -56,7 +51,7 @@ func CountFromTD(c *CSP, td *decomp.TreeDecomposition) int {
 	}
 	total := 0
 	for _, cnt := range counts[td.Root] {
-		total += cnt
+		total, _ = SatAdd(total, cnt)
 	}
 	// Variables appearing in no bag are unconstrained (a valid TD covers
 	// every constraint scope, so such variables are in no constraint).
@@ -68,7 +63,7 @@ func CountFromTD(c *CSP, td *decomp.TreeDecomposition) int {
 	}
 	for v := 0; v < c.NumVars; v++ {
 		if !inBag[v] {
-			total *= len(c.Domains[v])
+			total, _ = SatMul(total, len(c.Domains[v]))
 		}
 	}
 	return total
@@ -81,4 +76,32 @@ func compatible(rowA, rowB []Value, ai, bi []int) bool {
 		}
 	}
 	return true
+}
+
+// Saturating arithmetic for the solution-count DPs, here and in the
+// compiled query engine. Counts are products of subtree counts and |domain|
+// factors, so realistic instances overflow int long before they exhaust
+// memory; wrapping would serve negative or nonsense counts as answers. Both
+// helpers assume non-negative operands (counts never go negative) and
+// report whether they clamped. On non-negative operands a saturated result
+// is exactly min(true value, math.MaxInt) whatever the evaluation order,
+// so every DP built on them returns the same count.
+
+// SatAdd returns a+b clamped to math.MaxInt, and whether it clamped.
+func SatAdd(a, b int) (int, bool) {
+	if a > math.MaxInt-b {
+		return math.MaxInt, true
+	}
+	return a + b, false
+}
+
+// SatMul returns a*b clamped to math.MaxInt, and whether it clamped.
+func SatMul(a, b int) (int, bool) {
+	if a == 0 || b == 0 {
+		return 0, false
+	}
+	if a > math.MaxInt/b {
+		return math.MaxInt, true
+	}
+	return a * b, false
 }

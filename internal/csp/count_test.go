@@ -1,10 +1,12 @@
 package csp
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
 
+	"hypertree/internal/decomp"
 	"hypertree/internal/elim"
 )
 
@@ -51,6 +53,21 @@ func TestCountFromTDFreeVariables(t *testing.T) {
 	want := c.CountSolutionsBrute() // 6 * 3 = 18
 	if got := CountFromTD(c, td); got != want || got != 18 {
 		t.Fatalf("count = %d, want %d (=18)", got, want)
+	}
+}
+
+// 70 boolean variables, 69 of them in no bag: the true count 2^70 does not
+// fit an int, so CountFromTD must saturate at math.MaxInt rather than wrap
+// (2^70 mod 2^64 is 0).
+func TestCountFromTDSaturates(t *testing.T) {
+	c := New(70, []Value{0, 1})
+	c.AddConstraint([]int{0}, [][]Value{{0}, {1}})
+	td := &decomp.TreeDecomposition{
+		Tree: decomp.Tree{Parent: []int{-1}, Root: 0},
+		Bags: [][]int{{0}},
+	}
+	if got := CountFromTD(c, td); got != math.MaxInt {
+		t.Fatalf("CountFromTD = %d, want math.MaxInt", got)
 	}
 }
 

@@ -4,6 +4,13 @@
 // algorithm (Figure 2.4), and solving arbitrary CSPs from tree
 // decompositions (§2.4, join-tree clustering) and from complete generalized
 // hypertree decompositions (Figure 2.9).
+//
+// Each relational step exists once. TDTables and GHDTables build the node
+// tables of a decomposition, Join and Project take an optional budget (nil
+// = unbounded), and ReduceBottomUp is the bottom-up semijoin pass. The
+// reference solvers here (SolveFromTD, SolveFromGHD, CountFromTD,
+// EnumerateFromTD) and the compiled query engine (internal/csp/engine) all
+// run on them, so only the query-answering code differs between the two.
 package csp
 
 import (
@@ -103,14 +110,6 @@ func (c *CSP) Hypergraph() *hypergraph.Hypergraph {
 		}
 	}
 	return h
-}
-
-// ConstraintTable materializes constraint ci as a table, dropping tuples
-// with values outside the variables' domains (domains act as implicit unary
-// constraints). This is the relation the decomposition solvers and the
-// compiled query engine (internal/csp/engine) start from.
-func (c *CSP) ConstraintTable(ci int) *Table {
-	return domainTable(c, &c.Constraints[ci])
 }
 
 // Consistent reports whether the complete assignment satisfies every

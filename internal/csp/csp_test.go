@@ -165,7 +165,7 @@ func TestSolveAcyclic(t *testing.T) {
 func TestRelationOps(t *testing.T) {
 	a := &Table{Vars: []int{0, 1}, Rows: [][]Value{{1, 2}, {1, 3}, {2, 2}}}
 	b := &Table{Vars: []int{1, 2}, Rows: [][]Value{{2, 9}, {3, 8}}}
-	j := Join(a, b)
+	j := join(a, b)
 	if len(j.Rows) != 3 || len(j.Vars) != 3 {
 		t.Fatalf("join = %+v", j)
 	}
@@ -178,7 +178,7 @@ func TestRelationOps(t *testing.T) {
 	if len(s2.Rows) != 1 || s2.Rows[0][1] != 3 {
 		t.Fatalf("semijoin = %+v", s2)
 	}
-	p := Project(a, []int{0})
+	p := project(a, []int{0})
 	if len(p.Rows) != 2 {
 		t.Fatalf("projection should dedupe: %+v", p)
 	}

@@ -15,7 +15,7 @@ func TestSolveAndCountZeroAllocs(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	c := randomCSP(rng)
 	td := randomTD(c, rng)
-	plan, err := Compile(c, td)
+	plan, err := CompileBudget(c, td, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

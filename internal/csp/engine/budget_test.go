@@ -14,7 +14,7 @@ import (
 
 // hugeBagInstance builds the adversarial shape the compile budget exists
 // for: a single 16-variable bag over an 8-value domain whose enumeration
-// walks 8^16 ≈ 3·10^14 candidates (BagTable prunes only at the leaves),
+// walks 8^16 ≈ 3·10^14 candidates (the bag walk prunes only at the leaves),
 // from a request a few hundred bytes long. One sparse 16-ary constraint
 // keeps the decomposition valid while the walk stays astronomical.
 func hugeBagInstance() (*csp.CSP, *decomp.TreeDecomposition) {
@@ -85,21 +85,21 @@ func satInstance() (*csp.CSP, *decomp.TreeDecomposition) {
 	return c, td
 }
 
-// The count DP must saturate at math.MaxInt with the overflow flag raised,
-// where the reference CountFromTD silently wraps (2^70 ≡ 0 mod 2^64) —
-// this is the engine's one documented divergence from the reference.
+// The count DP must saturate at math.MaxInt with the overflow flag raised
+// instead of wrapping (2^70 ≡ 0 mod 2^64), and agree with the reference
+// CountFromTD, which saturates through the same arithmetic.
 func TestCountSaturatesInsteadOfWrapping(t *testing.T) {
 	c, td := satInstance()
-	plan, err := Compile(c, td)
+	plan, err := CompileBudget(c, td, nil)
 	if err != nil {
-		t.Fatalf("Compile: %v", err)
+		t.Fatalf("CompileBudget: %v", err)
 	}
 	st := plan.Stats()
 	if st.Solutions != math.MaxInt || !st.SolutionsOverflow {
 		t.Fatalf("Stats = (%d, overflow=%v), want (MaxInt, true)", st.Solutions, st.SolutionsOverflow)
 	}
-	if ref := csp.CountFromTD(c, td); ref == math.MaxInt {
-		t.Fatalf("reference unexpectedly saturates too (%d) — divergence test is vacuous", ref)
+	if ref := csp.CountFromTD(c, td); ref != st.Solutions {
+		t.Fatalf("reference CountFromTD = %d, engine %d; want both math.MaxInt", ref, st.Solutions)
 	}
 
 	cu := plan.NewCursor()
@@ -127,9 +127,9 @@ func TestCountExactOnSmallInstance(t *testing.T) {
 		Tree: decomp.Tree{Parent: []int{-1, 0}, Root: 0},
 		Bags: [][]int{{0, 1}, {1, 2}},
 	}
-	plan, err := Compile(c, td)
+	plan, err := CompileBudget(c, td, nil)
 	if err != nil {
-		t.Fatalf("Compile: %v", err)
+		t.Fatalf("CompileBudget: %v", err)
 	}
 	st := plan.Stats()
 	if st.Solutions != 2 || st.SolutionsOverflow {

@@ -3,6 +3,7 @@ package engine
 import (
 	"fmt"
 
+	"hypertree/internal/budget"
 	"hypertree/internal/csp"
 )
 
@@ -147,8 +148,16 @@ func (cu *Cursor) Solve(pins []Pin) ([]csp.Value, bool) {
 		copy(cu.result, p.solution)
 		return cu.result, true
 	}
-	ok := cu.begin(pins)
-	if !ok || p.tablesEmpty || p.emptyFreeDom {
+	if !cu.begin(pins) {
+		return nil, false
+	}
+	return cu.solve()
+}
+
+// solve is the top-down walk behind Solve, for the pins begin stamped.
+func (cu *Cursor) solve() ([]csp.Value, bool) {
+	p := cu.p
+	if p.tablesEmpty || p.emptyFreeDom {
 		return nil, false
 	}
 	for k := range p.nodes {
@@ -203,18 +212,30 @@ func (cu *Cursor) Count(pins []Pin) int {
 
 // CountExact is Count plus an exactness bit: exact is false when the DP
 // saturated at math.MaxInt on the way to the answer, making count a
-// saturated lower bound rather than the true (int-overflowing) value. The
-// reference csp.CountFromTD wraps on overflow; the engine refuses to serve
-// wrapped values as authoritative, so this is the one place its answers
-// deliberately diverge from the reference.
+// saturated lower bound rather than the true (int-overflowing) value.
 func (cu *Cursor) CountExact(pins []Pin) (count int, exact bool) {
 	p := cu.p
 	if len(pins) == 0 {
 		return p.total, !p.totalOv
 	}
-	ok := cu.begin(pins)
-	if !ok || p.tablesEmpty {
+	if !cu.begin(pins) {
 		return 0, true
+	}
+	count, exact, _ = cu.count(nil) // no budget, so never interrupted
+	return count, exact
+}
+
+// count is the count DP behind CountExact, for the pins begin stamped:
+// counts[row] is the number of extensions of the row into its subtree, and
+// the answer is the root sum times a |domain| factor per unpinned free
+// variable. ovRows marks rows whose count saturated somewhere below, so the
+// answer carries an honest "lower bound only" flag. bu (nil = unbounded) is
+// ticked per candidate row checked: build passes the compile budget,
+// queries pass nil, and the nil guard keeps their probe loop free of calls.
+func (cu *Cursor) count(bu *budget.B) (count int, exact bool, err error) {
+	p := cu.p
+	if p.tablesEmpty {
+		return 0, true, nil
 	}
 	counts, ovRows := cu.counts, cu.countOv
 	for k := len(p.nodes) - 1; k >= 0; k-- {
@@ -233,14 +254,17 @@ func (cu *Cursor) CountExact(pins []Pin) (count int, exact bool) {
 				coff := p.rowOff[ch]
 				sub, sOv := 0, false
 				for _, rr := range cn.index[p.hash(row, cn.pcols)] {
+					if bu != nil && !bu.Tick() {
+						return 0, false, csp.Interrupted(bu)
+					}
 					if cn.matchRow(rr, row) {
 						var o bool
-						sub, o = satAdd(sub, counts[coff+rr])
+						sub, o = csp.SatAdd(sub, counts[coff+rr])
 						sOv = sOv || o || ovRows[coff+rr]
 					}
 				}
 				var o bool
-				total, o = satMul(total, sub)
+				total, o = csp.SatMul(total, sub)
 				tOv = tOv || o
 				if total == 0 {
 					// Exactly zero extensions, whatever saturated elsewhere.
@@ -256,7 +280,7 @@ func (cu *Cursor) CountExact(pins []Pin) (count int, exact bool) {
 	sum, sumOv := 0, false
 	for r := int32(0); r < p.nodes[0].nrows; r++ {
 		var o bool
-		sum, o = satAdd(sum, counts[r])
+		sum, o = csp.SatAdd(sum, counts[r])
 		sumOv = sumOv || o || ovRows[r]
 	}
 	for _, v := range p.free {
@@ -265,14 +289,14 @@ func (cu *Cursor) CountExact(pins []Pin) (count int, exact bool) {
 		}
 		if !cu.pinned(v) {
 			var o bool
-			sum, o = satMul(sum, len(p.domains[v]))
+			sum, o = csp.SatMul(sum, len(p.domains[v]))
 			sumOv = sumOv || o
 		}
 	}
 	if sum == 0 {
 		sumOv = false
 	}
-	return sum, !sumOv
+	return sum, !sumOv, nil
 }
 
 // EnumerateFunc streams up to limit (limit <= 0: all) complete consistent

@@ -10,31 +10,30 @@
 // from any number of goroutines with zero synchronization: all mutable
 // per-query state lives in a Cursor owned by a single goroutine.
 //
-// The engine's answers are pinned by differential tests to be *exactly*
-// equal (values and enumeration order) to the reference paths
-// csp.SolveFromTD, csp.CountFromTD, csp.EnumerateFromTD and csp.SolveFromGHD.
-// One deliberate divergence: solution counts saturate at math.MaxInt with an
-// explicit overflow flag (Stats.SolutionsOverflow, Cursor.CountExact) where
-// csp.CountFromTD silently wraps — a serving endpoint must not hand clients
-// wrapped garbage as an authoritative answer.
-// A query with pins behaves exactly like the reference run on a copy of the
-// CSP whose pinned domains are restricted to the pinned value. This works
-// because both sides traverse nodes in csp.TopDownOrder, all relational
-// operators preserve row order, and by the connectedness condition a row's
-// consistency with the global partial assignment is equivalent to its
-// compatibility with the parent's chosen row.
+// The engine builds its tables with csp.TDTables / csp.GHDTables and runs
+// csp.ReduceBottomUp, the same code the reference solvers run. Its answers
+// are pinned by differential tests to be *exactly* equal (values and
+// enumeration order) to the reference paths csp.SolveFromTD,
+// csp.CountFromTD, csp.EnumerateFromTD and csp.SolveFromGHD; counts too
+// large for an int saturate at math.MaxInt on both sides, and the engine
+// also raises an explicit overflow flag (Stats.SolutionsOverflow,
+// Cursor.CountExact). A query with pins behaves exactly like the reference
+// run on a copy of the CSP whose pinned domains are restricted to the
+// pinned value. This works because both sides traverse nodes in
+// csp.TopDownOrder, all relational operators preserve row order, and by the
+// connectedness condition a row's consistency with the global partial
+// assignment is equivalent to its compatibility with the parent's chosen
+// row.
 package engine
 
 import (
-	"fmt"
-
 	"hypertree/internal/budget"
 	"hypertree/internal/csp"
 	"hypertree/internal/decomp"
 )
 
 // node is one decomposition node in BFS (top-down) order. All fields are
-// immutable after Compile.
+// immutable after compilation.
 type node struct {
 	vars  []int       // column -> variable id
 	width int         // len(vars)
@@ -100,7 +99,7 @@ type Stats struct {
 	Solutions   int  `json:"solutions"`
 	// SolutionsOverflow reports the count DP saturated at math.MaxInt:
 	// Solutions is then a saturated lower bound, not the true value (which
-	// does not fit an int). The reference csp.CountFromTD wraps instead.
+	// does not fit an int).
 	SolutionsOverflow bool `json:"solutions_overflow,omitempty"`
 }
 
@@ -126,92 +125,40 @@ func (p *Plan) Stats() Stats {
 // NumVars returns the number of variables of the compiled CSP.
 func (p *Plan) NumVars() int { return p.numVars }
 
-// Compile builds a Plan from a tree decomposition of c's constraint
-// hypergraph, mirroring csp.SolveFromTD's clustering: each constraint is
-// placed at the first bag containing its scope and each node's table is the
-// enumeration of its bag under the constraints placed there.
-func Compile(c *csp.CSP, td *decomp.TreeDecomposition) (*Plan, error) {
-	return CompileBudget(c, td, nil)
-}
-
-// CompileBudget is Compile under a budget: table materialization and the
-// count DP tick bu once per unit of work (an enumeration step, an emitted
-// or probed row) and compilation aborts with a *csp.InterruptedError as
-// soon as any limit trips — a bag whose |domain|^|bag| space is
-// astronomically larger than the request that declared it cannot wedge the
-// caller. A nil budget never trips.
+// CompileBudget builds a Plan from a tree decomposition of c's constraint
+// hypergraph, on the node tables of csp.TDTables. Table materialization and
+// the count DP tick bu (nil = unbounded) once per unit of work (an
+// enumeration step, an emitted or probed row) and compilation aborts with a
+// *csp.InterruptedError as soon as any limit trips — a bag whose
+// |domain|^|bag| space is astronomically larger than the request that
+// declared it cannot wedge the caller.
 func CompileBudget(c *csp.CSP, td *decomp.TreeDecomposition, bu *budget.B) (*Plan, error) {
-	if err := td.Validate(c.Hypergraph()); err != nil {
-		return nil, fmt.Errorf("engine: invalid tree decomposition: %w", err)
-	}
-	placed := csp.PlaceConstraints(c, td.Bags)
-	tables := make([]*csp.Table, len(td.Bags))
-	for i, bag := range td.Bags {
-		t, err := c.BagTableBudget(bag, placed[i], bu)
-		if err != nil {
-			return nil, err
-		}
-		tables[i] = t
+	tables, err := csp.TDTables(c, td, bu)
+	if err != nil {
+		return nil, err
 	}
 	return build(c, tables, td.Parent, td.Root, td.Width(), bu)
 }
 
-// CompileGHD builds a Plan from a complete generalized hypertree
-// decomposition, mirroring csp.SolveFromGHD: each node's table is the
-// projection onto its bag of the join of its λ-set relations — no
-// enumeration over domains, so compile cost is output-sensitive.
-func CompileGHD(c *csp.CSP, g *decomp.GHD) (*Plan, error) {
-	return CompileGHDBudget(c, g, nil)
-}
-
-// CompileGHDBudget is CompileGHD under a budget, ticking bu per joined,
-// projected or probed row; see CompileBudget.
+// CompileGHDBudget builds a Plan from a complete generalized hypertree
+// decomposition, on the node tables of csp.GHDTables: each node's table is
+// the projection onto its bag of the join of its λ-set relations, so
+// compile cost is output-sensitive. bu is ticked per joined, projected or
+// probed row; see CompileBudget.
 func CompileGHDBudget(c *csp.CSP, g *decomp.GHD, bu *budget.B) (*Plan, error) {
-	h := c.Hypergraph()
-	if err := g.Validate(h); err != nil {
-		return nil, fmt.Errorf("engine: invalid GHD: %w", err)
-	}
-	if !g.IsComplete(h) {
-		return nil, fmt.Errorf("engine: GHD must be complete (call Complete first)")
-	}
-	tables := make([]*csp.Table, len(g.Bags))
-	for i, bag := range g.Bags {
-		if len(bag) == 0 {
-			// The empty bag's relation is the nullary identity (one empty
-			// tuple), not the empty relation.
-			tables[i] = &csp.Table{Rows: [][]csp.Value{{}}}
-			continue
-		}
-		var t *csp.Table
-		for _, e := range g.Lambdas[i] {
-			et := c.ConstraintTable(e)
-			if t == nil {
-				t = et
-			} else {
-				joined, err := csp.JoinBudget(t, et, bu)
-				if err != nil {
-					return nil, err
-				}
-				t = joined
-			}
-		}
-		if t == nil {
-			t = &csp.Table{}
-		}
-		proj, err := csp.ProjectBudget(t, bag, bu)
-		if err != nil {
-			return nil, err
-		}
-		tables[i] = proj
+	tables, err := csp.GHDTables(c, g, bu)
+	if err != nil {
+		return nil, err
 	}
 	return build(c, tables, g.Parent, g.Root, g.Width(), bu)
 }
 
 // build runs the shared compile pipeline: Yannakakis reduction, arena
-// packing, index construction, the pin-free count DP, and the canonical
-// pin-free solution. The count DP ticks bu per candidate-row check (its
-// only superlinear-in-rows phase); the semijoin passes and index build are
-// linear in rows already paid for during materialization.
+// packing, index construction, then one pin-free run of the cursor's count
+// DP and solve walk for the plan's cached answers. The count DP ticks bu per
+// candidate-row check (its only superlinear-in-rows phase); the semijoin
+// passes and index build are linear in rows already paid for during
+// materialization.
 func build(c *csp.CSP, tables []*csp.Table, parentOf []int, root, width int, bu *budget.B) (*Plan, error) {
 	p := &Plan{numVars: c.NumVars, width: width, hash: tupleHashHook}
 	p.domains = make([][]csp.Value, c.NumVars)
@@ -236,31 +183,15 @@ func build(c *csp.CSP, tables []*csp.Table, parentOf []int, root, width int, bu 
 		}
 	}
 
-	order := csp.TopDownOrder(parentOf, root)
-
 	// Full Yannakakis reduction. After the bottom-up pass every row has an
 	// extension into its whole subtree; after the top-down pass every row is
 	// also reachable from some root row, so each surviving row participates
 	// in at least one solution (over the bag variables).
-	for _, t := range tables {
-		if len(t.Vars) > 0 && len(t.Rows) == 0 {
-			p.tablesEmpty = true
-		}
-	}
-	if !p.tablesEmpty {
-		for i := len(order) - 1; i >= 1; i-- {
-			nd := order[i]
-			pa := parentOf[nd]
-			tables[pa] = csp.Semijoin(tables[pa], tables[nd])
-			if len(tables[pa].Vars) > 0 && len(tables[pa].Rows) == 0 {
-				p.tablesEmpty = true
-				break
-			}
-		}
-	}
-	if p.tablesEmpty {
+	order := csp.TopDownOrder(parentOf, root)
+	if !csp.ReduceBottomUp(tables, parentOf, order) {
 		// Unsatisfiable for every query (pins only shrink the solution
 		// space): compile the O(1) empty plan. total stays 0.
+		p.tablesEmpty = true
 		return p, nil
 	}
 	for _, nd := range order[1:] {
@@ -320,96 +251,17 @@ func build(c *csp.CSP, tables []*csp.Table, parentOf []int, root, width int, bu 
 		}
 	}
 
-	// Pin-free count DP (csp.CountFromTD semantics, except that overflow
-	// saturates at MaxInt instead of wrapping): counts[row] = number of
-	// extensions of the row into its subtree; total = root sum times a
-	// |domain| factor per free variable. ovRows marks rows whose count
-	// saturated somewhere below, so the final total carries an honest
-	// "lower bound only" flag.
-	counts := make([]int, p.rowsTot)
-	ovRows := make([]bool, p.rowsTot)
-	for k := len(p.nodes) - 1; k >= 0; k-- {
-		n := &p.nodes[k]
-		off := p.rowOff[k]
-		for r := int32(0); r < n.nrows; r++ {
-			row := n.row(r)
-			total, tOv := 1, false
-			for _, ch := range n.children {
-				cn := &p.nodes[ch]
-				coff := p.rowOff[ch]
-				sub, sOv := 0, false
-				for _, rr := range cn.index[p.hash(row, cn.pcols)] {
-					if !bu.Tick() {
-						return nil, csp.Interrupted(bu)
-					}
-					if cn.matchRow(rr, row) {
-						var o bool
-						sub, o = satAdd(sub, counts[coff+rr])
-						sOv = sOv || o || ovRows[coff+rr]
-					}
-				}
-				var o bool
-				total, o = satMul(total, sub)
-				tOv = tOv || o
-				if total == 0 {
-					// Exactly zero extensions, whatever saturated elsewhere.
-					tOv = false
-					break
-				}
-				tOv = tOv || sOv
-			}
-			counts[off+r] = total
-			ovRows[off+r] = tOv
-		}
+	// The pin-free answers every pin-free query returns: the cursor's own
+	// count DP and solve walk, run once with no pins.
+	cu := p.NewCursor()
+	cu.begin(nil)
+	total, exact, err := cu.count(bu)
+	if err != nil {
+		return nil, err
 	}
-	for r := int32(0); r < p.nodes[0].nrows; r++ {
-		var o bool
-		p.total, o = satAdd(p.total, counts[r])
-		p.totalOv = p.totalOv || o || ovRows[r]
-	}
-	for _, v := range p.free {
-		var o bool
-		p.total, o = satMul(p.total, len(p.domains[v]))
-		p.totalOv = p.totalOv || o
-	}
-	if p.total == 0 {
-		p.totalOv = false
-	}
-
-	// Canonical pin-free solution: the greedy top-down walk. On fully
-	// reduced tables every compatible candidate extends, so the walk never
-	// backtracks, and it picks exactly the rows the reference's
-	// selectConsistent/rows[0] pick does.
-	if !p.emptyFreeDom {
-		sol := make([]csp.Value, p.numVars)
-		choice := make([]int32, len(p.nodes))
-		for k := range p.nodes {
-			n := &p.nodes[k]
-			r := int32(0)
-			if n.parent >= 0 {
-				prow := p.nodes[n.parent].row(choice[n.parent])
-				r = -1
-				for _, rr := range n.index[p.hash(prow, n.pcols)] {
-					if n.matchRow(rr, prow) {
-						r = rr
-						break
-					}
-				}
-				if r < 0 {
-					// Unreachable after a full reduction; guard for misuse.
-					panic(fmt.Sprintf("engine: reduced node %d has no support", k))
-				}
-			}
-			choice[k] = r
-			row := n.row(r)
-			for i, v := range n.vars {
-				sol[v] = row[i]
-			}
-		}
-		for _, v := range p.free {
-			sol[v] = p.domains[v][0]
-		}
-		p.solution = sol
+	p.total, p.totalOv = total, !exact
+	if sol, ok := cu.solve(); ok {
+		p.solution = append([]csp.Value(nil), sol...)
 	}
 	return p, nil
 }

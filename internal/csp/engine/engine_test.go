@@ -105,9 +105,9 @@ func restrict(c *csp.CSP, pins []Pin) *csp.CSP {
 // exactly equal to the reference paths run on the pin-restricted CSP.
 func checkAgainstReference(t *testing.T, c *csp.CSP, td *decomp.TreeDecomposition, pins []Pin) {
 	t.Helper()
-	plan, err := Compile(c, td)
+	plan, err := CompileBudget(c, td, nil)
 	if err != nil {
-		t.Fatalf("Compile: %v", err)
+		t.Fatalf("CompileBudget: %v", err)
 	}
 	cu := plan.NewCursor()
 	rc := restrict(c, pins)
@@ -182,9 +182,9 @@ func TestPlanMatchesReferenceGHD(t *testing.T) {
 			return false
 		}
 		g.Complete(h)
-		plan, err := CompileGHD(c, g)
+		plan, err := CompileGHDBudget(c, g, nil)
 		if err != nil {
-			t.Fatalf("CompileGHD: %v", err)
+			t.Fatalf("CompileGHDBudget: %v", err)
 		}
 		cu := plan.NewCursor()
 		want := csp.SolveFromGHD(c, g)
@@ -220,7 +220,7 @@ func TestDegenerateCSPs(t *testing.T) {
 			t.Fatal(err)
 		}
 		g.Complete(h)
-		plan, err := CompileGHD(c, g)
+		plan, err := CompileGHDBudget(c, g, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -332,8 +332,8 @@ func TestCompileErrors(t *testing.T) {
 		Tree: decomp.Tree{Parent: []int{-1}, Root: 0},
 		Bags: [][]int{{0}}, // does not cover the constraint scope
 	}
-	if _, err := Compile(c, badTD); err == nil {
-		t.Fatal("Compile should reject an invalid tree decomposition")
+	if _, err := CompileBudget(c, badTD, nil); err == nil {
+		t.Fatal("CompileBudget should reject an invalid tree decomposition")
 	}
 	// A valid but incomplete GHD: two constraints share the scope {0,1}, one
 	// node covers the bag with only the first, so the second edge has no
@@ -355,8 +355,8 @@ func TestCompileErrors(t *testing.T) {
 	if g.IsComplete(h) {
 		t.Fatal("test GHD should be incomplete")
 	}
-	if _, err := CompileGHD(c2, g); err == nil {
-		t.Fatal("CompileGHD should reject an incomplete GHD")
+	if _, err := CompileGHDBudget(c2, g, nil); err == nil {
+		t.Fatal("CompileGHDBudget should reject an incomplete GHD")
 	}
 }
 
@@ -374,7 +374,7 @@ func TestPlanStats(t *testing.T) {
 
 func mustPlan(t *testing.T, c *csp.CSP, td *decomp.TreeDecomposition) *Plan {
 	t.Helper()
-	plan, err := Compile(c, td)
+	plan, err := CompileBudget(c, td, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -25,7 +25,7 @@ func tupleHash(row []csp.Value, cols []int32) uint64 {
 	return h
 }
 
-// tupleHashHook is captured by Compile into each Plan (indexes and probes
+// tupleHashHook is captured by compilation into each Plan (indexes and probes
 // must use the same function for the lifetime of a plan). Engine tests swap
 // in adversarial hashes — a constant — before compiling to prove that
 // correctness never depends on hash quality.

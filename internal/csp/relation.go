@@ -1,6 +1,11 @@
 package csp
 
-import "sort"
+import (
+	"fmt"
+	"sort"
+
+	"hypertree/internal/budget"
+)
 
 // Table is a relation with named columns: Vars lists the variable index of
 // each column, Rows the tuples. The relational operators below are the ones
@@ -8,7 +13,7 @@ import "sort"
 //
 // The operators hash rows by uint64 tuple hashes (see rowIndex) instead of
 // the original string keys; the string-keyed implementations are kept in
-// relation_ref.go as differential-test references. All operators preserve
+// the package tests as differential references. All operators preserve
 // input row order, so the two implementations produce identical tables.
 type Table struct {
 	Vars []int
@@ -112,8 +117,29 @@ func (ix *rowIndex) contains(probe []Value, probeCols []int) bool {
 	return found
 }
 
-// Join computes the natural join a ⋈ b.
-func Join(a, b *Table) *Table {
+// InterruptedError is the typed error the table builders return when their
+// budget trips mid-table: the work is abandoned (no partial table escapes)
+// and Reason says which limit ended it — deadline, node budget, or context
+// cancellation.
+type InterruptedError struct {
+	Reason budget.StopReason
+}
+
+func (e *InterruptedError) Error() string {
+	return fmt.Sprintf("csp: table materialization interrupted (%s)", e.Reason)
+}
+
+// Interrupted wraps bu's latched stop reason. Call it only after a Tick or
+// Check returned false, so the reason is already set.
+func Interrupted(bu *budget.B) error {
+	return &InterruptedError{Reason: bu.Reason()}
+}
+
+// Join computes the natural join a ⋈ b. It ticks bu (nil = unbounded) once
+// per probing row of a and once per emitted row, bounding both the scan and
+// the (possibly multiplicative) output, and returns an *InterruptedError as
+// soon as the budget trips.
+func Join(a, b *Table, bu *budget.B) (*Table, error) {
 	ai, bi := sharedColumns(a, b)
 	// Output columns: all of a, then b's non-shared.
 	sharedB := make(map[int]bool, len(bi))
@@ -130,8 +156,16 @@ func Join(a, b *Table) *Table {
 	}
 	ix := newRowIndex(b.Rows, bi)
 	out := &Table{Vars: outVars}
+	stop := false
 	for _, ra := range a.Rows {
+		if !bu.Tick() {
+			return nil, Interrupted(bu)
+		}
 		ix.probe(ra, ai, func(ri int32) bool {
+			if !bu.Tick() {
+				stop = true
+				return false
+			}
 			rb := b.Rows[ri]
 			row := make([]Value, 0, len(outVars))
 			row = append(row, ra...)
@@ -141,8 +175,11 @@ func Join(a, b *Table) *Table {
 			out.Rows = append(out.Rows, row)
 			return true
 		})
+		if stop {
+			return nil, Interrupted(bu)
+		}
 	}
-	return out
+	return out, nil
 }
 
 // Semijoin computes a ⋉ b: the rows of a that join with at least one row of
@@ -170,8 +207,10 @@ func Semijoin(a, b *Table) *Table {
 }
 
 // Project computes π_vars(a), deduplicating rows. Variables not present in
-// a are ignored.
-func Project(a *Table, vars []int) *Table {
+// a are ignored. It ticks bu (nil = unbounded) once per input row — the
+// output is at most input-sized — and returns an *InterruptedError as soon
+// as the budget trips.
+func Project(a *Table, vars []int, bu *budget.B) (*Table, error) {
 	var cols []int
 	var outVars []int
 	pos := make(map[int]int, len(a.Vars))
@@ -192,6 +231,9 @@ func Project(a *Table, vars []int) *Table {
 	// row, so collisions cannot drop a distinct row.
 	seen := make(map[uint64][]int32)
 	for _, r := range a.Rows {
+		if !bu.Tick() {
+			return nil, Interrupted(bu)
+		}
 		h := hashRowHook(r, cols)
 		dup := false
 		for _, oi := range seen[h] {
@@ -218,16 +260,7 @@ func Project(a *Table, vars []int) *Table {
 		seen[h] = append(seen[h], int32(len(out.Rows)))
 		out.Rows = append(out.Rows, row)
 	}
-	return out
-}
-
-// TableOf materializes a constraint as a table.
-func TableOf(c *Constraint) *Table {
-	t := &Table{Vars: append([]int(nil), c.Scope...)}
-	for _, row := range c.Tuples {
-		t.Rows = append(t.Rows, append([]Value(nil), row...))
-	}
-	return t
+	return out, nil
 }
 
 // selectConsistent returns the rows of t agreeing with the partial

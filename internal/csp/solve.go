@@ -1,8 +1,6 @@
 package csp
 
 import (
-	"fmt"
-
 	"hypertree/internal/decomp"
 	"hypertree/internal/hypergraph"
 )
@@ -14,70 +12,55 @@ import (
 //
 // jt must be a join tree of c.Hypergraph() (one node per constraint).
 func SolveAcyclic(c *CSP, jt *hypergraph.JoinTree) []Value {
-	m := len(c.Constraints)
-	if m == 0 {
-		return freeAssignment(c, nil, nil)
+	if len(c.Constraints) == 0 {
+		// An empty join tree: one nullary identity node stands in for it.
+		return first(acyclicOnTables(c, []*Table{{Rows: [][]Value{{}}}}, []int{-1}, 0, 1))
 	}
-	tables := make([]*Table, m)
+	tables := make([]*Table, len(c.Constraints))
 	for i := range tables {
 		tables[i] = domainTable(c, &c.Constraints[i])
 	}
-	order := topDownOrder(jt.Parent, jt.Root)
-	// Bottom-up phase: semijoin each parent with its child.
-	for i := len(order) - 1; i >= 1; i-- {
-		node := order[i]
-		parent := jt.Parent[node]
-		tables[parent] = Semijoin(tables[parent], tables[node])
-		if len(tables[parent].Rows) == 0 {
-			return nil
-		}
-	}
-	if len(tables[jt.Root].Rows) == 0 {
-		return nil
-	}
-	// Top-down phase: select consistent tuples.
-	assignment := make([]Value, c.NumVars)
-	assigned := make([]bool, c.NumVars)
-	for _, node := range order {
-		rows := selectConsistent(tables[node], assignment, assigned)
-		if len(rows) == 0 {
-			// Cannot happen on a valid join tree after the bottom-up phase.
-			panic(fmt.Sprintf("csp: top-down selection failed at node %d", node))
-		}
-		row := rows[0]
-		for i, v := range tables[node].Vars {
-			assignment[v] = row[i]
-			assigned[v] = true
-		}
-	}
-	return freeAssignment(c, assignment, assigned)
+	return first(acyclicOnTables(c, tables, jt.Parent, jt.Root, 1))
 }
 
-// PlaceConstraints assigns each constraint to the first node (in node order)
-// whose bag contains its scope, returning node -> constraint indices. Every
-// TD/GHD-based solver and the compiled query engine (internal/csp/engine)
-// share this placement so their bag tables — and therefore their answers —
-// agree exactly. Bags must cover every scope (guaranteed by Validate).
-func PlaceConstraints(c *CSP, bags [][]int) [][]int {
-	placed := make([][]int, len(bags))
-	for ci := range c.Constraints {
-		node := -1
-		for i, bag := range bags {
-			if containsAll(bag, c.Constraints[ci].Scope) {
-				node = i
-				break
-			}
-		}
-		placed[node] = append(placed[node], ci)
+// SolveFromTD solves an arbitrary CSP from a tree decomposition of its
+// constraint hypergraph using join-tree clustering (thesis §2.4): the node
+// tables of TDTables form a join tree, which is processed by Acyclic
+// Solving. The work per node is O(d^(width+1)).
+func SolveFromTD(c *CSP, td *decomp.TreeDecomposition) []Value {
+	tables, err := TDTables(c, td, nil)
+	if err != nil {
+		panic(err)
 	}
-	return placed
+	return first(acyclicOnTables(c, tables, td.Parent, td.Root, 1))
 }
 
-// BagTable enumerates all assignments of the bag consistent with the given
-// constraints (whose scopes lie inside the bag) — the node subproblem of
-// join-tree clustering, exposed for the compiled query engine.
-func (c *CSP) BagTable(bag []int, constraints []int) *Table {
-	return enumerateBag(c, bag, constraints)
+// SolveFromGHD solves an arbitrary CSP from a complete generalized
+// hypertree decomposition of its constraint hypergraph (thesis Figure 2.9):
+// the node tables of GHDTables form a join tree, which is processed by
+// Acyclic Solving. The work per node is O(|I|^width · log|I|)-style — no
+// enumeration over domains.
+func SolveFromGHD(c *CSP, g *decomp.GHD) []Value {
+	tables, err := GHDTables(c, g, nil)
+	if err != nil {
+		panic(err)
+	}
+	return first(acyclicOnTables(c, tables, g.Parent, g.Root, 1))
+}
+
+// EnumerateFromTD enumerates complete consistent assignments of c from a
+// tree decomposition, backtrack-free after one bottom-up semijoin pass
+// (the "all complete consistent assignments" use of decompositions, thesis
+// §2.2.1/§2.4). At most limit assignments are produced (limit <= 0 means
+// all); the total work is polynomial in the output size for fixed width.
+// Variables in no bag are fixed to their first domain value rather than
+// expanded, keeping the output focused on the constrained part.
+func EnumerateFromTD(c *CSP, td *decomp.TreeDecomposition, limit int) [][]Value {
+	tables, err := TDTables(c, td, nil)
+	if err != nil {
+		panic(err)
+	}
+	return acyclicOnTables(c, tables, td.Parent, td.Root, limit)
 }
 
 // TopDownOrder returns the tree nodes so that every node precedes its
@@ -85,141 +68,6 @@ func (c *CSP) BagTable(bag []int, constraints []int) *Table {
 // compiled engine traverse nodes in exactly this order, which is what makes
 // their greedy picks and enumeration sequences comparable.
 func TopDownOrder(parent []int, root int) []int {
-	return topDownOrder(parent, root)
-}
-
-// SolveFromTD solves an arbitrary CSP from a tree decomposition of its
-// constraint hypergraph using join-tree clustering (thesis §2.4): each
-// decomposition node becomes the subproblem of enumerating all consistent
-// assignments of its bag under the constraints placed there, and the
-// resulting join tree is processed by Acyclic Solving. The work per node is
-// O(d^(width+1)).
-func SolveFromTD(c *CSP, td *decomp.TreeDecomposition) []Value {
-	if err := td.Validate(c.Hypergraph()); err != nil {
-		panic(fmt.Sprintf("csp: invalid tree decomposition: %v", err))
-	}
-	placed := PlaceConstraints(c, td.Bags)
-	// Solve each node subproblem: all bag assignments consistent with the
-	// constraints placed there.
-	tables := make([]*Table, len(td.Bags))
-	for i, bag := range td.Bags {
-		tables[i] = enumerateBag(c, bag, placed[i])
-		if len(bag) > 0 && len(tables[i].Rows) == 0 {
-			return nil
-		}
-	}
-	return acyclicOnTables(c, tables, td.Parent, td.Root)
-}
-
-// SolveFromGHD solves an arbitrary CSP from a complete generalized
-// hypertree decomposition of its constraint hypergraph (thesis Figure 2.9):
-// each node's relation is the projection onto its bag of the join of the
-// relations in its λ-set, and the resulting join tree is processed by
-// Acyclic Solving. The work per node is O(|I|^width · log|I|)-style — no
-// enumeration over domains.
-func SolveFromGHD(c *CSP, g *decomp.GHD) []Value {
-	h := c.Hypergraph()
-	if err := g.Validate(h); err != nil {
-		panic(fmt.Sprintf("csp: invalid GHD: %v", err))
-	}
-	if !g.IsComplete(h) {
-		panic("csp: SolveFromGHD requires a complete GHD (call Complete first)")
-	}
-	tables := make([]*Table, len(g.Bags))
-	for i, bag := range g.Bags {
-		if len(bag) == 0 {
-			// The empty bag's relation is the nullary identity (one empty
-			// tuple), not the empty relation.
-			tables[i] = &Table{Rows: [][]Value{{}}}
-			continue
-		}
-		var t *Table
-		for _, e := range g.Lambdas[i] {
-			et := domainTable(c, &c.Constraints[e])
-			if t == nil {
-				t = et
-			} else {
-				t = Join(t, et)
-			}
-		}
-		if t == nil {
-			t = &Table{}
-		}
-		tables[i] = Project(t, bag)
-		if len(bag) > 0 && len(tables[i].Rows) == 0 {
-			return nil
-		}
-	}
-	return acyclicOnTables(c, tables, g.Parent, g.Root)
-}
-
-// acyclicOnTables runs the two phases of Acyclic Solving over per-node
-// tables arranged in the given rooted tree.
-func acyclicOnTables(c *CSP, tables []*Table, parent []int, root int) []Value {
-	order := topDownOrder(parent, root)
-	for i := len(order) - 1; i >= 1; i-- {
-		node := order[i]
-		p := parent[node]
-		tables[p] = Semijoin(tables[p], tables[node])
-		if len(tables[p].Vars) > 0 && len(tables[p].Rows) == 0 {
-			return nil
-		}
-	}
-	assignment := make([]Value, c.NumVars)
-	assigned := make([]bool, c.NumVars)
-	for _, node := range order {
-		if len(tables[node].Vars) == 0 {
-			continue
-		}
-		rows := selectConsistent(tables[node], assignment, assigned)
-		if len(rows) == 0 {
-			panic(fmt.Sprintf("csp: top-down selection failed at node %d", node))
-		}
-		row := rows[0]
-		for i, v := range tables[node].Vars {
-			assignment[v] = row[i]
-			assigned[v] = true
-		}
-	}
-	return freeAssignment(c, assignment, assigned)
-}
-
-// enumerateBag returns all assignments of the bag variables consistent with
-// the given constraints (whose scopes lie inside the bag).
-func enumerateBag(c *CSP, bag []int, constraints []int) *Table {
-	t := &Table{Vars: append([]int(nil), bag...)}
-	row := make([]Value, len(bag))
-	pos := make(map[int]int, len(bag))
-	for i, v := range bag {
-		pos[v] = i
-	}
-	var rec func(i int)
-	rec = func(i int) {
-		if i == len(bag) {
-			for _, ci := range constraints {
-				con := &c.Constraints[ci]
-				vals := make([]Value, len(con.Scope))
-				for k, v := range con.Scope {
-					vals[k] = row[pos[v]]
-				}
-				if !con.Allows(vals) {
-					return
-				}
-			}
-			t.Rows = append(t.Rows, append([]Value(nil), row...))
-			return
-		}
-		for _, v := range c.Domains[bag[i]] {
-			row[i] = v
-			rec(i + 1)
-		}
-	}
-	rec(0)
-	return t
-}
-
-// topDownOrder returns the nodes so that every node precedes its children.
-func topDownOrder(parent []int, root int) []int {
 	children := make([][]int, len(parent))
 	for i, p := range parent {
 		if p >= 0 {
@@ -233,73 +81,81 @@ func topDownOrder(parent []int, root int) []int {
 	return order
 }
 
-// freeAssignment extends a partial assignment with first-domain values for
-// unassigned variables and verifies it only when complete.
-func freeAssignment(c *CSP, assignment []Value, assigned []bool) []Value {
-	if assignment == nil {
-		assignment = make([]Value, c.NumVars)
-		assigned = make([]bool, c.NumVars)
-	}
-	for v := 0; v < c.NumVars; v++ {
-		if !assigned[v] {
-			if len(c.Domains[v]) == 0 {
-				return nil
-			}
-			assignment[v] = c.Domains[v][0]
+// ReduceBottomUp is the bottom-up phase of Acyclic Solving (thesis Figure
+// 2.4): visiting the nodes of the rooted tree parent in reverse of order (a
+// TopDownOrder), it replaces each parent's table by its semijoin with the
+// child's. Afterwards every row extends into its node's whole subtree. It
+// reports false — no solutions — as soon as any table is empty; a nullary
+// table with no rows is the empty relation too.
+func ReduceBottomUp(tables []*Table, parent, order []int) bool {
+	for _, t := range tables {
+		if len(t.Rows) == 0 {
+			return false
 		}
 	}
-	return assignment
-}
-
-// domainTable materializes a constraint as a table, dropping tuples with
-// values outside the variables' domains (domains act as implicit unary
-// constraints; brute force and bag enumeration respect them, so the
-// relational solvers must too).
-func domainTable(c *CSP, con *Constraint) *Table {
-	t := &Table{Vars: append([]int(nil), con.Scope...)}
-	for _, row := range con.Tuples {
-		ok := true
-		for i, v := range con.Scope {
-			if !inDomain(c.Domains[v], row[i]) {
-				ok = false
-				break
-			}
-		}
-		if ok {
-			t.Rows = append(t.Rows, append([]Value(nil), row...))
-		}
-	}
-	return t
-}
-
-func inDomain(domain []Value, x Value) bool {
-	for _, d := range domain {
-		if d == x {
-			return true
-		}
-	}
-	return false
-}
-
-func containsAll(sortedBag, subset []int) bool {
-	for _, v := range subset {
-		lo, hi := 0, len(sortedBag)
-		found := false
-		for lo < hi {
-			mid := (lo + hi) / 2
-			switch {
-			case sortedBag[mid] == v:
-				found = true
-				lo = hi
-			case sortedBag[mid] < v:
-				lo = mid + 1
-			default:
-				hi = mid
-			}
-		}
-		if !found {
+	for i := len(order) - 1; i >= 1; i-- {
+		p := parent[order[i]]
+		tables[p] = Semijoin(tables[p], tables[order[i]])
+		if len(tables[p].Rows) == 0 {
 			return false
 		}
 	}
 	return true
+}
+
+// acyclicOnTables runs Acyclic Solving over per-node tables arranged in the
+// rooted tree (parent, root): ReduceBottomUp, then a top-down walk that the
+// reduction makes backtrack-free. It returns up to limit (limit <= 0: all)
+// complete consistent assignments, nil if there are none. The first is
+// Acyclic Solving's answer: the first consistent row at every node.
+// Variables in no table take their first domain value.
+func acyclicOnTables(c *CSP, tables []*Table, parent []int, root, limit int) [][]Value {
+	order := TopDownOrder(parent, root)
+	if !ReduceBottomUp(tables, parent, order) {
+		return nil
+	}
+	assignment := make([]Value, c.NumVars)
+	for v, dom := range c.Domains {
+		if len(dom) == 0 {
+			return nil
+		}
+		assignment[v] = dom[0]
+	}
+	assigned := make([]bool, c.NumVars)
+	var out [][]Value
+	var rec func(oi int) bool // returns false once the limit is hit
+	rec = func(oi int) bool {
+		if oi == len(order) {
+			out = append(out, append([]Value(nil), assignment...))
+			return limit <= 0 || len(out) < limit
+		}
+		t := tables[order[oi]]
+		for _, row := range selectConsistent(t, assignment, assigned) {
+			var touched []int
+			for i, v := range t.Vars {
+				if !assigned[v] {
+					assigned[v] = true
+					touched = append(touched, v)
+				}
+				assignment[v] = row[i]
+			}
+			ok := rec(oi + 1)
+			for _, v := range touched {
+				assigned[v] = false
+			}
+			if !ok {
+				return false
+			}
+		}
+		return true
+	}
+	rec(0)
+	return out
+}
+
+func first(sols [][]Value) []Value {
+	if len(sols) == 0 {
+		return nil
+	}
+	return sols[0]
 }
