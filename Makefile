@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet staticcheck test race check par-smoke portfolio-smoke daemon-smoke latency-smoke query-smoke attr-smoke servebench-test bench-smoke bench-diff trace-smoke tracestat-smoke fuzz clean
+.PHONY: all build vet staticcheck test race check par-smoke portfolio-smoke daemon-smoke latency-smoke query-smoke attr-smoke servebench-test load-smoke bench-smoke bench-diff trace-smoke tracestat-smoke fuzz clean
 
 all: check
 
@@ -31,7 +31,7 @@ race:
 # serving benchmark's own module, a smoke run of the evaluator benchmarks
 # with a regression diff against the committed report, and trace emission +
 # analysis smoke runs.
-check: vet staticcheck build race par-smoke portfolio-smoke daemon-smoke latency-smoke query-smoke attr-smoke servebench-test bench-smoke bench-diff trace-smoke tracestat-smoke
+check: vet staticcheck build race par-smoke portfolio-smoke daemon-smoke latency-smoke query-smoke attr-smoke servebench-test load-smoke bench-smoke bench-diff trace-smoke tracestat-smoke
 
 # par-smoke is the quick parallel-correctness gate: one mid-size instance
 # through parallel BB-ghw and one through parallel det-k-decomp, Workers=4,
@@ -91,6 +91,16 @@ attr-smoke:
 # it silently unless this target runs.
 servebench-test:
 	cd servebench && $(GO) vet ./... && $(GO) test ./...
+
+# load-smoke drives a freshly built daemon over loopback with the serving
+# benchmark's two /query workloads, two seconds each, untraced. The
+# benchmark's own checker re-derives every answer (counts from an in-process
+# plan, solutions and enumerations against the CSP itself), and the run
+# exits non-zero on any failed request or wrong answer, so engine changes
+# are checked end to end over a socket. Builds land in .bench_build/.
+load-smoke:
+	bash servebench/run.sh --workload query-cold --seed 1 --seconds 2 --trace 0
+	bash servebench/run.sh --workload query-hot --seed 1 --seconds 2 --trace 0
 
 # bench-smoke reruns the ghw evaluator microbenchmarks (benchstat-compatible
 # output) into a scratch report and validates both it and the committed

@@ -1,5 +1,3 @@
-//go:build !race
-
 package engine
 
 import (
@@ -7,10 +5,9 @@ import (
 	"testing"
 )
 
-// The compiled probe path must allocate nothing per query: all scratch is
-// preallocated in the cursor, probes are uint64 map lookups, and Solve
-// returns a cursor-owned buffer. (Excluded under -race: the race runtime
-// instruments map access with allocations of its own.)
+// The compiled query path must allocate nothing per query: all scratch is
+// preallocated in the cursor, compatible rows are slices of the plan's row
+// groups, and Solve returns a cursor-owned buffer.
 func TestSolveAndCountZeroAllocs(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	c := randomCSP(rng)

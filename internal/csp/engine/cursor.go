@@ -8,7 +8,7 @@ import (
 )
 
 // Pin is a per-query unary assignment: variable Var must take value Val.
-// Pins are residual filters pushed into the index probes — the plan itself
+// Pins are residual filters applied to each candidate row — the plan itself
 // is never touched. A query with pins answers exactly what the reference
 // solvers answer on a CSP copy whose pinned domains are restricted to the
 // pinned value ({Val} if Val is in the domain, {} otherwise).
@@ -20,7 +20,7 @@ type Pin struct {
 // Cursor holds all mutable per-query state for one goroutine. Any number of
 // cursors can query the same Plan concurrently with zero synchronization; a
 // single cursor must not be shared. All scratch is allocated once in
-// NewCursor, so the Solve and Count probe paths allocate nothing per query.
+// NewCursor, so the Solve and Count paths allocate nothing per query.
 type Cursor struct {
 	p *Plan
 
@@ -83,7 +83,7 @@ func (cu *Cursor) begin(pins []Pin) bool {
 func (cu *Cursor) pinned(v int) bool { return cu.pinEpoch[v] == cu.epoch }
 
 // rowOK reports whether row r of nd satisfies every pin on the node's
-// variables — the residual filter applied at every probe.
+// variables — the residual filter applied to every candidate row.
 func (cu *Cursor) rowOK(nd *node, r int32) bool {
 	row := nd.row(r)
 	for i, v := range nd.vars {
@@ -107,14 +107,12 @@ func (cu *Cursor) support(k, r int32) bool {
 	if cu.deadEp[off] == cu.epoch {
 		return false
 	}
-	nd := &cu.p.nodes[k]
-	row := nd.row(r)
 	ok := true
-	for _, ch := range nd.children {
+	for _, ch := range cu.p.nodes[k].children {
 		cn := &cu.p.nodes[ch]
 		found := false
-		for _, rr := range cn.index[cu.p.hash(row, cn.pcols)] {
-			if cn.matchRow(rr, row) && cu.rowOK(cn, rr) && cu.support(ch, rr) {
+		for _, rr := range cn.rowsFor(r) {
+			if cu.rowOK(cn, rr) && cu.support(ch, rr) {
 				found = true
 				break
 			}
@@ -171,9 +169,8 @@ func (cu *Cursor) solve() ([]csp.Value, bool) {
 				}
 			}
 		} else {
-			prow := p.nodes[nd.parent].row(cu.choice[nd.parent])
-			for _, r := range nd.index[p.hash(prow, nd.pcols)] {
-				if nd.matchRow(r, prow) && cu.rowOK(nd, r) && cu.support(int32(k), r) {
+			for _, r := range nd.rowsFor(cu.choice[nd.parent]) {
+				if cu.rowOK(nd, r) && cu.support(int32(k), r) {
 					chosen = r
 					break
 				}
@@ -230,8 +227,8 @@ func (cu *Cursor) CountExact(pins []Pin) (count int, exact bool) {
 // the answer is the root sum times a |domain| factor per unpinned free
 // variable. ovRows marks rows whose count saturated somewhere below, so the
 // answer carries an honest "lower bound only" flag. bu (nil = unbounded) is
-// ticked per candidate row checked: build passes the compile budget,
-// queries pass nil, and the nil guard keeps their probe loop free of calls.
+// ticked per compatible child row visited: build passes the compile budget,
+// queries pass nil, and the nil guard keeps their loop free of calls.
 func (cu *Cursor) count(bu *budget.B) (count int, exact bool, err error) {
 	p := cu.p
 	if p.tablesEmpty {
@@ -247,21 +244,17 @@ func (cu *Cursor) count(bu *budget.B) (count int, exact bool, err error) {
 				ovRows[off+r] = false
 				continue
 			}
-			row := nd.row(r)
 			total, tOv := 1, false
 			for _, ch := range nd.children {
-				cn := &p.nodes[ch]
 				coff := p.rowOff[ch]
 				sub, sOv := 0, false
-				for _, rr := range cn.index[p.hash(row, cn.pcols)] {
+				for _, rr := range p.nodes[ch].rowsFor(r) {
 					if bu != nil && !bu.Tick() {
 						return 0, false, csp.Interrupted(bu)
 					}
-					if cn.matchRow(rr, row) {
-						var o bool
-						sub, o = csp.SatAdd(sub, counts[coff+rr])
-						sOv = sOv || o || ovRows[coff+rr]
-					}
+					var o bool
+					sub, o = csp.SatAdd(sub, counts[coff+rr])
+					sOv = sOv || o || ovRows[coff+rr]
 				}
 				var o bool
 				total, o = csp.SatMul(total, sub)
@@ -347,9 +340,8 @@ func (cu *Cursor) EnumerateFunc(limit int, pins []Pin, fn func(sol []csp.Value) 
 			}
 			return true
 		}
-		prow := p.nodes[nd.parent].row(cu.choice[nd.parent])
-		for _, r := range nd.index[p.hash(prow, nd.pcols)] {
-			if !nd.matchRow(r, prow) || !cu.rowOK(nd, r) || !cu.support(int32(k), r) {
+		for _, r := range nd.rowsFor(cu.choice[nd.parent]) {
+			if !cu.rowOK(nd, r) || !cu.support(int32(k), r) {
 				continue
 			}
 			cu.choice[k] = r

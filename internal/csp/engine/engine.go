@@ -3,12 +3,13 @@
 // speed. Compilation does all the per-instance work up front: the bag tables
 // of join-tree clustering (thesis §2.4) are materialized and fully
 // Yannakakis-reduced (one bottom-up and one top-down semijoin pass), rows
-// are packed into flat []Value arenas, and every child table carries a
-// uint64 tuple-hash index on its columns shared with the parent. A compiled
-// Plan serves Solve, Count, and Enumerate(limit) — optionally parameterized
-// by per-query unary pins pushed into the index probes as residual filters —
-// from any number of goroutines with zero synchronization: all mutable
-// per-query state lives in a Cursor owned by a single goroutine.
+// are packed into flat []Value arenas, and every child table stores, for
+// each parent row, the exact group of its rows compatible with it. A
+// compiled Plan serves Solve, Count, and Enumerate(limit) — optionally
+// parameterized by per-query unary pins applied to each candidate row as
+// residual filters — from any number of goroutines with zero
+// synchronization: all mutable per-query state lives in a Cursor owned by
+// a single goroutine.
 //
 // The engine builds its tables with csp.TDTables / csp.GHDTables and runs
 // csp.ReduceBottomUp, the same code the reference solvers run. Its answers
@@ -27,6 +28,9 @@
 package engine
 
 import (
+	"cmp"
+	"slices"
+
 	"hypertree/internal/budget"
 	"hypertree/internal/csp"
 	"hypertree/internal/decomp"
@@ -41,14 +45,15 @@ type node struct {
 	nrows int32
 
 	parent   int32   // BFS index of the parent node, -1 for the root
-	pcols    []int32 // columns of the shared variables in the PARENT's table
-	mcols    []int32 // columns of the shared variables in THIS table (parallel)
 	children []int32 // BFS indexes of children, in BFS order
 
-	// index buckets this node's rows by the hash of their mcols values; a
-	// probe hashes the parent row at pcols. Buckets keep row order. nil for
-	// the root (root candidates are a plain scan).
-	index map[uint64][]int32
+	// The rows compatible with each parent row, compiled once (see
+	// groupRows): group g is grpRows[grpOff[g]:grpOff[g+1]], row ids in row
+	// order, and parent row pr's group is group[pr]. nil for the root (root
+	// candidates are a plain scan).
+	grpRows []int32
+	grpOff  []int32
+	group   []int32
 }
 
 // row returns row r of the node's arena (a view, never a copy).
@@ -56,16 +61,64 @@ func (n *node) row(r int32) []csp.Value {
 	return n.arena[int(r)*n.width : (int(r)+1)*n.width]
 }
 
-// matchRow reports whether row r agrees with the parent row prow on the
-// shared columns — the exact comparison behind every hash bucket hit.
-func (n *node) matchRow(r int32, prow []csp.Value) bool {
-	row := n.row(r)
-	for i, mc := range n.mcols {
-		if row[mc] != prow[n.pcols[i]] {
-			return false
+// rowsFor returns the ids of the rows that agree with row prow of the
+// parent on every shared variable, in row order.
+func (n *node) rowsFor(prow int32) []int32 {
+	g := n.group[prow]
+	return n.grpRows[n.grpOff[g]:n.grpOff[g+1]]
+}
+
+// groupRows compiles n's compatibility with its parent pn. n's row ids are
+// stably sorted by their values on the shared variables, so each run of
+// equal values is one group with row order kept inside it, and each parent
+// row finds its group by binary search. A child that shares no variable
+// with its parent is one group holding all of its rows. After full
+// reduction every parent row has a nonempty group.
+func (n *node) groupRows(pn *node) {
+	var cols, pcols []int
+	for j, v := range n.vars {
+		if pc := slices.Index(pn.vars, v); pc >= 0 {
+			cols = append(cols, j)
+			pcols = append(pcols, pc)
 		}
 	}
-	return true
+	n.grpRows = make([]int32, n.nrows)
+	for r := range n.grpRows {
+		n.grpRows[r] = int32(r)
+	}
+	slices.SortStableFunc(n.grpRows, func(a, b int32) int {
+		return cmpOn(n.row(a), cols, n.row(b), cols)
+	})
+	n.grpOff = []int32{0}
+	for i := int32(1); i < n.nrows; i++ {
+		if cmpOn(n.row(n.grpRows[i-1]), cols, n.row(n.grpRows[i]), cols) != 0 {
+			n.grpOff = append(n.grpOff, i)
+		}
+	}
+	n.grpOff = append(n.grpOff, n.nrows)
+
+	starts := n.grpOff[:len(n.grpOff)-1] // each group's first position
+	n.group = make([]int32, pn.nrows)
+	for pr := range n.group {
+		g, ok := slices.BinarySearchFunc(starts, pn.row(int32(pr)), func(start int32, prow []csp.Value) int {
+			return cmpOn(n.row(n.grpRows[start]), cols, prow, pcols)
+		})
+		if !ok {
+			panic("engine: parent row without a compatible child row after full reduction")
+		}
+		n.group[pr] = int32(g)
+	}
+}
+
+// cmpOn compares row a at columns ac with row b at the parallel columns bc,
+// lexicographically.
+func cmpOn(a []csp.Value, ac []int, b []csp.Value, bc []int) int {
+	for i, c := range ac {
+		if d := cmp.Compare(a[c], b[bc[i]]); d != 0 {
+			return d
+		}
+	}
+	return 0
 }
 
 // Plan is a compiled, immutable query plan. It is safe for concurrent use:
@@ -80,12 +133,10 @@ type Plan struct {
 
 	tablesEmpty  bool        // a required table reduced to empty: no solutions, ever
 	emptyFreeDom bool        // some free variable has an empty domain (Solve unsat)
-	anyEmptyDom  bool        // some variable has an empty domain (Enumerate -> nil)
 	solution     []csp.Value // canonical pin-free solution, nil if unsat
 	total        int         // pin-free solution count, saturated at MaxInt
 	totalOv      bool        // total saturated: it is a lower bound, not exact
 	width        int         // decomposition width, for Stats
-	hash         hashFunc
 }
 
 // Stats summarizes a compiled plan for observability surfaces.
@@ -128,10 +179,11 @@ func (p *Plan) NumVars() int { return p.numVars }
 // CompileBudget builds a Plan from a tree decomposition of c's constraint
 // hypergraph, on the node tables of csp.TDTables. Table materialization and
 // the count DP tick bu (nil = unbounded) once per unit of work (an
-// enumeration step, an emitted or probed row) and compilation aborts with a
-// *csp.InterruptedError as soon as any limit trips — a bag whose
-// |domain|^|bag| space is astronomically larger than the request that
-// declared it cannot wedge the caller.
+// enumeration step, an emitted or probed row, a compatible child row the
+// count DP visits) and compilation aborts with a *csp.InterruptedError as
+// soon as any limit trips — a bag whose |domain|^|bag| space is
+// astronomically larger than the request that declared it cannot wedge the
+// caller.
 func CompileBudget(c *csp.CSP, td *decomp.TreeDecomposition, bu *budget.B) (*Plan, error) {
 	tables, err := csp.TDTables(c, td, bu)
 	if err != nil {
@@ -154,19 +206,16 @@ func CompileGHDBudget(c *csp.CSP, g *decomp.GHD, bu *budget.B) (*Plan, error) {
 }
 
 // build runs the shared compile pipeline: Yannakakis reduction, arena
-// packing, index construction, then one pin-free run of the cursor's count
-// DP and solve walk for the plan's cached answers. The count DP ticks bu per
-// candidate-row check (its only superlinear-in-rows phase); the semijoin
-// passes and index build are linear in rows already paid for during
-// materialization.
+// packing, row grouping, then one pin-free run of the cursor's count DP and
+// solve walk for the plan's cached answers. The count DP ticks bu per
+// compatible child row it visits (its only superlinear-in-rows phase); the
+// semijoin passes and row grouping cost O(rows log rows) over rows already
+// paid for during materialization.
 func build(c *csp.CSP, tables []*csp.Table, parentOf []int, root, width int, bu *budget.B) (*Plan, error) {
-	p := &Plan{numVars: c.NumVars, width: width, hash: tupleHashHook}
+	p := &Plan{numVars: c.NumVars, width: width}
 	p.domains = make([][]csp.Value, c.NumVars)
 	for v := range p.domains {
 		p.domains[v] = append([]csp.Value(nil), c.Domains[v]...)
-		if len(p.domains[v]) == 0 {
-			p.anyEmptyDom = true
-		}
 	}
 	inBag := make([]bool, c.NumVars)
 	for _, t := range tables {
@@ -200,7 +249,8 @@ func build(c *csp.CSP, tables []*csp.Table, parentOf []int, root, width int, bu 
 		tables[nd] = csp.Semijoin(tables[nd], tables[parentOf[nd]])
 	}
 
-	// Pack nodes in BFS order.
+	// Pack nodes in BFS order, so a parent is packed before its children
+	// group their rows against it.
 	pos := make([]int32, len(tables))
 	for k, orig := range order {
 		pos[orig] = int32(k)
@@ -222,34 +272,12 @@ func build(c *csp.CSP, tables []*csp.Table, parentOf []int, root, width int, bu 
 		} else {
 			pk := pos[parentOf[orig]]
 			n.parent = pk
-			pt := tables[parentOf[orig]]
-			pcol := make(map[int]int32, len(pt.Vars))
-			for j, v := range pt.Vars {
-				pcol[v] = int32(j)
-			}
-			for j, v := range t.Vars {
-				if pc, ok := pcol[v]; ok {
-					n.mcols = append(n.mcols, int32(j))
-					n.pcols = append(n.pcols, pc)
-				}
-			}
+			n.groupRows(&p.nodes[pk])
 			p.nodes[pk].children = append(p.nodes[pk].children, int32(k))
 		}
 		p.rowOff[k+1] = p.rowOff[k] + n.nrows
 	}
 	p.rowsTot = int(p.rowOff[len(order)])
-
-	// Hash indexes for every non-root node, on its shared-with-parent
-	// columns. An empty shared set degenerates to one bucket holding every
-	// row — exactly the "all rows compatible" semantics of the reference.
-	for k := 1; k < len(p.nodes); k++ {
-		n := &p.nodes[k]
-		n.index = make(map[uint64][]int32, n.nrows)
-		for r := int32(0); r < n.nrows; r++ {
-			h := p.hash(n.row(r), n.mcols)
-			n.index[h] = append(n.index[h], r)
-		}
-	}
 
 	// The pin-free answers every pin-free query returns: the cursor's own
 	// count DP and solve walk, run once with no pins.

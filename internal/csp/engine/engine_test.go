@@ -3,6 +3,7 @@ package engine
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -269,19 +270,96 @@ func TestDegenerateCSPs(t *testing.T) {
 	})
 }
 
-// Forced collisions: compile and query under a constant hash; every bucket
-// probe degenerates to a scan, and answers must not change.
-func TestPlanUnderForcedCollisions(t *testing.T) {
-	old := tupleHashHook
-	tupleHashHook = func([]csp.Value, []int32) uint64 { return 0 }
-	defer func() { tupleHashHook = old }()
-	rng := rand.New(rand.NewSource(11))
-	for i := 0; i < 40; i++ {
+// checkGroups asserts the compiled row groups against their definition: for
+// every non-root node and every parent row, rowsFor is exactly the node's
+// rows that agree with the parent row on every shared variable, in row
+// order, and it is nonempty.
+func checkGroups(t *testing.T, p *Plan) {
+	t.Helper()
+	for k := 1; k < len(p.nodes); k++ {
+		n := &p.nodes[k]
+		pn := &p.nodes[n.parent]
+		for pr := int32(0); pr < pn.nrows; pr++ {
+			var want []int32
+			for r := int32(0); r < n.nrows; r++ {
+				if agree(n.vars, n.row(r), pn.vars, pn.row(pr)) {
+					want = append(want, r)
+				}
+			}
+			if got := n.rowsFor(pr); len(want) == 0 || !slices.Equal(got, want) {
+				t.Fatalf("node %d, parent row %d %v: rowsFor = %v, want nonempty %v", k, pr, pn.row(pr), got, want)
+			}
+		}
+	}
+}
+
+// agree reports whether two rows give every variable they share the same
+// value.
+func agree(avars []int, a []csp.Value, bvars []int, b []csp.Value) bool {
+	for i, v := range avars {
+		for j, w := range bvars {
+			if v == w && a[i] != b[j] {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// Property: on random CSPs with random TDs and GHDs, every parent row's
+// group is exactly its compatible child rows, in row order, and nonempty —
+// including children that share no variable with their parent and empty
+// bags.
+func TestRowGroupsAreExactCompatibleRows(t *testing.T) {
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
 		c := randomCSP(rng)
-		td := randomTD(c, rng)
-		pins := []Pin{{Var: rng.Intn(c.NumVars), Val: rng.Intn(3)}}
-		checkAgainstReference(t, c, td, nil)
-		checkAgainstReference(t, c, td, pins)
+		checkGroups(t, mustPlan(t, c, randomTD(c, rng)))
+		h := c.Hypergraph()
+		g, err := elim.GHDFromOrdering(h, rng.Perm(c.NumVars), false, rng)
+		if err != nil {
+			t.Fatal(err)
+		}
+		g.Complete(h)
+		plan, err := CompileGHDBudget(c, g, nil)
+		if err != nil {
+			t.Fatalf("CompileGHDBudget: %v", err)
+		}
+		checkGroups(t, plan)
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 120}); err != nil {
+		t.Fatal(err)
+	}
+
+	// Two constraints over disjoint variables, so each layout below has a
+	// child sharing nothing with its parent: every parent row's group is
+	// then all of the child's rows.
+	c := csp.New(4, []csp.Value{0, 1})
+	c.AddNotEqual(0, 1)
+	c.AddConstraint([]int{2, 3}, [][]csp.Value{{0, 0}, {0, 1}, {1, 1}})
+	for _, tc := range []struct {
+		name   string
+		parent []int
+		bags   [][]int
+	}{
+		{"no shared variable", []int{-1, 0}, [][]int{{0, 1}, {2, 3}}},
+		{"empty root bag", []int{-1, 0, 0}, [][]int{{}, {0, 1}, {2, 3}}},
+		{"empty leaf bag", []int{-1, 0, 1}, [][]int{{0, 1}, {2, 3}, {}}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			td := &decomp.TreeDecomposition{Tree: decomp.Tree{Parent: tc.parent, Root: 0}, Bags: tc.bags}
+			plan := mustPlan(t, c, td)
+			checkGroups(t, plan)
+			for k := 1; k < len(plan.nodes); k++ {
+				n := &plan.nodes[k]
+				if len(n.grpOff) != 2 {
+					t.Fatalf("node %d shares nothing with its parent but has %d groups", k, len(n.grpOff)-1)
+				}
+			}
+			checkAgainstReference(t, c, td, nil)
+			checkAgainstReference(t, c, td, []Pin{{Var: 2, Val: 1}})
+		})
 	}
 }
 

@@ -18,7 +18,7 @@ import (
 const DefaultCacheCapacity = 1 << 12
 
 // DefaultPlanCacheCapacity bounds the compiled-plan cache. Plans carry
-// materialized bag tables and hash indexes — orders of magnitude heavier
+// materialized bag tables and row groups — orders of magnitude heavier
 // than a Response — so the default is correspondingly smaller: enough for a
 // working set of hot instances, small enough that a scan of one-off CSPs
 // cannot pin unbounded memory.

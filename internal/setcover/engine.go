@@ -509,7 +509,9 @@ const maxCacheShards = 16
 // not serialize on one lock. Each shard is an independent map with its own
 // FIFO ring; the shard capacities sum to the requested capacity, so the
 // total size bound is exact while eviction order is only per-shard FIFO.
-// All methods are safe for concurrent use.
+// Maps and rings start empty and grow on demand up to their shard's
+// capacity: an engine built for a short run pays only for the bags it
+// memoizes. All methods are safe for concurrent use.
 type coverCache struct {
 	shards    []cacheShard
 	mask      uint64 // len(shards)-1; shard count is a power of two
@@ -537,8 +539,7 @@ func newCoverCache(capacity int) *coverCache {
 		if i < extra {
 			sh.capacity++
 		}
-		sh.m = make(map[string]coverEntry, sh.capacity/4)
-		sh.ring = make([]string, 0, sh.capacity)
+		sh.m = make(map[string]coverEntry)
 	}
 	return c
 }

@@ -2,6 +2,7 @@ package setcover
 
 import (
 	"math/rand"
+	"runtime"
 	"sort"
 	"sync"
 	"testing"
@@ -214,6 +215,26 @@ func TestEngineCache(t *testing.T) {
 	}
 	if s = off.CacheStats(); s.Hits != 0 || s.Misses != 0 || s.Size != 0 {
 		t.Fatalf("cache-off stats: %+v", s)
+	}
+}
+
+// engineSink keeps the engines TestNewEngineSizesCacheLazily builds alive.
+var engineSink *Engine
+
+// A fresh engine must not pay for its cache's full capacity up front: the
+// greedy /query decomposition builds one engine per request, and a cache
+// presized for DefaultCacheCapacity entries cost 2.3 MB per engine.
+func TestNewEngineSizesCacheLazily(t *testing.T) {
+	h := hypergraph.Adder(6)
+	const runs = 16
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		engineSink = NewEngine(h, DefaultCacheCapacity)
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / runs; per >= 64<<10 {
+		t.Fatalf("NewEngine(Adder(6), DefaultCacheCapacity) allocates %d bytes, want < 64 KiB", per)
 	}
 }
 
