@@ -93,14 +93,20 @@ servebench-test:
 	cd servebench && $(GO) vet ./... && $(GO) test ./...
 
 # load-smoke drives a freshly built daemon over loopback with the serving
-# benchmark's two /query workloads, two seconds each, untraced. The
-# benchmark's own checker re-derives every answer (counts from an in-process
-# plan, solutions and enumerations against the CSP itself), and the run
-# exits non-zero on any failed request or wrong answer, so engine changes
-# are checked end to end over a socket. Builds land in .bench_build/.
+# benchmark's two /query workloads, two seconds each, and its default
+# /decompose path (the portfolio under a 150 ms deadline) for ten seconds,
+# all untraced. The benchmark's own checker re-derives every answer (counts
+# from an in-process plan, solutions and enumerations against the CSP
+# itself) and independently checks every returned decomposition (tree shape,
+# edge coverage, connectedness, λ covers, width, lower bound); the run exits
+# non-zero on any failed request or wrong answer, so engine and solver
+# changes are checked end to end over a socket. The decompose run is ten
+# seconds because servebench refuses a p90 with fewer than ten requests
+# beyond it, and two seconds send only ~26. Builds land in .bench_build/.
 load-smoke:
 	bash servebench/run.sh --workload query-cold --seed 1 --seconds 2 --trace 0
 	bash servebench/run.sh --workload query-hot --seed 1 --seconds 2 --trace 0
+	bash servebench/run.sh --workload decompose-deadline --seed 1 --seconds 10 --trace 0
 
 # bench-smoke reruns the ghw evaluator microbenchmarks (benchstat-compatible
 # output) into a scratch report and validates both it and the committed

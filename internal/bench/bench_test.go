@@ -100,9 +100,10 @@ func TestAllTablesSmoke(t *testing.T) {
 	ids := TableIDs()
 	if raceDetectorEnabled {
 		// The full sweep is an order of magnitude slower under the race
-		// detector and blows go test's default 10m package timeout. Only
-		// SAIGA (7.2) runs concurrent code, so keep it plus one
-		// representative per sequential algorithm family; the plain build
+		// detector and blows go test's default 10m package timeout. At
+		// Scale.Workers 0 every table runs serially (SAIGA's islands
+		// included), and the parallel engines have their own -race tests,
+		// so keep one representative per algorithm family; the plain build
 		// still sweeps every table.
 		ids = []string{"5.2", "6.1", "7.2", "8.1", "9.1"}
 	}

@@ -11,8 +11,8 @@
 // true, Stopped reports false. This lets library entry points accept an
 // optional budget without nil checks at every call site.
 //
-// All methods are safe for concurrent use (the SAIGA islands share one
-// budget across goroutines).
+// All methods are safe for concurrent use (portfolio members share one
+// budget across goroutines, as do parallel GA and SAIGA scoring workers).
 package budget
 
 import (
@@ -57,6 +57,13 @@ type Limits struct {
 	CheckEvery int64
 }
 
+// observeGap is the least run time between two checkpoint observer rounds
+// (see OnCheckpoint). Limits are polled at every checkpoint; observers ride
+// only the checkpoints that come at least observeGap after the last round,
+// so a run's event volume follows its wall-clock, not its work rate or the
+// number of solvers sharing the budget.
+const observeGap = time.Millisecond
+
 // B is a run budget. The zero value is not useful; use New. A nil *B is
 // valid and unlimited.
 //
@@ -78,8 +85,11 @@ type B struct {
 	// immutable slice behind an atomic pointer: the checkpoint path loads it
 	// lock-free, and installs copy-on-write under mu. Instrumentation
 	// piggybacks on the cancellation polls the algorithms already perform, so
-	// observing a run adds no new hot-path branches.
+	// observing a run adds no new hot-path branches. lastObs is the run time
+	// (ns) of the last observer round; the checkpoint that advances it by at
+	// least observeGap wins a compare-and-swap and runs the next round.
 	onCheck atomic.Pointer[[]CheckpointFunc]
+	lastObs atomic.Int64
 
 	// parent and label make this budget an attributed member view; both are
 	// immutable after Member. nodes is the root's global work counter on a
@@ -95,9 +105,10 @@ type B struct {
 
 // CheckpointFunc observes a cooperative checkpoint: the work units ticked so
 // far and the wall-clock time since New. It is called from whichever
-// goroutine hit the checkpoint (SAIGA islands and parallel GA workers call
-// concurrently), so implementations must be safe for concurrent use, and it
-// runs on the hot path's polling cadence — keep it cheap.
+// goroutine hit the checkpoint (portfolio members and parallel GA and SAIGA
+// scoring workers call concurrently), so implementations must be safe
+// for concurrent use. It runs at most once per observeGap of run time, on
+// the hot path's goroutine — keep it cheap.
 type CheckpointFunc func(nodes int64, elapsed time.Duration)
 
 // New builds a budget from ctx (may be nil) and limits, starting its clock
@@ -107,6 +118,7 @@ func New(ctx context.Context, l Limits) *B {
 	if b.checkEvery <= 0 {
 		b.checkEvery = 256
 	}
+	b.lastObs.Store(-int64(observeGap)) // the first round is never paced away
 	if l.Timeout > 0 {
 		b.deadline = b.start.Add(l.Timeout)
 	}
@@ -200,7 +212,9 @@ func (b *B) Tick() bool {
 }
 
 // Check is a cooperative checkpoint: it polls the context and the deadline
-// without counting work, and reports whether the run may continue.
+// without counting work, and reports whether the run may continue. A passing
+// checkpoint also runs the observers, when observeGap of run time has passed
+// since their last round.
 func (b *B) Check() bool {
 	if b == nil {
 		return true
@@ -225,9 +239,13 @@ func (b *B) Check() bool {
 		return false
 	}
 	if obs := b.onCheck.Load(); obs != nil {
-		n, el := b.nodes.Load(), time.Since(b.start)
-		for _, fn := range *obs {
-			fn(n, el)
+		el := time.Since(b.start)
+		if last := b.lastObs.Load(); el-time.Duration(last) >= observeGap &&
+			b.lastObs.CompareAndSwap(last, int64(el)) {
+			n := b.nodes.Load()
+			for _, fn := range *obs {
+				fn(n, el)
+			}
 		}
 	}
 	return true
@@ -236,8 +254,10 @@ func (b *B) Check() bool {
 // OnCheckpoint adds fn to the budget's checkpoint observers (nil removes
 // them all). Observers accumulate rather than replace: a portfolio run
 // shares one budget across concurrent solvers, each installing its own
-// instrumentation hook, and every observer fires at every passing
-// checkpoint. Installation is safe while workers are already checkpointing.
+// instrumentation hook. All observers fire together in one round, on the
+// first passing checkpoint and then on the first one at least observeGap of
+// run time after the previous round. Installation is safe while workers are
+// already checkpointing.
 func (b *B) OnCheckpoint(fn CheckpointFunc) {
 	if b == nil {
 		return
@@ -348,7 +368,7 @@ func (e *PanicError) Error() string {
 
 // AsPanicError wraps a recovered value, capturing the current goroutine's
 // stack. A value that already is a *PanicError passes through unchanged, so
-// a panic forwarded across goroutines (SAIGA islands) keeps the stack of
+// a panic forwarded across goroutines (parallel workers) keeps the stack of
 // the goroutine that actually panicked.
 func AsPanicError(v any) *PanicError {
 	if pe, ok := v.(*PanicError); ok {

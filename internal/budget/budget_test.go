@@ -5,6 +5,7 @@ import (
 	"errors"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -88,6 +89,60 @@ func TestContextDeadlineMergesWithTimeout(t *testing.T) {
 	}
 	if r := b.Reason(); r != StopCanceled && r != StopDeadline {
 		t.Fatalf("reason = %q, want canceled or deadline", r)
+	}
+}
+
+// Observer rounds are paced by run time, not by checkpoint count: with a
+// checkpoint at every tick, 200,000 ticks from four goroutines fire the
+// observers at least once (the first checkpoint always does) and at most
+// once per observeGap of elapsed run time. The limit polls keep their
+// CheckEvery cadence: a canceled context and an expired deadline still stop
+// the budget at the next checkpoint, however recent the last round.
+func TestObserversPacedByRunTime(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	b := New(ctx, Limits{CheckEvery: 1})
+	var rounds atomic.Int64
+	b.OnCheckpoint(func(int64, time.Duration) { rounds.Add(1) })
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 50_000; i++ {
+				if !b.Tick() {
+					t.Error("live budget refused a tick")
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	el := b.Elapsed()
+	if n, most := rounds.Load(), int64(el/observeGap)+1; n < 1 || n > most {
+		t.Fatalf("%d observer rounds in %v of run time, want 1..%d", n, el, most)
+	}
+	cancel()
+	if b.Tick() || b.Reason() != StopCanceled {
+		t.Fatalf("canceled context not seen at the next checkpoint (reason %q)", b.Reason())
+	}
+
+	// The deadline half needs its first tick to land before a 200 µs
+	// deadline; a goroutine preempted past it retries on a fresh budget.
+	for attempt := 1; ; attempt++ {
+		d := New(nil, Limits{Timeout: 200 * time.Microsecond, CheckEvery: 1})
+		d.OnCheckpoint(func(int64, time.Duration) {})
+		if !d.Tick() {
+			if attempt == 10 {
+				t.Skip("every attempt was preempted past the deadline before its first tick")
+			}
+			continue
+		}
+		time.Sleep(300 * time.Microsecond)
+		if d.Tick() || d.Reason() != StopDeadline {
+			t.Fatalf("expired deadline not seen at the next checkpoint (reason %q)", d.Reason())
+		}
+		return
 	}
 }
 

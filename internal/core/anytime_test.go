@@ -47,7 +47,7 @@ func validateAnytime(t *testing.T, h *hypergraph.Hypergraph, alg Algorithm, d *D
 }
 
 // checkNoGoroutineLeak waits (briefly) for the goroutine count to return to
-// its pre-run level, catching island workers left behind a panic or stop.
+// its pre-run level, catching worker goroutines left behind a panic or stop.
 func checkNoGoroutineLeak(t *testing.T, before int) {
 	t.Helper()
 	deadline := time.Now().Add(2 * time.Second)
@@ -113,19 +113,42 @@ func TestNodeBudgetHonored(t *testing.T) {
 	}
 }
 
+// containmentRun is one algorithm at one worker count in the cancellation
+// and panic tests.
+type containmentRun struct {
+	alg     Algorithm
+	workers int
+	name    string
+}
+
+// containmentRuns is every algorithm at Workers 0, plus the GA solvers at
+// Workers 2, whose evaluations then run on scoring goroutines rather than
+// the caller's: a cancel or panic there must be joined back just the same.
+func containmentRuns() []containmentRun {
+	var runs []containmentRun
+	for _, alg := range Algorithms {
+		runs = append(runs, containmentRun{alg, 0, string(alg)})
+	}
+	for _, alg := range []Algorithm{AlgGAGHW, AlgSAIGAGHW} {
+		runs = append(runs, containmentRun{alg, 2, string(alg) + "/workers=2"})
+	}
+	return runs
+}
+
 // TestCancellation proves cooperative context cancellation for every
 // algorithm: the cancel lands at the 20th budget checkpoint (forced to every
 // tick via CheckEvery=1) and the run still returns a validated result.
 func TestCancellation(t *testing.T) {
 	h := anytimeInstance()
-	for _, alg := range Algorithms {
-		t.Run(string(alg), func(t *testing.T) {
+	for _, r := range containmentRuns() {
+		alg := r.alg
+		t.Run(r.name, func(t *testing.T) {
 			defer faultinject.Reset()
 			ctx, cancel := context.WithCancel(context.Background())
 			defer cancel()
 			faultinject.Arm(faultinject.SiteCheckpoint, 20, cancel)
 			before := runtime.NumGoroutine()
-			d, err := Decompose(h, Options{Algorithm: alg, CheckEvery: 1, Ctx: ctx, Seed: 1})
+			d, err := Decompose(h, Options{Algorithm: alg, CheckEvery: 1, Ctx: ctx, Seed: 1, Workers: r.workers})
 			if err != nil {
 				t.Fatalf("Decompose: %v", err)
 			}
@@ -143,7 +166,7 @@ func TestCancellation(t *testing.T) {
 
 // TestPanicContainment injects a panic into each algorithm's hot path and
 // checks it surfaces as a typed *budget.PanicError — no crash, no hang, no
-// leaked island goroutines. Together the pairs cover all three production
+// leaked worker goroutines. Together the pairs cover all three production
 // injection sites.
 func TestPanicContainment(t *testing.T) {
 	h := anytimeInstance()
@@ -161,16 +184,17 @@ func TestPanicContainment(t *testing.T) {
 		// containment contract is the portfolio's, not the member's.
 		AlgPortfolio: faultinject.SiteSearchExpand,
 	}
-	for _, alg := range Algorithms {
+	for _, r := range containmentRuns() {
+		alg := r.alg
 		site, ok := sites[alg]
 		if !ok {
 			t.Fatalf("no injection site chosen for %s", alg)
 		}
-		t.Run(string(alg)+"/"+site, func(t *testing.T) {
+		t.Run(r.name+"/"+site, func(t *testing.T) {
 			defer faultinject.Reset()
 			faultinject.Arm(site, 3, func() { panic("injected fault") })
 			before := runtime.NumGoroutine()
-			d, err := Decompose(h, Options{Algorithm: alg, Seed: 1})
+			d, err := Decompose(h, Options{Algorithm: alg, Seed: 1, Workers: r.workers})
 			if err == nil {
 				t.Fatalf("Decompose survived the injected panic (got width %d)", d.Width)
 			}

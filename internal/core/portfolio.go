@@ -264,8 +264,9 @@ func decomposePortfolio(h *hypergraph.Hypergraph, opts Options) (*Decomposition,
 					mopts.Algorithm = alg
 					mopts.Recorder = mrec
 					// The portfolio's parallelism is the race itself; members
-					// stay on their serial engines so the shared budget's work
-					// units split across solvers, not within one.
+					// stay on their serial engines so the race runs one
+					// goroutine per member and the shared budget's work units
+					// split across solvers, not within one.
 					mopts.Workers = 0
 					mopts.Portfolio = nil
 					mopts.engine = engines[i]
@@ -299,24 +300,11 @@ func decomposePortfolio(h *hypergraph.Hypergraph, opts Options) (*Decomposition,
 		return nil, firstErr
 	}
 
-	// Winner: the narrowest validated decomposition, in member order on ties.
-	var winner *Decomposition
-	var winnerAlg Algorithm
-	for _, r := range results {
-		d := r.d
-		if d == nil || d.TD == nil || d.GHD == nil {
-			continue // det-k-decomp found nothing below the incumbent
-		}
-		if d.TD.Validate(h) != nil || d.GHD.Validate(h) != nil {
-			continue
-		}
-		if winner == nil || d.Width < winner.Width {
-			winner, winnerAlg = d, r.alg
-		}
+	won, err := pickWinner(h, results)
+	if err != nil {
+		return nil, err
 	}
-	if winner == nil {
-		return nil, fmt.Errorf("core: portfolio produced no valid decomposition")
-	}
+	winner, winnerAlg := won.d, won.alg
 
 	lbFinal := pf.lowerBound()
 	reason := b.Reason()
@@ -379,6 +367,32 @@ func decomposePortfolio(h *hypergraph.Hypergraph, opts Options) (*Decomposition,
 		pf.rec.Record(ev)
 	}
 	return d, nil
+}
+
+// pickWinner chooses the race's answer: the narrowest member result whose
+// tree decomposition and GHD both validate against h, member order breaking
+// ties. Validation is the expensive step, so a result no narrower than the
+// current winner is skipped unvalidated. Nil results and det-k-decomp's
+// empty result (nothing found below the incumbent) are not candidates.
+func pickWinner(h *hypergraph.Hypergraph, results []memberResult) (memberResult, error) {
+	var won memberResult
+	for _, r := range results {
+		d := r.d
+		if d == nil || d.TD == nil || d.GHD == nil {
+			continue // det-k-decomp found nothing below the incumbent
+		}
+		if won.d != nil && d.Width >= won.d.Width {
+			continue // cannot win
+		}
+		if d.TD.Validate(h) != nil || d.GHD.Validate(h) != nil {
+			continue
+		}
+		won = r
+	}
+	if won.d == nil {
+		return memberResult{}, fmt.Errorf("core: portfolio produced no valid decomposition")
+	}
+	return won, nil
 }
 
 // runDetk is the portfolio's det-k-decomp member: the solo hw-detk loop with

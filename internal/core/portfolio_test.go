@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"hypertree/internal/budget"
+	"hypertree/internal/decomp"
 	"hypertree/internal/elim"
 	"hypertree/internal/ga"
 	"hypertree/internal/hypergraph"
@@ -50,6 +51,61 @@ func TestPortfolioSmoke(t *testing.T) {
 			}
 			if err := pd.Stats.CheckTimeline(); err != nil {
 				t.Fatalf("merged timeline: %v", err)
+			}
+		})
+	}
+}
+
+// TestPickWinner pins the race's answer rule on hand-built member results
+// over the triangle (ghw 2): the narrowest result that validates wins,
+// member order breaks ties, an invalid narrower result falls through to the
+// next narrowest, and results without a decomposition are not candidates.
+func TestPickWinner(t *testing.T) {
+	tri := hypergraph.NewHypergraph(3)
+	tri.AddEdge(0, 1)
+	tri.AddEdge(1, 2)
+	tri.AddEdge(0, 2)
+	// oneBag is the single-bag decomposition {0,1,2} with the given λ; it is
+	// a valid GHD exactly when λ covers all three vertices.
+	oneBag := func(lambda ...int) *Decomposition {
+		g := &decomp.GHD{
+			TreeDecomposition: decomp.TreeDecomposition{
+				Tree: decomp.Tree{Parent: []int{-1}}, Bags: [][]int{{0, 1, 2}}},
+			Lambdas: [][]int{lambda},
+		}
+		return &Decomposition{TD: &g.TreeDecomposition, GHD: g, Width: len(lambda)}
+	}
+	valid3, valid2, valid2b := oneBag(0, 1, 2), oneBag(0, 1), oneBag(1, 2)
+	uncovered1 := oneBag(0) // λ = {edge {0,1}} leaves vertex 2 of the bag uncovered
+	for _, tc := range []struct {
+		name    string
+		results []memberResult
+		want    *Decomposition // nil: no valid result, an error
+	}{
+		{"narrowest valid wins", []memberResult{
+			{alg: AlgGAGHW, d: valid3}, {alg: AlgBBGHW, d: valid2}}, valid2},
+		{"tie goes to member order", []memberResult{
+			{alg: AlgGreedy, d: valid2b}, {alg: AlgBBGHW, d: valid2}}, valid2b},
+		{"invalid narrowest falls back", []memberResult{
+			{alg: AlgGreedy, d: valid3}, {alg: AlgSAIGAGHW, d: uncovered1}, {alg: AlgGAGHW, d: valid2}}, valid2},
+		{"nil and empty results skipped", []memberResult{
+			{alg: AlgHW}, {alg: AlgBBGHW, d: &Decomposition{}}, {alg: AlgGreedy, d: valid3}}, valid3},
+		{"no valid result", []memberResult{
+			{alg: AlgHW}, {alg: AlgSAIGAGHW, d: uncovered1}}, nil},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			got, err := pickWinner(tri, tc.results)
+			if tc.want == nil {
+				if err == nil {
+					t.Fatalf("picked %s, want an error", got.alg)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got.d != tc.want {
+				t.Fatalf("picked %s (width %d), want the width-%d result", got.alg, got.d.Width, tc.want.Width)
 			}
 		})
 	}

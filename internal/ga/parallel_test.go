@@ -1,6 +1,8 @@
 package ga
 
 import (
+	"runtime"
+	"sync/atomic"
 	"testing"
 
 	"hypertree/internal/budget"
@@ -124,6 +126,52 @@ func TestSAIGAWorkersMatchSerial(t *testing.T) {
 		}
 		if w := NewTreewidthEvaluator(g).Evaluate(par.BestOrdering); w != par.BestWidth {
 			t.Fatalf("workers=%d: reported %d but ordering evaluates to %d", workers, par.BestWidth, w)
+		}
+	}
+}
+
+// peakProbe wraps an evaluator and records the most Evaluate calls in flight
+// at once across every probe sharing its counters. The yield inside the call
+// lets any other runnable evaluation overlap it, even at GOMAXPROCS 1.
+type peakProbe struct {
+	Evaluator
+	cur, peak *atomic.Int64
+}
+
+func (p peakProbe) Evaluate(order []int) int {
+	n := p.cur.Add(1)
+	defer p.cur.Add(-1)
+	for m := p.peak.Load(); n > m; m = p.peak.Load() {
+		if p.peak.CompareAndSwap(m, n) {
+			break
+		}
+	}
+	runtime.Gosched()
+	return p.Evaluator.Evaluate(order)
+}
+
+// SAIGA's islands evolve in turn, so a run never has more evaluations in
+// flight than one island's scoring workers: one at Workers 0 or 1 (a
+// portfolio member runs at 0 and must not fan out beyond its own goroutine),
+// at most Workers above that.
+func TestSAIGAIslandsEvolveInTurn(t *testing.T) {
+	g := hypergraph.Queen(5)
+	for _, workers := range []int{0, 1, 2} {
+		var cur, peak atomic.Int64
+		cfg := SAIGADefaults()
+		cfg.IslandPop = 12
+		cfg.Epochs = 3
+		cfg.EpochLength = 4
+		cfg.Seed = 13
+		cfg.Workers = workers
+		r := SAIGA(g.N(), func(int, int) Evaluator {
+			return peakProbe{Evaluator: NewTreewidthEvaluator(g), cur: &cur, peak: &peak}
+		}, cfg)
+		if r.Evaluations == 0 {
+			t.Fatalf("workers=%d: no evaluations ran", workers)
+		}
+		if p, most := peak.Load(), int64(max(workers, 1)); p < 1 || p > most {
+			t.Fatalf("workers=%d: %d evaluations in flight at once, want 1..%d", workers, p, most)
 		}
 	}
 }

@@ -3,7 +3,6 @@ package ga
 import (
 	"context"
 	"math/rand"
-	"sync"
 	"time"
 
 	"hypertree/internal/budget"
@@ -33,20 +32,21 @@ type SAIGAConfig struct {
 	// evaluation (on any island) draws one work unit from it.
 	Budget *budget.B
 	// Recorder, when non-nil, receives the run's instrumentation events.
-	// Budget checkpoints fire from island goroutines, so it must be safe
-	// for concurrent use; improvement and epoch summaries are emitted
-	// serially between epochs.
+	// Budget checkpoints fire from whichever goroutine ticks the budget
+	// (scoring workers with Workers > 1, any other sharer of Budget), so it
+	// must be safe for concurrent use; improvement and epoch summaries are
+	// emitted serially between epochs.
 	Recorder obs.Recorder
 	// Label overrides the algorithm label on emitted events; the wrappers
 	// set "saiga-ghw"/"saiga-tw", plain "saiga" otherwise.
 	Label string
-	// Workers sets how many goroutines score each island's population
-	// (fitness evaluation); 0 or 1 keeps the serial per-island loop. The
-	// islands themselves always evolve concurrently, so the run's total
-	// goroutine count is Islands×Workers (the scheduler bounds actual
-	// parallelism at GOMAXPROCS). Like ga.Config.Workers, parallel scoring
-	// with randomized greedy covers can vary tie-breaking; deterministic
-	// evaluators (treewidth) produce identical results at any worker count.
+	// Workers sets how many goroutines score an island's population
+	// (fitness evaluation); 0 or 1 keeps the whole run on the caller's
+	// goroutine. The islands always evolve in turn, so a run scores on at
+	// most Workers goroutines at once. Like ga.Config.Workers, parallel
+	// scoring with randomized greedy covers can vary tie-breaking;
+	// deterministic evaluators (treewidth) produce identical results at any
+	// worker count.
 	Workers int
 	// Engine, when non-nil, is the cover engine SAIGAGHW builds its island
 	// evaluators on instead of creating its own, sharing its memo cache with
@@ -159,10 +159,9 @@ type SAIGAResult struct {
 	}
 }
 
-// island is one population with its parameter vector. Every island owns its
-// rng and evaluator so the islands of an epoch can evolve on separate
-// goroutines without sharing mutable state; cross-island steps (migration,
-// parameter orientation) run sequentially between epochs.
+// island is one population with its parameter vector and its own rng and
+// evaluators. The islands of an epoch evolve in turn; cross-island steps
+// (migration, parameter orientation) run between epochs.
 type island struct {
 	pop    [][]int
 	fit    []int
@@ -187,8 +186,8 @@ func (isl *island) resetOK() {
 
 // SAIGAGHW runs SAIGA-ghw on a hypergraph and returns an upper bound on its
 // generalized hypertree width (the thesis's configuration, §7.2). The
-// islands evolve on separate goroutines but share one cover engine: a bag
-// scored on any island is memoized for all of them.
+// islands share one cover engine: a bag scored on any island is memoized for
+// all of them.
 func SAIGAGHW(h *hypergraph.Hypergraph, cfg SAIGAConfig) SAIGAResult {
 	if cfg.Label == "" {
 		cfg.Label = "saiga-ghw"
@@ -273,9 +272,9 @@ func SAIGA(n int, newEval func(island, worker int) Evaluator, cfg SAIGAConfig) S
 		}
 	}
 
-	// Initial populations, evaluated island-parallel (and, with Workers > 1,
+	// Initial populations, evaluated island by island (and, with Workers > 1,
 	// worker-parallel within each island).
-	runIslands(isles, func(isl *island) {
+	for _, isl := range isles {
 		for j := range isl.pop {
 			isl.pop[j] = isl.rng.Perm(n)
 		}
@@ -288,10 +287,10 @@ func SAIGA(n int, newEval func(island, worker int) Evaluator, cfg SAIGAConfig) S
 				isl.bestF = isl.fit[j]
 			}
 		}
-	})
+	}
 
-	// totalEvals and improve run only between epochs, after the island
-	// goroutines have joined, so the per-island counters are stable.
+	// totalEvals and improve run only between epochs, when no island is
+	// scoring, so the per-island counters are stable.
 	totalEvals := func() int64 {
 		var t int64
 		for _, isl := range isles {
@@ -328,9 +327,9 @@ func SAIGA(n int, newEval func(island, worker int) Evaluator, cfg SAIGAConfig) S
 		if b.Stopped() || !b.Check() {
 			break
 		}
-		runIslands(isles, func(isl *island) {
+		for _, isl := range isles {
 			evolveIsland(isl, cfg, b)
-		})
+		}
 		prevF := globalF
 		for _, isl := range isles {
 			if isl.bestF < globalF {
@@ -397,37 +396,6 @@ func SAIGA(n int, newEval func(island, worker int) Evaluator, cfg SAIGAConfig) S
 		}{isl.params.pm, isl.params.pc, isl.params.crossover, isl.params.mutation})
 	}
 	return res
-}
-
-// runIslands runs fn for every island concurrently and joins. A panic on an
-// island goroutine is captured (with its stack) and re-raised on the caller
-// after all goroutines have exited, so the process-level containment barrier
-// in core.Decompose sees it and no goroutine leaks behind it.
-func runIslands(isles []*island, fn func(*island)) {
-	var wg sync.WaitGroup
-	var mu sync.Mutex
-	var pan *budget.PanicError
-	for _, isl := range isles {
-		isl := isl
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			defer func() {
-				if r := recover(); r != nil {
-					mu.Lock()
-					if pan == nil {
-						pan = budget.AsPanicError(r)
-					}
-					mu.Unlock()
-				}
-			}()
-			fn(isl)
-		}()
-	}
-	wg.Wait()
-	if pan != nil {
-		panic(pan)
-	}
 }
 
 // evolveIsland runs EpochLength generations of the basic GA on one island

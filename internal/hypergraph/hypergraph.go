@@ -13,8 +13,8 @@ import (
 //
 // Concurrency: mutation (AddEdge, Set*Name) is not safe for concurrent use,
 // but all read methods are — including the first IncidentEdges call, which
-// builds its index under a lock. The SAIGA islands share one hypergraph
-// across goroutines and rely on this.
+// builds its index under a lock. Portfolio members and parallel workers
+// share one hypergraph across goroutines and rely on this.
 type Hypergraph struct {
 	n      int
 	edges  [][]int
@@ -92,7 +92,7 @@ func (h *Hypergraph) EdgeContains(e, v int) bool {
 // The result is cached; the returned slice must not be mutated.
 func (h *Hypergraph) IncidentEdges(v int) []int {
 	h.check(v)
-	// Double-checked lazy build: concurrent readers (SAIGA islands) may all
+	// Double-checked lazy build: concurrent readers (portfolio members) may all
 	// arrive before the index exists; exactly one builds it, and the atomic
 	// flag is only set after the slice is fully populated.
 	if !h.incidentOK.Load() {

@@ -85,8 +85,9 @@ type Member struct {
 	// entry another member populated still counts as this member's hit).
 	CacheHits   int64 `json:"cache_hits,omitempty"`
 	CacheMisses int64 `json:"cache_misses,omitempty"`
-	// Checkpoints counts the budget cooperative checkpoints the member's
-	// event stream carried.
+	// Checkpoints counts the budget checkpoint observer rounds the member's
+	// event stream carried: at most one per millisecond of run time, so it
+	// measures how long the member ran, not how much work it ticked.
 	Checkpoints int64 `json:"checkpoints,omitempty"`
 	// Claims are the incumbent improvements this member contributed, in
 	// claim order. Every improvement of the run's merged timeline appears in

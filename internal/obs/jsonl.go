@@ -109,7 +109,7 @@ func ValidateTrace(r io.Reader) (*TraceSummary, error) {
 // must be non-decreasing across each run (from one algo_start to the next).
 //
 // Strict ordering assumes a single-threaded writer. Concurrent emitters
-// (SAIGA islands, parallel GA workers) timestamp events before taking the
+// (portfolio members, parallel GA workers) timestamp events before taking the
 // sink's lock, so adjacent lines can interleave a few microseconds out of
 // order; validate those traces with the default mode instead.
 func ValidateTraceStrict(r io.Reader) (*TraceSummary, error) {

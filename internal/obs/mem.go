@@ -6,18 +6,20 @@ import (
 	"time"
 )
 
-// DefaultMemSampleEvery is how many budget checkpoints pass between
-// mem_sample events. Checkpoints fire every CheckEvery work units (default
-// 256), so the default cadence is one runtime.ReadMemStats per ~4096 work
-// units — far below the stop-the-world cost mattering, dense enough to catch
-// a heap blow-up while it happens rather than at the OOM kill.
+// DefaultMemSampleEvery is how many budget checkpoint observer rounds pass
+// between mem_sample events. Observer rounds come at most once per
+// millisecond of run time, so the default cadence is at most one
+// runtime.ReadMemStats per ~16 ms per sampler — far below the
+// stop-the-world cost mattering, dense enough to catch a heap blow-up while
+// it happens rather than at the OOM kill.
 const DefaultMemSampleEvery = 16
 
 // MemSampler emits sampled mem_sample events: every everyth Sample call
 // reads runtime.MemStats and records one snapshot. It rides the budget
 // checkpoint path, so observing memory adds no new hot-path branches; a nil
-// *MemSampler is valid and disabled. Safe for concurrent use (checkpoints
-// fire from SAIGA island and parallel-GA worker goroutines).
+// *MemSampler is valid and disabled. Safe for concurrent use (observer
+// rounds fire from portfolio member and parallel GA and SAIGA scoring
+// worker goroutines).
 type MemSampler struct {
 	every int64
 	n     atomic.Int64
@@ -55,7 +57,7 @@ func (m *MemSampler) Sample(rec Recorder, t time.Duration) {
 }
 
 // Checkpointer returns the stock budget-checkpoint observer: one checkpoint
-// event per cooperative poll plus sampled mem_sample snapshots. Its
+// event per observer round plus sampled mem_sample snapshots. Its
 // signature matches budget.CheckpointFunc structurally (this package does
 // not import the budget package), so callers pass it straight to
 // budget.B.OnCheckpoint.

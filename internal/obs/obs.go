@@ -39,9 +39,13 @@ const (
 	// KindStop closes a run: final width, lower bound, exactness, effort
 	// counters and the budget stop reason (empty = ran to completion).
 	KindStop Kind = "algo_stop"
-	// KindCheckpoint is a budget cooperative checkpoint tick (every
-	// CheckEvery work units): nodes so far and elapsed time. These are the
-	// heartbeat of a trace — a long gap between checkpoints is a stall.
+	// KindCheckpoint is one budget checkpoint observer round: nodes so far
+	// and elapsed time. The budget polls its limits every CheckEvery work
+	// units but runs observers on the first passing checkpoint and then at
+	// most once per millisecond of run time, so a busy run emits about one
+	// per millisecond per observer. These are the heartbeat of a trace — a
+	// long gap (well over the millisecond pacing) between checkpoints is a
+	// stall.
 	KindCheckpoint Kind = "checkpoint"
 	// KindImprove records an anytime best-width improvement: the new width
 	// with the node/evaluation/generation counters at the moment it was
@@ -62,7 +66,7 @@ const (
 	// Found whether a decomposition of that width exists.
 	KindAttempt Kind = "detk_attempt"
 	// KindMemSample is a sampled runtime.MemStats snapshot riding the budget
-	// checkpoint cadence (every MemSampler.every checkpoints): heap in use,
+	// checkpoint observer rounds (every MemSampler.every rounds): heap in use,
 	// heap reserved, live objects, GC cycles and total pause. These are what
 	// diagnose the memory blow-ups that kill det-k-style searches in practice.
 	KindMemSample Kind = "mem_sample"

@@ -159,7 +159,7 @@ type gauges struct {
 
 // instrument sets up a run's recorder stack: every search aggregates into a
 // fresh RunStats (attached to its Result), teed with the caller's Recorder;
-// checkpoint events piggyback on the budget's cancellation polls — carrying
+// checkpoint events ride the budget's paced observer rounds — carrying
 // g's search-shape gauges and sampled mem_sample snapshots — and sampled
 // cover_cache events ride the ghw engine's queries. It emits the algo_start
 // event.

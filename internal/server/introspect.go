@@ -14,9 +14,11 @@ import (
 // slowest requests retain their full event trace for post-hoc diagnosis.
 const DefaultSlowN = 8
 
-// slowEventCap bounds the events buffered per request for the slow ring. A
-// long solve at checkpoint cadence emits a few thousand events; beyond the
-// cap we count drops instead of growing without bound.
+// slowEventCap bounds the events buffered per request for the slow ring.
+// Checkpoint observer rounds run at most once per millisecond, each emitting
+// one checkpoint per observer (a portfolio race has six), so a 150 ms race
+// buffers a few hundred events and a multi-second solve a few thousand;
+// beyond the cap we count drops instead of growing without bound.
 const slowEventCap = 4096
 
 // runInfo is one in-flight request in the live registry. The handler
