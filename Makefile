@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet staticcheck test race check par-smoke portfolio-smoke daemon-smoke latency-smoke query-smoke attr-smoke servebench-test load-smoke bench-smoke bench-diff trace-smoke tracestat-smoke fuzz clean
+.PHONY: all build vet staticcheck test race check par-smoke portfolio-smoke deadline-smoke daemon-smoke latency-smoke query-smoke attr-smoke servebench-test load-smoke bench-smoke bench-diff trace-smoke tracestat-smoke fuzz clean
 
 all: check
 
@@ -31,7 +31,7 @@ race:
 # serving benchmark's own module, a smoke run of the evaluator benchmarks
 # with a regression diff against the committed report, and trace emission +
 # analysis smoke runs.
-check: vet staticcheck build race par-smoke portfolio-smoke daemon-smoke latency-smoke query-smoke attr-smoke servebench-test load-smoke bench-smoke bench-diff trace-smoke tracestat-smoke
+check: vet staticcheck build race par-smoke portfolio-smoke deadline-smoke daemon-smoke latency-smoke query-smoke attr-smoke servebench-test load-smoke bench-smoke bench-diff trace-smoke tracestat-smoke
 
 # par-smoke is the quick parallel-correctness gate: one mid-size instance
 # through parallel BB-ghw and one through parallel det-k-decomp, Workers=4,
@@ -41,12 +41,21 @@ check: vet staticcheck build race par-smoke portfolio-smoke daemon-smoke latency
 par-smoke:
 	$(GO) test -race -count=1 -run 'TestParallel.*Smoke' ./internal/search/ ./internal/htd/
 
-# portfolio-smoke is the racing-mode gate: the full solver portfolio on two
-# seed instances under the race detector, asserting the race's width is no
-# worse than the best single member given the same budget and that the
+# portfolio-smoke is the racing-mode gate: the default solver portfolio on
+# two seed instances under the race detector, asserting the race's width is
+# no worse than the best single member given the same budget and that the
 # merged anytime timeline stays monotone.
 portfolio-smoke:
 	$(GO) test -race -count=1 -run 'TestPortfolioSmoke' ./internal/core/
+
+# deadline-smoke is the deadline gate: every registry hypergraph under
+# greedy, bb-ghw and the default portfolio at a 250 ms deadline, without the
+# race detector so the wall clock means something. Each run must return a
+# validated decomposition within the deadline plus a fixed slack, and no
+# wider than the best width in its own timeline. (`make race` runs the same
+# test with only the wall-clock assertion skipped.)
+deadline-smoke:
+	$(GO) test -count=1 -run 'TestDeadlineSmoke' ./internal/bench/
 
 # daemon-smoke exercises the decomposed binary end to end over a real port:
 # build it, start it, POST examples/instances/cycle6.hg and assert the exact

@@ -106,6 +106,14 @@ func main() {
 	}
 	srv := server.New(cfg)
 
+	// First signal: graceful drain. Second signal: give up immediately —
+	// the operator asked twice, something is stuck. The handler goes in
+	// before the address is announced: a supervisor may signal as soon as it
+	// reads that line, and a signal landing before Notify would kill the
+	// process with the default action instead of draining it.
+	sigc := make(chan os.Signal, 2)
+	signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)
+
 	// Listen before announcing, so "-addr :0" callers (tests, supervisors)
 	// can read the actual port from the first stdout line.
 	ln, err := net.Listen("tcp", *addr)
@@ -118,10 +126,6 @@ func main() {
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- hs.Serve(ln) }()
 
-	// First signal: graceful drain. Second signal: give up immediately —
-	// the operator asked twice, something is stuck.
-	sigc := make(chan os.Signal, 2)
-	signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)
 	select {
 	case err := <-serveErr:
 		fatal(err)

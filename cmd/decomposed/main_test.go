@@ -167,6 +167,26 @@ func TestDaemonSmoke(t *testing.T) {
 	}
 }
 
+// TestDaemonSignalAtStartup closes the start-up signal window: a supervisor
+// may send SIGTERM the moment it reads the address line, so the handler must
+// already be installed by then. Each start is signalled immediately and must
+// drain and exit 0, never die of the default action.
+func TestDaemonSignalAtStartup(t *testing.T) {
+	bin := buildDaemon(t)
+	for i := 0; i < 8; i++ {
+		d := startDaemon(t, bin)
+		if err := d.cmd.Process.Signal(syscall.SIGTERM); err != nil {
+			t.Fatal(err)
+		}
+		if code := d.wait(t); code != 0 {
+			t.Fatalf("start %d: SIGTERM at the announce line exited %d, want 0\nstdout tail:\n%s", i, code, d.tail.String())
+		}
+		if !strings.Contains(d.tail.String(), "draining") {
+			t.Fatalf("start %d: no drain line in stdout:\n%s", i, d.tail.String())
+		}
+	}
+}
+
 // TestDaemonSmokeDrainInFlight proves the zero-dropped contract across the
 // process boundary: a long run is in flight when SIGTERM lands, the grace is
 // too short for it to finish, and the client still gets a typed degraded

@@ -21,7 +21,10 @@ func anytimeInstance() *hypergraph.Hypergraph {
 }
 
 // validateAnytime checks the anytime contract: a non-nil decomposition whose
-// TD (and GHD, for the ghw algorithms) validates against h.
+// TD (and GHD, for the ghw algorithms) validates against h. It also pins the
+// exit contract: a ghw run returns the width its GHD achieves, a lower bound
+// no wider than that width, and no width wider than the narrowest one in its
+// own timeline.
 func validateAnytime(t *testing.T, h *hypergraph.Hypergraph, alg Algorithm, d *Decomposition) {
 	t.Helper()
 	if d == nil {
@@ -40,9 +43,23 @@ func validateAnytime(t *testing.T, h *hypergraph.Hypergraph, alg Algorithm, d *D
 		if err := d.GHD.Validate(h); err != nil {
 			t.Fatalf("invalid GHD: %v", err)
 		}
+		if w := d.GHD.Width(); d.Width != w {
+			t.Fatalf("reported width %d, but the returned GHD has width %d", d.Width, w)
+		}
+		if d.LowerBound > d.Width {
+			t.Fatalf("lower bound %d above the returned width %d", d.LowerBound, d.Width)
+		}
 	}
 	if d.Width < 0 {
 		t.Fatalf("negative width %d", d.Width)
+	}
+	if d.Stats == nil {
+		t.Fatal("nil Stats")
+	}
+	for _, p := range d.Stats.Snapshot().Timeline {
+		if d.Width > p.Width {
+			t.Fatalf("returned width %d, but the run's timeline reached %d", d.Width, p.Width)
+		}
 	}
 }
 
@@ -214,20 +231,38 @@ func TestPanicContainment(t *testing.T) {
 }
 
 // TestHWDetkAnytime pins the hw-detk degradation contract: under a budget it
-// returns a valid greedy GHD and reports the widths it managed to refute as
-// a lower bound on hw.
+// returns a valid greedy GHD whose lower bound is the ghw-sound tw-ksc bound.
+// The widths det-k-decomp refuted bound hw, not ghw: they stay in the trace
+// as lower_bound events but never reach LowerBound. On Grid3D(4) a million
+// nodes refute k = 2 (hw ≥ 3) while tw-ksc proves only 2, so a refutation
+// leaking into LowerBound shows.
 func TestHWDetkAnytime(t *testing.T) {
-	h := anytimeInstance()
-	d, err := Decompose(h, Options{Algorithm: AlgHW, MaxNodes: 40, Seed: 1})
-	if err != nil {
-		t.Fatalf("Decompose: %v", err)
-	}
-	validateAnytime(t, h, AlgHW, d)
-	if !d.Interrupted || d.Exact {
-		t.Fatalf("Interrupted=%v Exact=%v, want interrupted inexact result", d.Interrupted, d.Exact)
-	}
-	if d.LowerBound < 1 {
-		t.Fatalf("LowerBound = %d, want >= 1", d.LowerBound)
+	for _, tc := range []struct {
+		h       *hypergraph.Hypergraph
+		nodes   int64
+		refutes bool // the budget lets det-k refute a width above tw-ksc
+	}{
+		{anytimeInstance(), 40, false},
+		{hypergraph.Grid3D(4), 1 << 20, true},
+	} {
+		d, err := Decompose(tc.h, Options{Algorithm: AlgHW, MaxNodes: tc.nodes, Seed: 1})
+		if err != nil {
+			t.Fatalf("Decompose: %v", err)
+		}
+		validateAnytime(t, tc.h, AlgHW, d)
+		if !d.Interrupted || d.Exact {
+			t.Fatalf("nodes %d: Interrupted=%v Exact=%v, want interrupted inexact result", tc.nodes, d.Interrupted, d.Exact)
+		}
+		if d.LowerBound < 1 {
+			t.Fatalf("nodes %d: LowerBound = %d, want >= 1", tc.nodes, d.LowerBound)
+		}
+		refuted := 0
+		for _, p := range d.Stats.Snapshot().LowerBounds {
+			refuted = max(refuted, p.Width)
+		}
+		if tc.refutes && refuted <= d.LowerBound {
+			t.Fatalf("nodes %d: refutations reached hw >= %d, LowerBound %d: want the refutations above the ghw bound", tc.nodes, refuted, d.LowerBound)
+		}
 	}
 }
 

@@ -54,13 +54,12 @@ const (
 	// variant: polynomial for each fixed width (thesis §2.3.2). The result
 	// is a valid GHD of width hw(H) >= ghw(H).
 	AlgHW Algorithm = "hw-detk"
-	// AlgPortfolio races a set of ghw solvers (greedy, bb-ghw, hw-detk over
-	// rising k, ga-ghw, saiga-ghw by default; see Options.Portfolio)
-	// concurrently on one shared budget and one shared cover engine,
-	// publishing each improvement through a cross-solver incumbent so every
-	// member prunes against the best width any of them has found. It returns
-	// as soon as some member's width is proven optimal, or the best validated
-	// anytime width at the deadline.
+	// AlgPortfolio races a set of ghw solvers (greedy and bb-ghw by
+	// default; see Options.Portfolio) concurrently on one shared budget and
+	// one shared cover engine, publishing each improvement through a
+	// cross-solver incumbent so every member prunes against the best width
+	// any of them has found. It returns as soon as some member's width is
+	// proven optimal, or the best validated anytime width at the deadline.
 	AlgPortfolio Algorithm = "portfolio"
 )
 
@@ -122,9 +121,10 @@ type Options struct {
 	// disables tracing; the run still aggregates Decomposition.Stats.
 	Recorder obs.Recorder
 	// Portfolio selects the member solvers raced by AlgPortfolio; empty
-	// means the default set (greedy, bb-ghw, hw-detk, ga-ghw, saiga-ghw).
-	// Members must be distinct ghw algorithms — treewidth algorithms
-	// optimize a different width and a nested portfolio is rejected.
+	// means DefaultPortfolio (greedy, bb-ghw). Members must be distinct ghw
+	// algorithms: treewidth algorithms optimize a different width, hw-detk
+	// decides hypertree width, and a nested portfolio is rejected. ga-ghw
+	// and saiga-ghw may race when named here.
 	Portfolio []Algorithm
 
 	// engine, when non-nil, injects a shared cover engine into the ghw
@@ -163,13 +163,18 @@ type Decomposition struct {
 	// λ-width for ghw algorithms).
 	Width int
 	// LowerBound is the best bound proved during the run (equals Width when
-	// Exact; heuristic algorithms report the cheap tw-ksc / minor bound).
+	// Exact; heuristic algorithms report the cheap tw-ksc / minor bound). For
+	// the ghw algorithms, hw-detk included, it bounds ghw and never exceeds
+	// Width.
 	LowerBound int
-	// Exact reports whether Width was proved optimal.
+	// Exact reports whether Width was proved optimal: by the algorithm, or
+	// because Width meets LowerBound. For hw-detk a completed run is exact
+	// hypertree width.
 	Exact bool
 	// Ordering is the elimination ordering realizing Width.
 	Ordering []int
-	// Nodes / Evaluations / Elapsed describe the effort spent.
+	// Nodes / Evaluations / Elapsed describe the effort spent; Elapsed
+	// includes covering the returned decomposition.
 	Nodes       int64
 	Evaluations int64
 	Elapsed     time.Duration
@@ -191,7 +196,8 @@ type Decomposition struct {
 
 // Decompose runs the selected algorithm on h. For the treewidth algorithms
 // the hypergraph's primal graph is decomposed (Lemma 1) and GHD is nil; for
-// the ghw algorithms a validated GHD with exact bag covers is returned.
+// the ghw algorithms a validated GHD is returned, its bags covered exactly
+// while the budget lasts and never wider than the width the run scored.
 //
 // The run is governed by one shared budget built from Ctx, Timeout and
 // MaxNodes. When any limit trips, the algorithm stops cooperatively and
@@ -227,6 +233,12 @@ func Decompose(h *hypergraph.Hypergraph, opts Options) (*Decomposition, error) {
 		return nil, err
 	}
 	d.Stop = b.Reason()
+	if d.Width <= d.LowerBound {
+		// The proof stands whichever limit latched first: the width meets
+		// a proven lower bound, so the run completed in every sense that
+		// matters to the caller (the portfolio applies the same rule).
+		d.Stop = budget.StopNone
+	}
 	d.Interrupted = d.Stop != budget.StopNone
 	d.Exact = d.Exact && !d.Interrupted
 	// The degenerate one-member ledger of a serial run: same shape as a
@@ -273,6 +285,15 @@ func serialLedger(algo string, d *Decomposition, b *budget.B) *attr.Ledger {
 // decompose dispatches to the selected algorithm under the shared budget b
 // and post-processes the result into a validated decomposition.
 func decompose(h *hypergraph.Hypergraph, opts Options, b *budget.B) (*Decomposition, error) {
+	ghw := !opts.Algorithm.IsTreewidth()
+	if ghw && opts.engine == nil {
+		// The run's own cover engine: every ghw solver scores on it and the
+		// exit covers the returned ordering through it. Its sampled
+		// cover_cache events go to the caller's recorder on the budget's
+		// clock; each solver's closing snapshot still lands in its RunStats.
+		opts.engine = setcover.NewEngine(h, setcover.DefaultCacheCapacity)
+		opts.engine.SetRecorderAt(opts.Recorder, 0, b.StartTime())
+	}
 	sopt := search.Options{Seed: opts.Seed, Budget: b, Recorder: opts.Recorder, Workers: opts.Workers,
 		Engine: opts.engine, Shared: opts.shared}
 	var d *Decomposition
@@ -335,17 +356,10 @@ func decompose(h *hypergraph.Hypergraph, opts Options, b *budget.B) (*Decomposit
 			Stats:       r.Stats,
 		}
 	case AlgGreedy:
-		start := time.Now()
 		stats, rec := coreInstrument(opts, b, "greedy", h)
 		rng := rand.New(rand.NewSource(opts.Seed))
 		order := elim.MinFillOrderingBudget(h.PrimalGraph(), rng, b)
-		var ev *elim.GHWEvaluator
-		if opts.engine != nil {
-			ev = elim.NewGHWEvaluatorWithEngine(opts.engine, false, rng)
-		} else {
-			ev = elim.NewGHWEvaluator(h, false, rng)
-		}
-		w := ev.Width(order)
+		w := elim.NewGHWEvaluatorWithEngine(opts.engine, false, rng).Width(order)
 		rec.Record(obs.Event{Kind: obs.KindImprove, T: b.Elapsed(), Width: w, Nodes: b.Nodes()})
 		lb := bounds.TwKscWidth(h, rng)
 		rec.Record(obs.Event{Kind: obs.KindLowerBound, T: b.Elapsed(), LowerBound: lb, Nodes: b.Nodes()})
@@ -353,28 +367,26 @@ func decompose(h *hypergraph.Hypergraph, opts Options, b *budget.B) (*Decomposit
 			Width:      w,
 			LowerBound: lb,
 			Ordering:   order,
-			Elapsed:    time.Since(start),
 			Stats:      stats,
 		}
 		pendingStop = "greedy"
 	case AlgHW:
-		start := time.Now()
 		stats, rec := coreInstrument(opts, b, "hw-detk", h)
 		rng := rand.New(rand.NewSource(opts.Seed))
 		// hw ≤ tw+1 always, and the greedy ghw bound caps the search too.
 		maxK := bounds.MinFillUpperBound(h.PrimalGraph(), rng) + 1
-		w, g, provenLB := htd.HypertreeWidthParallel(h, maxK, opts.Workers, b, rec)
+		// The widths det-k-decomp refutes bound hw, not ghw: they stay in the
+		// trace as lower_bound events but never reach LowerBound, which is
+		// the ghw-sound tw-ksc bound on every path.
+		w, g, _ := htd.HypertreeWidthParallel(h, maxK, opts.Workers, b, rec)
 		lb := bounds.TwKscWidth(h, rng)
-		if provenLB > lb {
-			lb = provenLB
-		}
 		if w >= 0 {
 			d = &Decomposition{
 				Width:      w,
 				LowerBound: lb,
 				Exact:      true, // exact hypertree width
 				Nodes:      b.Nodes(),
-				Elapsed:    time.Since(start),
+				Elapsed:    b.Elapsed(),
 				Stats:      stats,
 			}
 			// det-k-decomp builds the decomposition directly, not from an
@@ -392,15 +404,11 @@ func decompose(h *hypergraph.Hypergraph, opts Options, b *budget.B) (*Decomposit
 		if !b.Stopped() {
 			return nil, fmt.Errorf("core: det-k-decomp found no decomposition up to width %d", maxK)
 		}
-		// Interrupted: widths below provenLB were refuted (hw ≥ provenLB),
-		// but no decomposition was completed. Degrade to a greedy GHD via
-		// the nil-Ordering fallback below so the anytime contract holds.
-		// Note LowerBound bounds hw while the fallback width bounds ghw, so
-		// on an interrupted run LowerBound may exceed Width.
+		// Interrupted before any width was decided: degrade to a greedy GHD
+		// via the nil-Ordering fallback below so the anytime contract holds.
 		d = &Decomposition{
 			LowerBound: lb,
 			Nodes:      b.Nodes(),
-			Elapsed:    time.Since(start),
 			Stats:      stats,
 		}
 		pendingStop = "hw-detk"
@@ -417,32 +425,32 @@ func decompose(h *hypergraph.Hypergraph, opts Options, b *budget.B) (*Decomposit
 		d.Ordering = elim.MinFillOrderingBudget(h.PrimalGraph(), rand.New(rand.NewSource(opts.Seed)), b)
 	}
 	d.TD = elim.TDFromOrdering(h, d.Ordering)
-	if !opts.Algorithm.IsTreewidth() {
-		// Exact covers are exponential in the worst case; on an interrupted
-		// run stay polynomial with greedy covers so post-processing cannot
-		// blow past the budget the caller just hit. A portfolio win is not a
-		// real interruption — the member realized its ordering before the
-		// race was called — so it keeps exact covers (on its own ordering
-		// only: fallback orderings were never scored and may cover badly).
-		exact := !b.Stopped() ||
-			(b.Reason() == budget.StopPortfolioWin && !fellBack)
-		g, err := elim.GHDFromOrdering(h, d.Ordering, exact, rand.New(rand.NewSource(opts.Seed)))
+	if ghw {
+		claim := d.Width
+		if fellBack {
+			claim = 0 // never scored: greedy covers only
+		}
+		g, err := exitGHD(opts.engine, d.TD, claim, b, rand.New(rand.NewSource(opts.Seed)))
 		if err != nil {
 			return nil, fmt.Errorf("core: covering decomposition: %w", err)
 		}
 		d.GHD = g
 		if g.Width() < d.Width {
-			// Exact covers can beat the greedy width the heuristic reported.
+			// Exact covers can beat the width the run scored.
 			d.Width = g.Width()
 			recordPost(d, opts, obs.Event{Kind: obs.KindImprove, T: b.Elapsed(),
 				Width: d.Width, Nodes: b.Nodes()})
 		} else if g.Width() > d.Width {
-			// Possible only on the fallback-ordering and greedy-cover paths:
-			// report what the returned decomposition actually achieves.
+			// Only a fallback ordering lands here: report what the returned
+			// decomposition actually achieves.
 			d.Width = g.Width()
 			d.Exact = false
 		}
 	}
+	// A width that meets a proven lower bound is optimal, however the run
+	// ended (Decompose then reports it as completed).
+	d.Exact = d.Exact || d.Width <= d.LowerBound
+	d.Elapsed = b.Elapsed()
 	if pendingStop != "" {
 		recordPost(d, opts, obs.Event{Kind: obs.KindStop, T: b.Elapsed(), Algo: pendingStop,
 			Width: d.Width, LowerBound: d.LowerBound, Exact: d.Exact,

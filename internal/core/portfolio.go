@@ -1,18 +1,18 @@
 // Portfolio mode: no single decomposition algorithm dominates across
 // instance families, so instead of picking one blind, AlgPortfolio races a
-// complementary set of ghw solvers concurrently — the production form of the
-// thesis's tractable-variants program, with det-k-decomp racing the anytime
-// heuristics.
+// complementary set of ghw solvers concurrently. The default race is the
+// greedy baseline, which answers at once, against exact branch and bound,
+// which narrows it: the two members that win on the benchmark registry,
+// one goroutine each, so a race fits the two cores it is measured on.
 //
 // All members share one budget (a deadline or cancellation stops the whole
 // race), one cover engine (a bag solved by any member is a memo hit for all
 // of them) and one cross-solver incumbent: every member improvement is
 // published through a CAS-lowered atomic width, so the branch-and-bound
-// member prunes against the genetic algorithms' best-so-far and the
-// det-k-decomp member stops raising k once k can no longer beat it. The
+// member prunes against the best-so-far of every other member. The
 // portfolio also tracks the best proven ghw lower bound (the upfront
-// tw-ksc-width bound plus every lb-sound member's lower_bound events); the
-// moment the incumbent meets it, the result is proven optimal and the losing
+// tw-ksc-width bound plus every member's lower_bound events); the moment
+// the incumbent meets it, the result is proven optimal and the losing
 // members are aborted via budget.StopPortfolioWin.
 //
 // Observability: each member runs under its own `algo` label (stamped on
@@ -32,8 +32,6 @@ import (
 
 	"hypertree/internal/bounds"
 	"hypertree/internal/budget"
-	"hypertree/internal/decomp"
-	"hypertree/internal/htd"
 	"hypertree/internal/hypergraph"
 	"hypertree/internal/obs"
 	"hypertree/internal/obs/attr"
@@ -43,9 +41,10 @@ import (
 
 // DefaultPortfolio is the member set AlgPortfolio races when
 // Options.Portfolio is empty: the greedy baseline for an instant upper
-// bound, exact branch and bound, det-k-decomp over rising k, and the two
-// genetic heuristics.
-var DefaultPortfolio = []Algorithm{AlgGreedy, AlgBBGHW, AlgHW, AlgGAGHW, AlgSAIGAGHW}
+// bound and exact branch and bound to narrow it. The genetic heuristics
+// never won a registry or serving race against these two, so they race
+// only when named in Options.Portfolio.
+var DefaultPortfolio = []Algorithm{AlgGreedy, AlgBBGHW}
 
 // unsetW mirrors search.Incumbent's "no claim yet" sentinel.
 const unsetW = math.MaxInt32
@@ -103,8 +102,7 @@ func (pf *portfolio) claimWidth(alg Algorithm, w int) {
 	pf.checkWinLocked()
 }
 
-// raiseLB publishes a proven ghw lower bound (only lb-sound members feed it:
-// det-k-decomp refutations bound hw, not ghw, and are filtered out upstream).
+// raiseLB publishes a proven ghw lower bound.
 func (pf *portfolio) raiseLB(lb int) {
 	if lb <= 0 {
 		return
@@ -136,17 +134,12 @@ func (pf *portfolio) lowerBound() int {
 // event with the member's algo label (concurrent members must not rely on
 // the validator's algo_start fallback), forwards to the caller's recorder,
 // and intercepts the events that feed the shared race state — improvements
-// claim the incumbent, and lower bounds / proven-exact completions of
-// lb-sound members raise the global ghw lower bound.
+// claim the incumbent, and lower bounds and proven-exact completions raise
+// the global ghw lower bound.
 type memberRecorder struct {
 	algo Algorithm
-	// lbSound reports whether the member's bounds are ghw bounds. det-k-decomp
-	// is the exception: its refutations (and its exactness) certify hypertree
-	// width, which only upper-bounds ghw — its found widths are still valid
-	// incumbent claims, but its lower bounds must not end the race.
-	lbSound bool
-	pf      *portfolio
-	next    obs.Recorder // the caller's recorder; may be nil
+	pf   *portfolio
+	next obs.Recorder // the caller's recorder; may be nil
 }
 
 func (m memberRecorder) Record(e obs.Event) {
@@ -158,17 +151,12 @@ func (m memberRecorder) Record(e obs.Event) {
 	case obs.KindImprove:
 		m.pf.claimWidth(m.algo, e.Width)
 	case obs.KindLowerBound:
-		if m.lbSound {
-			m.pf.raiseLB(e.LowerBound)
-		}
+		m.pf.raiseLB(e.LowerBound)
 	case obs.KindStop:
 		if e.Exact {
-			// A completed exact member proves its width optimal (for ghw only
-			// when lb-sound; det-k-decomp's exact hw is just an upper bound).
+			// A completed exact member proves its width optimal.
 			m.pf.claimWidth(m.algo, e.Width)
-			if m.lbSound {
-				m.pf.raiseLB(e.Width)
-			}
+			m.pf.raiseLB(e.Width)
 		}
 	}
 	if m.next != nil {
@@ -203,6 +191,12 @@ func decomposePortfolio(h *hypergraph.Hypergraph, opts Options) (*Decomposition,
 		}
 		if a.IsTreewidth() {
 			return nil, fmt.Errorf("core: portfolio member %s optimizes treewidth, not ghw", a)
+		}
+		if a == AlgHW {
+			// det-k-decomp decides hw ≤ k, not ghw ≤ k: its refutations and
+			// its exact verdict bound hypertree width, so they cannot end a
+			// ghw race, and a width it finds wins only when hw = ghw.
+			return nil, fmt.Errorf("core: portfolio member %s decides hypertree width, not ghw", a)
 		}
 		if seen[a] {
 			// Two members under one label would interleave their improve
@@ -249,30 +243,26 @@ func decomposePortfolio(h *hypergraph.Hypergraph, opts Options) (*Decomposition,
 		i, alg := i, alg
 		children[i] = b.Member(string(alg))
 		engines[i] = eng.Member()
-		mrec := memberRecorder{algo: alg, lbSound: alg != AlgHW, pf: pf, next: opts.Recorder}
+		mrec := memberRecorder{algo: alg, pf: pf, next: opts.Recorder}
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			start := time.Now()
 			var d *Decomposition
 			err := budget.Guard(b, func() error {
+				mopts := opts
+				mopts.Algorithm = alg
+				mopts.Recorder = mrec
+				// The portfolio's parallelism is the race itself; members
+				// stay on their serial engines so the race runs one goroutine
+				// per member and the shared budget's work units split across
+				// solvers, not within one.
+				mopts.Workers = 0
+				mopts.Portfolio = nil
+				mopts.engine = engines[i]
+				mopts.shared = inc
 				var e error
-				if alg == AlgHW {
-					d, e = pf.runDetk(h, opts, mrec, children[i])
-				} else {
-					mopts := opts
-					mopts.Algorithm = alg
-					mopts.Recorder = mrec
-					// The portfolio's parallelism is the race itself; members
-					// stay on their serial engines so the race runs one
-					// goroutine per member and the shared budget's work units
-					// split across solvers, not within one.
-					mopts.Workers = 0
-					mopts.Portfolio = nil
-					mopts.engine = engines[i]
-					mopts.shared = inc
-					d, e = decompose(h, mopts, children[i])
-				}
+				d, e = decompose(h, mopts, children[i])
 				return e
 			})
 			results[i] = memberResult{alg: alg, d: d, err: err, wall: time.Since(start)}
@@ -372,14 +362,14 @@ func decomposePortfolio(h *hypergraph.Hypergraph, opts Options) (*Decomposition,
 // pickWinner chooses the race's answer: the narrowest member result whose
 // tree decomposition and GHD both validate against h, member order breaking
 // ties. Validation is the expensive step, so a result no narrower than the
-// current winner is skipped unvalidated. Nil results and det-k-decomp's
-// empty result (nothing found below the incumbent) are not candidates.
+// current winner is skipped unvalidated. Results without a decomposition
+// are not candidates.
 func pickWinner(h *hypergraph.Hypergraph, results []memberResult) (memberResult, error) {
 	var won memberResult
 	for _, r := range results {
 		d := r.d
 		if d == nil || d.TD == nil || d.GHD == nil {
-			continue // det-k-decomp found nothing below the incumbent
+			continue
 		}
 		if won.d != nil && d.Width >= won.d.Width {
 			continue // cannot win
@@ -393,55 +383,4 @@ func pickWinner(h *hypergraph.Hypergraph, results []memberResult) (memberResult,
 		return memberResult{}, fmt.Errorf("core: portfolio produced no valid decomposition")
 	}
 	return won, nil
-}
-
-// runDetk is the portfolio's det-k-decomp member: the solo hw-detk loop with
-// one extra stopping rule — the shared incumbent caps k, since a width-k
-// hypertree decomposition with k at or above the best known ghw width cannot
-// improve the race. It returns a nil Decomposition (no error) when nothing
-// was found below the caps.
-func (pf *portfolio) runDetk(h *hypergraph.Hypergraph, opts Options, rec obs.Recorder, b *budget.B) (*Decomposition, error) {
-	stats := obs.NewRunStats()
-	mrec := obs.Tee(stats, rec)
-	b.OnCheckpoint(obs.Checkpointer(mrec))
-	mrec.Record(obs.Event{Kind: obs.KindStart, T: b.Elapsed(),
-		Algo: string(AlgHW), N: h.N(), M: h.M()})
-	rng := rand.New(rand.NewSource(opts.Seed))
-	// hw <= tw+1 always; the incumbent usually cuts in far earlier.
-	maxK := bounds.MinFillUpperBound(h.PrimalGraph(), rng) + 1
-	for k := 1; k <= maxK && !b.Stopped(); k++ {
-		if k >= pf.inc.Best() {
-			break
-		}
-		mrec.Record(obs.Event{Kind: obs.KindAttempt, T: b.Elapsed(), K: k, Nodes: b.Nodes()})
-		g, ok, interrupted := htd.DecideHWParallel(h, k, 1, b)
-		if ok {
-			d := &Decomposition{
-				Width:   k,
-				Exact:   true, // exact hypertree width; ghw exactness is the race's call
-				Nodes:   b.Nodes(),
-				Elapsed: b.Elapsed(),
-				Stats:   stats,
-			}
-			d.GHD = g
-			d.TD = &g.TreeDecomposition
-			d.Ordering = decomp.OrderingFromDecomposition(h, d.TD)
-			mrec.Record(obs.Event{Kind: obs.KindImprove, T: b.Elapsed(),
-				Width: k, K: k, Found: true, Nodes: b.Nodes()})
-			mrec.Record(obs.Event{Kind: obs.KindStop, T: b.Elapsed(), Algo: string(AlgHW),
-				Width: k, Exact: true, Nodes: b.Nodes()})
-			return d, nil
-		}
-		if interrupted {
-			break
-		}
-		// Width k refuted: hw >= k+1. That bounds hw, not ghw — the
-		// memberRecorder filters it out of the global race (lbSound=false),
-		// but the trace still shows the member's own progress.
-		mrec.Record(obs.Event{Kind: obs.KindLowerBound, T: b.Elapsed(),
-			LowerBound: k + 1, Nodes: b.Nodes()})
-	}
-	mrec.Record(obs.Event{Kind: obs.KindStop, T: b.Elapsed(), Algo: string(AlgHW),
-		Width: -1, Nodes: b.Nodes(), Stop: string(b.Reason())})
-	return nil, nil
 }

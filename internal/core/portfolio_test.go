@@ -89,9 +89,9 @@ func TestPickWinner(t *testing.T) {
 		{"invalid narrowest falls back", []memberResult{
 			{alg: AlgGreedy, d: valid3}, {alg: AlgSAIGAGHW, d: uncovered1}, {alg: AlgGAGHW, d: valid2}}, valid2},
 		{"nil and empty results skipped", []memberResult{
-			{alg: AlgHW}, {alg: AlgBBGHW, d: &Decomposition{}}, {alg: AlgGreedy, d: valid3}}, valid3},
+			{alg: AlgGAGHW}, {alg: AlgBBGHW, d: &Decomposition{}}, {alg: AlgGreedy, d: valid3}}, valid3},
 		{"no valid result", []memberResult{
-			{alg: AlgHW}, {alg: AlgSAIGAGHW, d: uncovered1}}, nil},
+			{alg: AlgGAGHW}, {alg: AlgSAIGAGHW, d: uncovered1}}, nil},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			got, err := pickWinner(tri, tc.results)
@@ -120,9 +120,10 @@ func TestPortfolioExactWinAbortsLosers(t *testing.T) {
 	h := hypergraph.CliqueHypergraph(10) // ghw = ceil(10/2) = 5, proven fast by BB
 	start := time.Now()
 	d, err := DecomposePortfolio(h, Options{
-		Seed:    1,
-		Timeout: 60 * time.Second,
-		GA:      ga.Config{MaxIterations: 1 << 30}, // would run ~forever un-aborted
+		Seed:      1,
+		Timeout:   60 * time.Second,
+		Portfolio: []Algorithm{AlgGreedy, AlgBBGHW, AlgGAGHW},
+		GA:        ga.Config{MaxIterations: 1 << 30}, // would run ~forever un-aborted
 	})
 	if err != nil {
 		t.Fatalf("portfolio: %v", err)
@@ -171,14 +172,16 @@ func TestPortfolioMidRaceCancel(t *testing.T) {
 }
 
 // TestPortfolioMemberValidation rejects member sets the race cannot run:
-// unknown names, nesting, treewidth objectives, duplicates (which would
-// interleave improve events within one (req, algo) trace scope).
+// unknown names, nesting, treewidth objectives, hw-detk (whose refutations
+// and exact verdict bound hw, not ghw), duplicates (which would interleave
+// improve events within one (req, algo) trace scope).
 func TestPortfolioMemberValidation(t *testing.T) {
 	h := hypergraph.Grid2D(4)
 	bad := [][]Algorithm{
 		{AlgBBGHW, Algorithm("no-such-algo")},
 		{AlgGreedy, AlgPortfolio},
 		{AlgBBTW, AlgGreedy},
+		{AlgGreedy, AlgHW},
 		{AlgGreedy, AlgBBGHW, AlgGreedy},
 	}
 	for _, members := range bad {
@@ -194,15 +197,16 @@ func TestPortfolioMemberValidation(t *testing.T) {
 	validateAnytime(t, h, AlgPortfolio, d)
 }
 
-// TestPortfolioTraceValidates streams a full portfolio race through the
-// JSONL recorder and runs the trace validator over it: five interleaved
+// TestPortfolioTraceValidates streams a four-member portfolio race through
+// the JSONL recorder and runs the trace validator over it: the interleaved
 // member event streams plus the merged portfolio stream must satisfy the
 // per-(req, algo) anytime contract.
 func TestPortfolioTraceValidates(t *testing.T) {
 	h := hypergraph.Grid2D(6)
 	var buf bytes.Buffer
 	rec := obs.NewJSONLWriter(&buf)
-	d, err := DecomposePortfolio(h, Options{Seed: 1, MaxNodes: 50000, Recorder: rec})
+	d, err := DecomposePortfolio(h, Options{Seed: 1, MaxNodes: 50000, Recorder: rec,
+		Portfolio: []Algorithm{AlgGreedy, AlgBBGHW, AlgGAGHW, AlgSAIGAGHW}})
 	if err != nil {
 		t.Fatalf("portfolio: %v", err)
 	}
@@ -262,7 +266,9 @@ func TestHWDetkExactOrdering(t *testing.T) {
 // claimed it, and the winner's row must carry the winner role.
 func TestPortfolioLedgerConservation(t *testing.T) {
 	h := hypergraph.Grid2D(6)
-	d, err := DecomposePortfolio(h, Options{Seed: 1, Timeout: 30 * time.Second, MaxNodes: 60000})
+	members := []Algorithm{AlgGreedy, AlgBBGHW, AlgGAGHW, AlgSAIGAGHW}
+	d, err := DecomposePortfolio(h, Options{Seed: 1, Timeout: 30 * time.Second, MaxNodes: 60000,
+		Portfolio: members})
 	if err != nil {
 		t.Fatalf("portfolio: %v", err)
 	}
@@ -273,8 +279,8 @@ func TestPortfolioLedgerConservation(t *testing.T) {
 	if !led.Portfolio {
 		t.Fatal("ledger not marked as a portfolio ledger")
 	}
-	if len(led.Members) != len(DefaultPortfolio) {
-		t.Fatalf("ledger has %d members, portfolio raced %d", len(led.Members), len(DefaultPortfolio))
+	if len(led.Members) != len(members) {
+		t.Fatalf("ledger has %d members, portfolio raced %d", len(led.Members), len(members))
 	}
 	if led.TotalNodes != d.Nodes {
 		t.Fatalf("ledger TotalNodes %d != result Nodes %d", led.TotalNodes, d.Nodes)

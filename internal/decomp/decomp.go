@@ -320,13 +320,14 @@ func FromTreeDecompositionWithEngine(eng *setcover.Engine, td *TreeDecomposition
 		},
 		Lambdas: make([][]int, len(td.Bags)),
 	}
+	sc := eng.NewScratch()
 	for i, b := range td.Bags {
 		g.Bags[i] = append([]int(nil), b...)
 		var cover []int
 		if mode == CoverExact {
-			cover = eng.ExactCover(b)
+			cover, _ = eng.ExactCover(sc, b, nil)
 		} else {
-			cover = eng.GreedyCover(b, rng)
+			cover = eng.GreedyCover(sc, b, rng)
 		}
 		if cover == nil {
 			return nil, fmt.Errorf("decomp: bag %d (%v) not coverable by hyperedges", i, b)

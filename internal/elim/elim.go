@@ -14,6 +14,7 @@ import (
 	"math/rand"
 	"sort"
 
+	"hypertree/internal/budget"
 	"hypertree/internal/budget/faultinject"
 	"hypertree/internal/decomp"
 	"hypertree/internal/elimgraph"
@@ -79,6 +80,11 @@ type GHWEvaluator struct {
 	// current upper bound, where any such bag is pruned anyway; this keeps
 	// the per-bag set-cover search polynomial in practice.
 	Cap int
+	// Budget, when non-nil, bounds the exact cover searches: one the budget
+	// cuts reports the cap, as if the bag were too wide to keep. Only a
+	// caller that stops on the same budget may set it, since a cut size is
+	// not a bound.
+	Budget *budget.B
 
 	eng *setcover.Engine
 	sc  *setcover.Scratch
@@ -153,11 +159,11 @@ func (ev *GHWEvaluator) coverSize(bag []int) int {
 	faultinject.Hit(faultinject.SiteCover)
 	if ev.Exact {
 		if ev.Cap > 0 {
-			return ev.eng.ExactSizeCapped(ev.sc, bag, ev.Cap)
+			return ev.eng.ExactSizeCapped(ev.sc, bag, ev.Cap, ev.Budget)
 		}
 		// A coverable bag always has a cover of at most len(bag) edges, so
 		// this cap never censors: the result is the exact minimum.
-		return ev.eng.ExactSizeCapped(ev.sc, bag, len(bag)+1)
+		return ev.eng.ExactSizeCapped(ev.sc, bag, len(bag)+1, ev.Budget)
 	}
 	return ev.eng.GreedySize(ev.sc, bag, ev.Rng)
 }

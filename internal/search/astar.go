@@ -10,6 +10,7 @@ import (
 	"hypertree/internal/hypergraph"
 	"hypertree/internal/obs"
 	"hypertree/internal/reduce"
+	"hypertree/internal/setcover"
 )
 
 // AStarTreewidth runs A*-tw (thesis Chapter 5, Figure 5.1): best-first
@@ -25,7 +26,12 @@ func AStarTreewidth(g *hypergraph.Graph, opts Options) Result {
 // search under the generalized-hypertree-width cost model with exact set
 // covers and the tw-ksc-width heuristic.
 func AStarGHW(h *hypergraph.Hypergraph, opts Options) Result {
-	return runAStar(newGHWModel(h, opts.Seed, true), opts, "astar-ghw")
+	opts.Budget = opts.budgetFor()
+	eng := opts.Engine
+	if eng == nil {
+		eng = setcover.NewEngine(h, setcover.DefaultCacheCapacity)
+	}
+	return runAStar(newGHWModel(eng, opts.Seed, true, opts.Budget), opts, "astar-ghw")
 }
 
 // state is an A* search node. Prefixes are reconstructed by following

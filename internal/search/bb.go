@@ -26,34 +26,29 @@ func BBTreewidth(g *hypergraph.Graph, opts Options) Result {
 // covers for bag costs, the tw-ksc-width lower bound at interior nodes,
 // simplicial reductions and the non-adjacent case of PR2.
 func BBGHW(h *hypergraph.Hypergraph, opts Options) Result {
-	if opts.Workers > 1 {
-		eng := opts.Engine
-		if eng == nil {
-			eng = setcover.NewEngine(h, setcover.DefaultCacheCapacity)
-		}
-		return runBBParallel(opts, "bb-ghw", func() model { return newGHWModelShared(eng, opts.Seed, true) })
-	}
-	if opts.Engine != nil {
-		return runBB(newGHWModelShared(opts.Engine, opts.Seed, true), opts, "bb-ghw")
-	}
-	return runBB(newGHWModel(h, opts.Seed, true), opts, "bb-ghw")
+	return bbGHW(h, opts, "bb-ghw", true)
 }
 
 // BBGHWGreedy is BB-ghw with greedy instead of exact set covers: faster,
 // still an upper-bound-producing anytime algorithm, but its "exact" result
 // is only exact with respect to greedy covers.
 func BBGHWGreedy(h *hypergraph.Hypergraph, opts Options) Result {
+	return bbGHW(h, opts, "bb-ghw-greedy", false)
+}
+
+// bbGHW runs the ghw branch and bound, serial or parallel, on one cover
+// engine (Options.Engine, or a fresh one for h) shared by every worker.
+func bbGHW(h *hypergraph.Hypergraph, opts Options, label string, exactCovers bool) Result {
+	opts.Budget = opts.budgetFor()
+	eng := opts.Engine
+	if eng == nil {
+		eng = setcover.NewEngine(h, setcover.DefaultCacheCapacity)
+	}
+	newModel := func() model { return newGHWModel(eng, opts.Seed, exactCovers, opts.Budget) }
 	if opts.Workers > 1 {
-		eng := opts.Engine
-		if eng == nil {
-			eng = setcover.NewEngine(h, setcover.DefaultCacheCapacity)
-		}
-		return runBBParallel(opts, "bb-ghw-greedy", func() model { return newGHWModelShared(eng, opts.Seed, false) })
+		return runBBParallel(opts, label, newModel)
 	}
-	if opts.Engine != nil {
-		return runBB(newGHWModelShared(opts.Engine, opts.Seed, false), opts, "bb-ghw-greedy")
-	}
-	return runBB(newGHWModel(h, opts.Seed, false), opts, "bb-ghw-greedy")
+	return runBB(newModel(), opts, label)
 }
 
 type bbSearch struct {

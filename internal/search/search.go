@@ -270,26 +270,20 @@ type ghwModel struct {
 	maxArity int
 }
 
-func newGHWModel(h *hypergraph.Hypergraph, seed int64, exactCovers bool) *ghwModel {
-	rng := rand.New(rand.NewSource(seed))
-	return &ghwModel{
-		h:        h,
-		ev:       elim.NewGHWEvaluator(h, exactCovers, rng),
-		rng:      rng,
-		maxArity: h.MaxArity(),
-	}
-}
-
-// newGHWModelShared builds a ghw model on an existing cover engine. The
-// parallel search gives every worker its own model (the elimination graph
-// and evaluator scratch are single-goroutine state) but one shared engine,
-// so a bag solved by any worker is a memo hit for all of them.
-func newGHWModelShared(eng *setcover.Engine, seed int64, exactCovers bool) *ghwModel {
+// newGHWModel builds a ghw model on a cover engine. The parallel search
+// gives every worker its own model (the elimination graph and evaluator
+// scratch are single-goroutine state) but one shared engine, so a bag
+// solved by any worker is a memo hit for all of them. b bounds the exact
+// cover searches: one the budget cuts prices the bag at the cost cap, and
+// the search stops on that budget anyway.
+func newGHWModel(eng *setcover.Engine, seed int64, exactCovers bool, b *budget.B) *ghwModel {
 	rng := rand.New(rand.NewSource(seed))
 	h := eng.Hypergraph()
+	ev := elim.NewGHWEvaluatorWithEngine(eng, exactCovers, rng)
+	ev.Budget = b
 	return &ghwModel{
 		h:        h,
-		ev:       elim.NewGHWEvaluatorWithEngine(eng, exactCovers, rng),
+		ev:       ev,
 		rng:      rng,
 		maxArity: h.MaxArity(),
 	}

@@ -16,7 +16,7 @@ const DefaultSlowN = 8
 
 // slowEventCap bounds the events buffered per request for the slow ring.
 // Checkpoint observer rounds run at most once per millisecond, each emitting
-// one checkpoint per observer (a portfolio race has six), so a 150 ms race
+// one checkpoint per observer (the default portfolio race has three), so a 150 ms race
 // buffers a few hundred events and a multi-second solve a few thousand;
 // beyond the cap we count drops instead of growing without bound.
 const slowEventCap = 4096

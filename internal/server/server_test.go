@@ -165,6 +165,52 @@ func TestDecomposeDegradedAtDeadline(t *testing.T) {
 	}
 }
 
+// TestDecomposeGreedyExactCached: serial greedy whose width meets the proven
+// lower bound answers exact, and an exact answer is what the result cache
+// keeps, so the retry is a hit.
+func TestDecomposeGreedyExactCached(t *testing.T) {
+	s := New(Config{})
+	ts := httptest.NewServer(s)
+	defer ts.Close()
+
+	var adder bytes.Buffer
+	if err := hypergraph.WriteHG(&adder, hypergraph.Adder(15)); err != nil {
+		t.Fatal(err)
+	}
+	_, first := postDecompose(t, ts, "algo=greedy&timeout=1s", adder.Bytes())
+	if first.Outcome != OutcomeExact || !first.Exact || first.Width != first.LowerBound {
+		t.Fatalf("greedy on adder_15: outcome %q width %d lb %d, want exact", first.Outcome, first.Width, first.LowerBound)
+	}
+	_, retry := postDecompose(t, ts, "algo=greedy&timeout=1s", adder.Bytes())
+	if !retry.Cached || retry.Width != first.Width {
+		t.Fatalf("retry cached=%v width %d, want a cache hit of width %d", retry.Cached, retry.Width, first.Width)
+	}
+}
+
+// TestDecomposeGreedyDeadlineDegraded: greedy's exact-cover pass is budgeted,
+// so on a b10-sized circuit, whose widest bag takes seconds to cover exactly,
+// a 150 ms request answers degraded at about its deadline instead of
+// holding a worker for the whole search.
+func TestDecomposeGreedyDeadlineDegraded(t *testing.T) {
+	s := New(Config{})
+	ts := httptest.NewServer(s)
+	defer ts.Close()
+
+	var b10 bytes.Buffer
+	if err := hypergraph.WriteHG(&b10, hypergraph.RandomCircuit(189, 200, 4003)); err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	_, resp := postDecompose(t, ts, "algo=greedy&timeout=150ms", b10.Bytes())
+	took := time.Since(start)
+	if resp.Outcome != OutcomeDegraded || resp.Stop != "deadline" || resp.Width <= 0 {
+		t.Fatalf("outcome %q stop %q width %d, want a degraded deadline answer", resp.Outcome, resp.Stop, resp.Width)
+	}
+	if took > 5*time.Second {
+		t.Fatalf("answered after %v: the exact pass ignored the 150ms deadline", took)
+	}
+}
+
 func TestDecomposeTimeoutClampedToMax(t *testing.T) {
 	s := New(Config{MaxTimeout: 50 * time.Millisecond, CheckEvery: 16})
 	ts := httptest.NewServer(s)

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"hypertree/internal/bitset"
+	"hypertree/internal/budget"
 	"hypertree/internal/hypergraph"
 	"hypertree/internal/obs"
 )
@@ -329,8 +330,9 @@ func (e *Engine) greedySizeUncached(sc *Scratch, rng *rand.Rand) int {
 // except that under a positive cap any minimum >= cap reports exactly cap
 // (the caller prunes such bags anyway, so the search stops early). It
 // returns -1 if the bag is uncoverable. Results — including cap-censored
-// lower bounds — are memoized by bag.
-func (e *Engine) ExactSizeCapped(sc *Scratch, bag []int, cap int) int {
+// lower bounds — are memoized by bag. b, when non-nil, is polled as the
+// search branches; a search it cuts also reports cap, and is not memoized.
+func (e *Engine) ExactSizeCapped(sc *Scratch, bag []int, cap int, b *budget.B) int {
 	if len(bag) == 0 {
 		return 0
 	}
@@ -353,7 +355,18 @@ func (e *Engine) ExactSizeCapped(sc *Scratch, bag []int, cap int) int {
 		}
 		e.addMiss()
 	}
-	size := e.exactSizeUncached(sc, cap)
+	chosen, capped, cut := e.exactUncached(sc, cap, 0, b)
+	var size int
+	switch {
+	case cut:
+		return cap
+	case capped:
+		size = cap
+	case chosen == nil:
+		size = -1
+	default:
+		size = len(chosen)
+	}
 	if e.cache != nil {
 		e.cache.update(sc.key, func(ent *coverEntry) {
 			switch {
@@ -372,9 +385,10 @@ func (e *Engine) ExactSizeCapped(sc *Scratch, bag []int, cap int) int {
 	return size
 }
 
-// exactSizeUncached restricts the candidates to sc's loaded bag and runs
-// the shared branch-and-bound core.
-func (e *Engine) exactSizeUncached(sc *Scratch, cap int) int {
+// exactUncached restricts the candidates to sc's loaded bag and runs the
+// shared branch-and-bound core (see exactCore for cap, enough and b). The
+// chosen cover is hyperedge indices, unsorted.
+func (e *Engine) exactUncached(sc *Scratch, cap, enough int, b *budget.B) (chosen []int, capped, cut bool) {
 	// Bag positions, ascending by vertex id.
 	sc.elems = sc.bag.AppendTo(sc.elems[:0])
 	ne := len(sc.elems)
@@ -390,15 +404,15 @@ func (e *Engine) exactSizeUncached(sc *Scratch, cap int) int {
 	sc.posBuf = sc.posBuf[:0]
 	sc.offs = sc.offs[:0]
 	for _, ei := range sc.cand {
-		b := sc.pool.Get()
-		sc.candBits = append(sc.candBits, b)
-		b.CopyFrom(e.edgeBits[ei])
-		b.And(sc.bag)
+		bits := sc.pool.Get()
+		sc.candBits = append(sc.candBits, bits)
+		bits.CopyFrom(e.edgeBits[ei])
+		bits.And(sc.bag)
 		sc.offs = append(sc.offs, len(sc.posBuf))
-		for v := b.NextSetBit(0); v >= 0; v = b.NextSetBit(v + 1) {
+		for v := bits.NextSetBit(0); v >= 0; v = bits.NextSetBit(v + 1) {
 			sc.posBuf = append(sc.posBuf, int(sc.pos[v]))
 		}
-		sc.cands = append(sc.cands, candSet{bits: b, orig: ei})
+		sc.cands = append(sc.cands, candSet{bits: bits, orig: ei})
 	}
 	// Slice the shared position buffer only after it stops growing: appends
 	// may move it, which would strand subslices taken earlier.
@@ -409,63 +423,76 @@ func (e *Engine) exactSizeUncached(sc *Scratch, cap int) int {
 		}
 		sc.cands[i].elems = sc.posBuf[sc.offs[i]:end]
 	}
-	chosen, capped := exactCore(sc.bag, ne, sc.cands, cap)
+	chosen, capped, cut = exactCore(sc.bag, ne, sc.cands, cap, enough, b)
 	// exactCore compacts cands in place during dedup/domination, so release
 	// the sets recorded at allocation time, not through cands.
-	for _, b := range sc.candBits {
-		sc.pool.Put(b)
+	for _, bits := range sc.candBits {
+		sc.pool.Put(bits)
 	}
 	for _, v := range sc.elems {
 		sc.pos[v] = -1
 	}
-	switch {
-	case capped:
-		return cap
-	case chosen == nil:
-		return -1
-	default:
-		return len(chosen)
-	}
+	return chosen, capped, cut
 }
 
 // GreedyCover returns a greedy cover of bag as sorted hyperedge indices, or
-// nil if uncoverable. Unlike GreedySize it materializes the chosen edges
-// and bypasses the memo cache; it serves the decomposition builders, which
-// need λ-sets, not just widths.
-func (e *Engine) GreedyCover(bag []int, rng *rand.Rand) []int {
-	return e.coverIndices(bag, rng, false)
-}
-
-// ExactCover returns a minimum cover of bag as sorted hyperedge indices, or
-// nil if uncoverable.
-func (e *Engine) ExactCover(bag []int) []int {
-	return e.coverIndices(bag, nil, true)
-}
-
-func (e *Engine) coverIndices(bag []int, rng *rand.Rand, exact bool) []int {
+// nil if uncoverable: the cover GreedySize measures, tie-broken by rng.
+// Unlike GreedySize it bypasses the memo cache; it serves the decomposition
+// builders, which need λ-sets, not just widths.
+func (e *Engine) GreedyCover(sc *Scratch, bag []int, rng *rand.Rand) []int {
 	if len(bag) == 0 {
 		return []int{}
 	}
-	sc := e.NewScratch()
 	e.loadBag(sc, bag)
-	sets := make([][]int, len(sc.cand))
-	for i, ei := range sc.cand {
-		sets[i] = e.h.Edge(ei)
-	}
-	var chosen []int
-	if exact {
-		chosen = Exact(bag, sets)
-	} else {
-		chosen = Greedy(bag, sets, rng)
-	}
-	if chosen == nil {
+	if e.greedySizeUncached(sc, rng) < 0 {
 		return nil
 	}
-	out := make([]int, len(chosen))
-	for i, ci := range chosen {
-		out[i] = sc.cand[ci]
+	// The greedy marks its picks in candUsed; sc.cand is ascending, so the
+	// cover comes out sorted.
+	var out []int
+	for i, used := range sc.candUsed[:len(sc.cand)] {
+		if used {
+			out = append(out, sc.cand[i])
+		}
 	}
 	return out
+}
+
+// ExactCover returns a minimum cover of bag as sorted hyperedge indices, or
+// nil if bag is uncoverable. b, when non-nil, bounds the search: it is
+// polled as the search branches, and a stopped budget cuts the search,
+// reported as cut with a nil cover. Like GreedyCover it bypasses the memo
+// cache.
+func (e *Engine) ExactCover(sc *Scratch, bag []int, b *budget.B) (cover []int, cut bool) {
+	if len(bag) == 0 {
+		return []int{}, false
+	}
+	e.loadBag(sc, bag)
+	chosen, _, cut := e.exactUncached(sc, 0, 0, b)
+	if chosen != nil {
+		insertionSortInts(chosen)
+	}
+	return chosen, cut
+}
+
+// CoverWithin returns a cover of bag by at most k hyperedges as sorted
+// indices, or nil when bag needs more than k (or is uncoverable). It stops
+// at the first such cover the exact search meets rather than proving a
+// minimum, so a caller that already knows a k-cover exists (it scored the
+// bag at k) pays at most what that proof cost. It is never cut.
+func (e *Engine) CoverWithin(sc *Scratch, bag []int, k int) []int {
+	if len(bag) == 0 {
+		return []int{}
+	}
+	if k < 1 {
+		return nil
+	}
+	e.loadBag(sc, bag)
+	chosen, _, _ := e.exactUncached(sc, k+1, k, nil)
+	if chosen != nil {
+		insertionSortInts(chosen)
+	}
+	return chosen
 }
 
 // insertionSortInts sorts small slices in place without sort.Ints's

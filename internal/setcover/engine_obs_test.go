@@ -43,7 +43,7 @@ func TestEngineStatsRace(t *testing.T) {
 			for i := 0; i < 1000; i++ {
 				bag := randomBag(r, h.N())
 				eng.GreedySize(sc, bag, r)
-				eng.ExactSizeCapped(sc, bag, 3)
+				eng.ExactSizeCapped(sc, bag, 3, nil)
 			}
 		}(int64(w))
 	}

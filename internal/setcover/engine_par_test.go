@@ -24,7 +24,7 @@ func TestEngineShardedCacheConcurrent(t *testing.T) {
 	refSc := ref.NewScratch()
 	want := make([]int, len(bags))
 	for i, bag := range bags {
-		want[i] = ref.ExactSizeCapped(refSc, bag, 16)
+		want[i] = ref.ExactSizeCapped(refSc, bag, 16, nil)
 	}
 
 	eng := NewEngine(h, 64)
@@ -40,7 +40,7 @@ func TestEngineShardedCacheConcurrent(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(100 + w)))
 			for it := 0; it < 40; it++ {
 				for i, bag := range bags {
-					if got := eng.ExactSizeCapped(sc, bag, 16); got != want[i] {
+					if got := eng.ExactSizeCapped(sc, bag, 16, nil); got != want[i] {
 						errs <- fmt.Errorf("worker %d bag %d: exact size %d, want %d", w, i, got, want[i])
 						return
 					}
@@ -99,11 +99,11 @@ func TestEngineCacheHitZeroAlloc(t *testing.T) {
 	sc := eng.NewScratch()
 	bag := randomBag(rng, 30)
 	eng.GreedySize(sc, bag, rng)
-	eng.ExactSizeCapped(sc, bag, 16)
+	eng.ExactSizeCapped(sc, bag, 16, nil)
 	if n := testing.AllocsPerRun(100, func() { eng.GreedySize(sc, bag, rng) }); n > 0 {
 		t.Errorf("GreedySize cache hit allocates %.1f times per op", n)
 	}
-	if n := testing.AllocsPerRun(100, func() { eng.ExactSizeCapped(sc, bag, 16) }); n > 0 {
+	if n := testing.AllocsPerRun(100, func() { eng.ExactSizeCapped(sc, bag, 16, nil) }); n > 0 {
 		t.Errorf("ExactSizeCapped cache hit allocates %.1f times per op", n)
 	}
 }

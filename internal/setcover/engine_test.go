@@ -1,12 +1,14 @@
 package setcover
 
 import (
+	"context"
 	"math/rand"
 	"runtime"
 	"sort"
 	"sync"
 	"testing"
 
+	"hypertree/internal/budget"
 	"hypertree/internal/hypergraph"
 )
 
@@ -93,11 +95,11 @@ func TestEngineMatchesSliceAPI(t *testing.T) {
 			} else {
 				wantC = ExactSizeCapped(bag, sets, cap)
 			}
-			if gotC := eng.ExactSizeCapped(sc, bag, cap); gotC != wantC {
+			if gotC := eng.ExactSizeCapped(sc, bag, cap, nil); gotC != wantC {
 				t.Fatalf("ExactSizeCapped(%v, %d) = %d, want %d", bag, cap, gotC, wantC)
 			}
 			// A larger cap than any minimum gives the true exact size.
-			if gotE := eng.ExactSizeCapped(sc, bag, len(bag)+1); gotE != wantE && !(wantE == len(bag)+1) {
+			if gotE := eng.ExactSizeCapped(sc, bag, len(bag)+1, nil); gotE != wantE && !(wantE == len(bag)+1) {
 				t.Fatalf("ExactSizeCapped(%v, uncapped) = %d, want %d", bag, gotE, wantE)
 			}
 		}
@@ -115,7 +117,7 @@ func TestEngineCoverValidity(t *testing.T) {
 		for q := 0; q < 20; q++ {
 			bag := randomBag(rng, n)
 			all := h.Edges()
-			g := eng.GreedyCover(bag, nil)
+			g := eng.GreedyCover(sc, bag, nil)
 			if g == nil {
 				if eng.GreedySize(sc, bag, nil) != -1 {
 					t.Fatalf("GreedyCover nil but GreedySize coverable for %v", bag)
@@ -128,14 +130,109 @@ func TestEngineCoverValidity(t *testing.T) {
 			if len(g) != eng.GreedySize(sc, bag, nil) {
 				t.Fatalf("GreedyCover size %d != GreedySize %d", len(g), eng.GreedySize(sc, bag, nil))
 			}
-			ex := eng.ExactCover(bag)
+			ex, _ := eng.ExactCover(sc, bag, nil)
 			if !Covers(bag, all, ex) {
 				t.Fatalf("ExactCover(%v) = %v does not cover", bag, ex)
 			}
-			if want := eng.ExactSizeCapped(sc, bag, len(bag)+1); len(ex) != want && want != len(bag)+1 {
+			if want := eng.ExactSizeCapped(sc, bag, len(bag)+1, nil); len(ex) != want && want != len(bag)+1 {
 				t.Fatalf("ExactCover size %d != exact size %d", len(ex), want)
 			}
 		}
+	}
+}
+
+// The engine's λ-sets must be the slice API's, edge for edge: GreedyCover
+// replays Greedy's tie-breaking on the same rng stream, and ExactCover picks
+// the same minimum cover as Exact, with or without a live budget.
+// Decomposition builders depend on this: a completed exact pass must keep
+// the λ-sets the slice path picked. CoverWithin finds a cover within any k
+// at or above the minimum, and none below it.
+func TestEngineCoversMatchSliceAPI(t *testing.T) {
+	rng := rand.New(rand.NewSource(14))
+	live := budget.New(context.Background(), budget.Limits{})
+	for trial := 0; trial < 40; trial++ {
+		n := 6 + rng.Intn(20)
+		h := randomHypergraph(rng, n, 3+rng.Intn(12), 1+rng.Intn(5))
+		eng := NewEngine(h, -1)
+		sc := eng.NewScratch()
+		for q := 0; q < 30; q++ {
+			bag := randomBag(rng, n)
+			idx, sets := incidentSets(h, bag)
+			seed := rng.Int63()
+			want := Greedy(bag, sets, rand.New(rand.NewSource(seed)))
+			got := eng.GreedyCover(sc, bag, rand.New(rand.NewSource(seed)))
+			if !equalIntSlices(got, mapIdx(idx, want)) {
+				t.Fatalf("GreedyCover(%v) = %v, want %v", bag, got, mapIdx(idx, want))
+			}
+			want = mapIdx(idx, Exact(bag, sets))
+			for _, b := range []*budget.B{nil, live} {
+				got, cut := eng.ExactCover(sc, bag, b)
+				if cut || !equalIntSlices(got, want) {
+					t.Fatalf("ExactCover(%v, budget %v) = %v (cut %v), want %v", bag, b != nil, got, cut, want)
+				}
+			}
+			if want == nil {
+				continue
+			}
+			for k := len(want); k <= len(bag); k++ {
+				c := eng.CoverWithin(sc, bag, k)
+				if c == nil || len(c) > k || !Covers(bag, h.Edges(), c) || !sort.IntsAreSorted(c) {
+					t.Fatalf("CoverWithin(%v, %d) = %v, want a sorted cover of at most %d edges", bag, k, c, k)
+				}
+			}
+			if c := eng.CoverWithin(sc, bag, len(want)-1); c != nil {
+				t.Fatalf("CoverWithin(%v, %d) = %v below the minimum %d", bag, len(want)-1, c, len(want))
+			}
+		}
+	}
+}
+
+// mapIdx maps slice-API set indices back to hyperedge ids (nil stays nil).
+func mapIdx(idx, chosen []int) []int {
+	if chosen == nil {
+		return nil
+	}
+	out := make([]int, len(chosen))
+	for i, c := range chosen {
+		out[i] = idx[c]
+	}
+	sort.Ints(out)
+	return out
+}
+
+// A stopped budget cuts ExactCover at its first poll: no cover, cut
+// reported, whether the stop came from the deadline or a cancelled context.
+// A cut ExactSizeCapped prices the bag at its cap without memoizing that
+// (it is not a bound), so a later unbudgeted query still finds the minimum.
+func TestExactCoverBudgetCut(t *testing.T) {
+	h := hypergraph.CliqueHypergraph(12)
+	eng := NewEngine(h, -1)
+	sc := eng.NewScratch()
+	bag := make([]int, 12)
+	for i := range bag {
+		bag[i] = i
+	}
+	stopped := budget.New(context.Background(), budget.Limits{})
+	stopped.Stop(budget.StopDeadline)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	canceled := budget.New(ctx, budget.Limits{})
+	for _, b := range []*budget.B{stopped, canceled} {
+		if got, cut := eng.ExactCover(sc, bag, b); got != nil || !cut {
+			t.Fatalf("ExactCover under a stopped budget = %v (cut %v), want a cut", got, cut)
+		}
+	}
+	if canceled.Reason() != budget.StopCanceled {
+		t.Fatalf("the poll did not latch the cancel: reason %q", canceled.Reason())
+	}
+	if got, cut := eng.ExactCover(sc, bag, nil); cut || len(got) != 6 {
+		t.Fatalf("unbudgeted ExactCover on K12 = %v (cut %v), want 6 edges", got, cut)
+	}
+	if got := eng.ExactSizeCapped(sc, bag, 9, stopped); got != 9 {
+		t.Fatalf("cut ExactSizeCapped = %d, want the cap 9", got)
+	}
+	if got := eng.ExactSizeCapped(sc, bag, 9, nil); got != 6 {
+		t.Fatalf("ExactSizeCapped after a cut = %d, want 6: the cut was memoized", got)
 	}
 }
 
@@ -163,38 +260,38 @@ func TestEngineCache(t *testing.T) {
 		t.Fatalf("after repeat query: %+v", s)
 	}
 	// Exact on the same bag: same entry, separate field → one more miss.
-	exact := eng.ExactSizeCapped(sc, bag, 10)
+	exact := eng.ExactSizeCapped(sc, bag, 10, nil)
 	if s = eng.CacheStats(); s.Misses != 2 || s.Size != 1 {
 		t.Fatalf("after exact query: %+v", s)
 	}
-	if got := eng.ExactSizeCapped(sc, bag, 10); got != exact {
+	if got := eng.ExactSizeCapped(sc, bag, 10, nil); got != exact {
 		t.Fatalf("cached exact = %d, want %d", got, exact)
 	}
 	if s = eng.CacheStats(); s.Hits != 2 {
 		t.Fatalf("exact repeat should hit: %+v", s)
 	}
 	// A tighter cap than the stored exact value must come back censored.
-	if got := eng.ExactSizeCapped(sc, bag, 1); got != 1 {
+	if got := eng.ExactSizeCapped(sc, bag, 1, nil); got != 1 {
 		t.Fatalf("capped-below-exact = %d, want 1", got)
 	}
 
 	// Capped lower bounds: query a bag with cap 1 (minimum is 2), then ask
 	// again with cap 1 (hit) and with a larger cap (miss, recompute).
 	bag2 := []int{0, 2, 4}
-	if got := eng.ExactSizeCapped(sc, bag2, 1); got != 1 {
+	if got := eng.ExactSizeCapped(sc, bag2, 1, nil); got != 1 {
 		t.Fatalf("cap-censored = %d, want 1", got)
 	}
 	pre := eng.CacheStats()
-	if got := eng.ExactSizeCapped(sc, bag2, 1); got != 1 {
+	if got := eng.ExactSizeCapped(sc, bag2, 1, nil); got != 1 {
 		t.Fatalf("cap-censored repeat = %d", got)
 	}
 	if s = eng.CacheStats(); s.Hits != pre.Hits+1 {
 		t.Fatalf("lower-bound reuse should hit: %+v", s)
 	}
-	if got := eng.ExactSizeCapped(sc, bag2, 5); got < 2 {
+	if got := eng.ExactSizeCapped(sc, bag2, 5, nil); got < 2 {
 		t.Fatalf("true exact = %d, want >= 2", got)
 	}
-	if got := eng.ExactSizeCapped(sc, bag2, 5); got < 2 {
+	if got := eng.ExactSizeCapped(sc, bag2, 5, nil); got < 2 {
 		t.Fatalf("cached true exact = %d", got)
 	}
 
@@ -248,20 +345,20 @@ func TestEngineUncoverable(t *testing.T) {
 	if got := eng.GreedySize(sc, bag, nil); got != -1 {
 		t.Fatalf("greedy on uncoverable = %d", got)
 	}
-	if got := eng.ExactSizeCapped(sc, bag, 5); got != -1 {
+	if got := eng.ExactSizeCapped(sc, bag, 5, nil); got != -1 {
 		t.Fatalf("exact on uncoverable = %d", got)
 	}
 	s := eng.CacheStats()
 	if s.Hits != 1 {
 		t.Fatalf("exact should reuse greedy's uncoverable verdict: %+v", s)
 	}
-	if eng.GreedyCover(bag, nil) != nil || eng.ExactCover(bag) != nil {
+	if ex, _ := eng.ExactCover(sc, bag, nil); eng.GreedyCover(sc, bag, nil) != nil || ex != nil {
 		t.Fatal("covers of uncoverable bag should be nil")
 	}
 	if got := eng.GreedySize(sc, nil, nil); got != 0 {
 		t.Fatalf("empty bag greedy = %d", got)
 	}
-	if got := eng.ExactSizeCapped(sc, nil, 3); got != 0 {
+	if got := eng.ExactSizeCapped(sc, nil, 3, nil); got != 0 {
 		t.Fatalf("empty bag exact = %d", got)
 	}
 }
@@ -294,7 +391,7 @@ func TestEngineConcurrent(t *testing.T) {
 						return
 					}
 					if rep%3 == 0 {
-						eng.ExactSizeCapped(sc, bag, 4)
+						eng.ExactSizeCapped(sc, bag, 4, nil)
 					}
 				}
 			}
@@ -339,7 +436,7 @@ func TestEngineMemberAttribution(t *testing.T) {
 			for i := 0; i < 400; i++ {
 				bag := randomBag(r, 24)
 				m.GreedySize(sc, bag, nil)
-				m.ExactSizeCapped(sc, bag, 3)
+				m.ExactSizeCapped(sc, bag, 3, nil)
 			}
 		}(m)
 	}

@@ -20,6 +20,7 @@ import (
 	"sort"
 
 	"hypertree/internal/bitset"
+	"hypertree/internal/budget"
 )
 
 // candSet is one candidate set restricted to the universe: its elements as a
@@ -187,12 +188,17 @@ func exactBB(universe []int, sets [][]int, cap int) (result []int, capped bool) 
 	for p := 0; p < ne; p++ {
 		uni.Add(p)
 	}
-	chosen, capped := exactCore(uni, ne, cands, cap)
+	chosen, capped, _ := exactCore(uni, ne, cands, cap, 0, nil)
 	if chosen != nil {
 		sort.Ints(chosen)
 	}
 	return chosen, capped
 }
+
+// pollEvery is how many branch-and-bound nodes pass between the budget polls
+// of a budgeted exact search. A node costs well under a microsecond, so a
+// stopped budget cuts the search within a fraction of a millisecond.
+const pollEvery = 256
 
 // exactCore is the branch-and-bound over restricted candidates shared by
 // the slice API and the Engine. universe holds the ne uncovered elements;
@@ -202,7 +208,14 @@ func exactBB(universe []int, sets [][]int, cap int) (result []int, capped bool) 
 // greedy cover of the surviving candidates, and returns the chosen
 // candidates' orig fields (unsorted), or (nil, false) if some element is
 // uncoverable, or (nil, true) when cap > 0 and the optimum is >= cap.
-func exactCore(universe bitset.Set, ne int, cands []candSet, cap int) (result []int, capped bool) {
+//
+// A positive enough turns the search into a first fit: it returns the first
+// cover of at most enough candidates it meets (the greedy prime, when that
+// is narrow enough) instead of proving a minimum. b, when non-nil, is
+// polled (Check) at the first node and then every pollEvery nodes; once it
+// reports stopped the search unwinds and returns cut = true with no result.
+// A nil b never cuts.
+func exactCore(universe bitset.Set, ne int, cands []candSet, cap, enough int, b *budget.B) (result []int, capped, cut bool) {
 	// Deduplicate by bitset key: equal restrictions are interchangeable.
 	seen := make(map[string]struct{}, len(cands))
 	var keyBuf []byte
@@ -249,7 +262,7 @@ func exactCore(universe bitset.Set, ne int, cands []candSet, cap int) (result []
 	}
 	for e := 0; e < ne; e++ {
 		if len(memberOf[e]) == 0 {
-			return nil, false // element not coverable
+			return nil, false, false // element not coverable
 		}
 	}
 
@@ -264,6 +277,9 @@ func exactCore(universe bitset.Set, ne int, cands []candSet, cap int) (result []
 	if cap > 0 && bestLen > cap {
 		bestLen = cap
 		best = nil
+	}
+	if best != nil && bestLen <= enough {
+		return best, false, false
 	}
 
 	// covered counts per element; coveredCount = elements with count > 0.
@@ -289,8 +305,19 @@ func exactCore(universe bitset.Set, ne int, cands []candSet, cap int) (result []
 		chosen = chosen[:len(chosen)-1]
 	}
 
+	polls := 0
+	halt := false // the budget cut the search, or a first fit was found
 	var dfs func()
 	dfs = func() {
+		if b != nil {
+			if polls%pollEvery == 0 && !b.Check() {
+				cut, halt = true, true
+			}
+			polls++
+		}
+		if halt {
+			return
+		}
 		if coveredCount == ne {
 			if len(chosen) < bestLen {
 				bestLen = len(chosen)
@@ -298,6 +325,7 @@ func exactCore(universe bitset.Set, ne int, cands []candSet, cap int) (result []
 				for _, ci := range chosen {
 					best = append(best, cands[ci].orig)
 				}
+				halt = bestLen <= enough
 			}
 			return
 		}
@@ -320,14 +348,20 @@ func exactCore(universe bitset.Set, ne int, cands []candSet, cap int) (result []
 			add(si)
 			dfs()
 			undo(si)
+			if halt {
+				return
+			}
 		}
 	}
 	dfs()
+	if cut {
+		return nil, false, true
+	}
 	if best == nil || (cap > 0 && bestLen >= cap) {
 		// Coverable (the memberOf check passed) but only at cap or above.
-		return nil, true
+		return nil, true, false
 	}
-	return best, false
+	return best, false, false
 }
 
 // positionsOf maps the distinct universe elements, in ascending order, to
