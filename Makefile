@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet staticcheck test race check par-smoke portfolio-smoke deadline-smoke daemon-smoke latency-smoke query-smoke attr-smoke servebench-test load-smoke bench-smoke bench-diff trace-smoke tracestat-smoke fuzz clean
+.PHONY: all build vet fmt-check staticcheck test race check par-smoke portfolio-smoke deadline-smoke daemon-smoke latency-smoke query-smoke attr-smoke servebench-test load-smoke bench-smoke bench-diff trace-smoke tracestat-smoke fuzz clean
 
 all: check
 
@@ -9,6 +9,14 @@ build:
 
 vet:
 	$(GO) vet ./...
+
+# fmt-check fails when any tracked .go file is not gofmt-formatted (the
+# untracked .bench_build/ tree is never listed), naming the files to fix.
+fmt-check:
+	@files=$$(git ls-files '*.go'); \
+	if [ -z "$$files" ]; then echo "fmt-check: git lists no .go files (not a git checkout?)"; exit 1; fi; \
+	out=$$(gofmt -l $$files); \
+	if [ -n "$$out" ]; then echo "gofmt -l lists files that need formatting:"; echo "$$out"; exit 1; fi
 
 # staticcheck runs the deeper linter when the binary is on PATH and falls
 # back to `go vet` otherwise, so `make check` works on a bare toolchain and
@@ -26,20 +34,19 @@ test:
 race:
 	$(GO) test -race ./...
 
-# check is the full verification gate: static analysis, a clean build, the
-# test suite under the race detector (which subsumes plain `go test`), the
-# serving benchmark's own module, a smoke run of the evaluator benchmarks
-# with a regression diff against the committed report, and trace emission +
-# analysis smoke runs.
-check: vet staticcheck build race par-smoke portfolio-smoke deadline-smoke daemon-smoke latency-smoke query-smoke attr-smoke servebench-test load-smoke bench-smoke bench-diff trace-smoke tracestat-smoke
+# check is the full verification gate: static analysis, a gofmt check, a
+# clean build, the test suite under the race detector (which subsumes plain
+# `go test`), the serving benchmark's own module, a smoke run of the
+# evaluator benchmarks with a regression diff against the committed report,
+# and trace emission + analysis smoke runs.
+check: vet fmt-check staticcheck build race par-smoke portfolio-smoke deadline-smoke daemon-smoke latency-smoke query-smoke attr-smoke servebench-test load-smoke bench-smoke bench-diff trace-smoke tracestat-smoke
 
 # par-smoke is the quick parallel-correctness gate: one mid-size instance
-# through parallel BB-ghw and one through parallel det-k-decomp, Workers=4,
-# under the race detector, asserting the width matches the serial engines.
-# (`make race` runs the full parallel suites; this target is the fast,
-# targeted re-check.)
+# through parallel BB-ghw, Workers=4, under the race detector, asserting the
+# width matches the serial engine. (`make race` runs the full parallel
+# suites; this target is the fast, targeted re-check.)
 par-smoke:
-	$(GO) test -race -count=1 -run 'TestParallel.*Smoke' ./internal/search/ ./internal/htd/
+	$(GO) test -race -count=1 -run 'TestParallel.*Smoke' ./internal/search/
 
 # portfolio-smoke is the racing-mode gate: the default solver portfolio on
 # two seed instances under the race detector, asserting the race's width is

@@ -42,10 +42,10 @@ func main() {
 		seed    = flag.Int64("seed", 1, "random seed for heuristic tie-breaking")
 		show    = flag.Bool("show", false, "print the decomposition tree")
 
-		parallel = flag.Bool("parallel", false, "run with one worker per CPU (GOMAXPROCS): parallel BB, parallel det-k-decomp, parallel GA evaluation; overridden by -workers")
+		parallel = flag.Bool("parallel", false, "run with one worker per CPU (GOMAXPROCS): parallel BB, parallel GA evaluation; overridden by -workers")
 		workers  = flag.Int("workers", 0, "explicit worker count for the parallel engines (0 = serial, or GOMAXPROCS with -parallel)")
-		dotPath = flag.String("dot", "", "write the decomposition as Graphviz DOT to this file")
-		tdPath  = flag.String("td", "", "write the tree decomposition in PACE .td format to this file")
+		dotPath  = flag.String("dot", "", "write the decomposition as Graphviz DOT to this file")
+		tdPath   = flag.String("td", "", "write the tree decomposition in PACE .td format to this file")
 
 		tracePath  = flag.String("trace", "", "write the run's instrumentation events as JSONL to this file")
 		stats      = flag.Bool("stats", false, "print the run's aggregated statistics (anytime-width timeline, effort, cache traffic)")

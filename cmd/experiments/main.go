@@ -58,7 +58,7 @@ func main() {
 		benchDiff          = flag.String("bench-diff", "", "old -bench-json report; compare against the new report given as the next argument and exit 1 on regression")
 		benchDiffThreshold = flag.Float64("bench-diff-threshold", bench.DefaultDiffThreshold,
 			"relative ns/op slowdown tolerated by -bench-diff (0.5 = 50%)")
-		queryDemo = flag.String("query-demo", "", "decompose this registry instance once, compile the join-tree plan, and serve a demo query workload (e.g. grid2d_10)")
+		queryDemo   = flag.String("query-demo", "", "decompose this registry instance once, compile the join-tree plan, and serve a demo query workload (e.g. grid2d_10)")
 		metricsAddr = flag.String("metrics-addr", "", "serve OpenMetrics event counters (/metrics), expvar (/debug/vars) and pprof (/debug/pprof/) on this address, e.g. localhost:6060")
 		workers     = flag.Int("workers", 0, "run the instance rows of the instance-outer tables on this many goroutines (0/1 = serial; table values are identical either way)")
 	)

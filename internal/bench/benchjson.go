@@ -38,15 +38,15 @@ var DefaultBenchInstances = []string{"grid2d_10", "grid2d_20", "adder_25", "brid
 const benchOrderings = 8
 
 // SearchBenchInstances are the instances the whole-search modes (bb-serial /
-// bb-par / detk-serial / detk-par) run on: the mid-size grids where the
-// parallel engines have enough subtree to distribute.
+// bb-par / detk-serial / portfolio) run on: the mid-size grids where the
+// parallel BB engine has enough subtree to distribute.
 var SearchBenchInstances = []string{"grid2d_10", "grid2d_14"}
 
 const (
 	// bbBenchNodes / detkBenchNodes bound every whole-search op by search
-	// nodes, so the serial and parallel modes of one instance do the same
-	// amount of algorithmic work per op and their ns/op ratio is the
-	// engine's parallel speedup (≈1 on a single-core machine).
+	// nodes, so bb-serial and bb-par do the same amount of algorithmic work
+	// per op and their ns/op ratio is the engine's parallel speedup (≈1 on
+	// a single-core machine).
 	bbBenchNodes   = 25000
 	detkBenchNodes = 5000
 	// detkBenchK is the fixed width the det-k modes decide.
@@ -62,8 +62,8 @@ type BenchEntry struct {
 	// a discarding obs recorder attached — the instrumentation-enabled
 	// dispatch cost), "engine-nocache" (bitsets only), or "sliceapi" (the
 	// pre-engine evaluation path). The whole-search modes "bb-serial" /
-	// "bb-par" and "detk-serial" / "detk-par" measure one node-budgeted
-	// BB-ghw run or det-k decision, serial vs. Workers-parallel.
+	// "bb-par" measure one node-budgeted BB-ghw run, serial vs.
+	// Workers-parallel; "detk-serial" one node-budgeted det-k decision.
 	Mode        string  `json:"mode"`
 	Iterations  int     `json:"iterations"`
 	NsPerOp     float64 `json:"ns_per_op"`
@@ -169,7 +169,6 @@ func RunBenchJSON(instances []string, logf func(format string, args ...interface
 			{"bb-serial", 0, benchBBWidth},
 			{"bb-par", parBenchWorkers, benchBBWidth},
 			{"detk-serial", 0, benchDetKWidth},
-			{"detk-par", parBenchWorkers, benchDetKWidth},
 			{"portfolio", 0, benchPortfolioWidth},
 		}
 		for _, mode := range modes {
@@ -229,10 +228,11 @@ func benchPortfolioWidth(h *hypergraph.Hypergraph, workers int) int {
 }
 
 // benchDetKWidth runs one node-budgeted det-k width-detkBenchK decision and
-// returns k when a decomposition was found, else -1.
-func benchDetKWidth(h *hypergraph.Hypergraph, workers int) int {
+// returns k when a decomposition was found, else -1. det-k-decomp is
+// serial, so there is no worker count to pass on.
+func benchDetKWidth(h *hypergraph.Hypergraph, _ int) int {
 	b := budget.New(context.Background(), budget.Limits{MaxNodes: detkBenchNodes})
-	_, ok, _ := htd.DecideHWParallel(h, detkBenchK, workers, b)
+	_, ok, _ := htd.DecideHW(h, detkBenchK, b)
 	if ok {
 		return detkBenchK
 	}

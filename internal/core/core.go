@@ -109,10 +109,10 @@ type Options struct {
 	// SAIGA configures saiga-ghw; zero-valued fields fall back to defaults.
 	SAIGA ga.SAIGAConfig
 	// Workers is the shared parallelism knob: it sets the worker count of
-	// the branch-and-bound searches (work-stealing parallel BB), det-k-decomp
-	// (parallel separator fan-out) and — unless GA.Workers was set explicitly
-	// — GA/SAIGA fitness evaluation. Values <= 1 keep every algorithm on its
-	// bit-identical serial path. A* ignores the knob.
+	// the branch-and-bound searches (work-stealing parallel BB) and — unless
+	// GA.Workers was set explicitly — GA/SAIGA fitness evaluation. Values
+	// <= 1 keep every algorithm on its bit-identical serial path. A* and
+	// det-k-decomp (hw-detk) are serial and ignore the knob.
 	Workers int
 	// Recorder, when non-nil, receives the run's instrumentation events
 	// (obs package): run start/stop, budget checkpoints, anytime width
@@ -378,7 +378,7 @@ func decompose(h *hypergraph.Hypergraph, opts Options, b *budget.B) (*Decomposit
 		// The widths det-k-decomp refutes bound hw, not ghw: they stay in the
 		// trace as lower_bound events but never reach LowerBound, which is
 		// the ghw-sound tw-ksc bound on every path.
-		w, g, _ := htd.HypertreeWidthParallel(h, maxK, opts.Workers, b, rec)
+		w, g, _ := htd.HypertreeWidth(h, maxK, b, rec)
 		lb := bounds.TwKscWidth(h, rng)
 		if w >= 0 {
 			d = &Decomposition{

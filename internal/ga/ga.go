@@ -457,16 +457,6 @@ func tournament(pop [][]int, fit []int, s int, rng *rand.Rand) []int {
 	return pop[best]
 }
 
-func bestOf(pop [][]int, fit []int) ([]int, int) {
-	bi := 0
-	for i := range fit {
-		if fit[i] < fit[bi] {
-			bi = i
-		}
-	}
-	return pop[bi], fit[bi]
-}
-
 // sortByFitness orders indices of fit ascending (used by SAIGA migration).
 func sortByFitness(fit []int) []int {
 	idx := make([]int, len(fit))

@@ -10,13 +10,15 @@
 // memoizing failed and successful (component, connector) subproblems.
 // Since ghw(H) ≤ hw(H), every decomposition found here is also a valid
 // generalized hypertree decomposition and an upper bound for ghw.
+//
+// The search is serial. DecideHW decides one width; HypertreeWidth tries
+// k = 1, 2, … on top of it. Both run under a budget (nil = unlimited).
 package htd
 
 import (
 	"sort"
 	"strconv"
 	"strings"
-	"sync/atomic"
 
 	"hypertree/internal/budget"
 	"hypertree/internal/budget/faultinject"
@@ -34,28 +36,9 @@ type decomposer struct {
 	b     *budget.B
 	// stop latches once the budget runs out mid-search. From then on
 	// subproblems fail fast, and — crucially — nothing is memoized: a nil
-	// caused by exhaustion is "unknown", not "proven impossible". It is an
-	// atomic because the parallel driver shares one decomposer across its
-	// workers; serial runs pay one uncontended atomic op per check.
-	stop atomic.Bool
-	// cmemo, when non-nil, replaces memo with the concurrency-safe table the
-	// parallel driver shares across workers (serial runs leave it nil and
-	// keep the plain map).
-	cmemo *concMemo
-	// abort, when non-nil, is the parallel driver's first-success latch:
-	// once a worker finds a decomposition the siblings unwind. Unlike stop
-	// it does not mark the run interrupted.
-	abort *atomic.Bool
+	// caused by exhaustion is "unknown", not "proven impossible".
+	stop bool
 }
-
-// halted reports whether the search should unwind without an answer:
-// budget exhausted, or (parallel runs) a sibling already succeeded. Nothing
-// is memoized past this point.
-func (d *decomposer) halted() bool {
-	return d.stop.Load() || d.aborted()
-}
-
-func (d *decomposer) aborted() bool { return d.abort != nil && d.abort.Load() }
 
 // node is a constructed decomposition subtree.
 type node struct {
@@ -65,17 +48,12 @@ type node struct {
 }
 
 // DecideHW decides whether h has a hypertree decomposition of width at most
-// k and returns one (as a validated GHD) when it does. For fixed k the
-// running time is polynomial in h.
-func DecideHW(h *hypergraph.Hypergraph, k int) (*decomp.GHD, bool) {
-	g, ok, _ := DecideHWBudget(h, k, nil)
-	return g, ok
-}
-
-// DecideHWBudget is DecideHW under a run budget. The third result reports
-// whether the search was cut short: when interrupted is true, ok=false
-// means "unknown", not "no width-k decomposition exists".
-func DecideHWBudget(h *hypergraph.Hypergraph, k int, b *budget.B) (g *decomp.GHD, ok, interrupted bool) {
+// k under the run budget b (nil = unlimited) and returns one (as a
+// validated GHD) when it does. For fixed k the running time is polynomial
+// in h. The third result reports whether the search was cut short: when
+// interrupted is true, ok=false means "unknown", not "no width-k
+// decomposition exists".
+func DecideHW(h *hypergraph.Hypergraph, k int, b *budget.B) (g *decomp.GHD, ok, interrupted bool) {
 	if k < 1 {
 		return nil, false, false
 	}
@@ -89,42 +67,25 @@ func DecideHWBudget(h *hypergraph.Hypergraph, k int, b *budget.B) (g *decomp.GHD
 	}
 	root := d.decompose(all, nil, nil)
 	if root == nil {
-		return nil, false, d.stop.Load()
+		return nil, false, d.stop
 	}
 	return d.toGHD(root), true, false
 }
 
-// HypertreeWidth computes hw(h) by trying k = 1, 2, … up to maxK, returning
-// the width and a witnessing decomposition, or (-1, nil) if maxK is too
-// small.
-func HypertreeWidth(h *hypergraph.Hypergraph, maxK int) (int, *decomp.GHD) {
-	w, g, _ := HypertreeWidthBudget(h, maxK, nil)
-	return w, g
-}
-
-// HypertreeWidthBudget is HypertreeWidth under a run budget. provenLB is
-// the smallest k not yet refuted: every width below provenLB has been
-// proven impossible, so hw(h) ≥ provenLB. On a completed run with a
-// decomposition found, provenLB equals the returned width; on an
-// interrupted or exhausted run the width is -1 and provenLB is the
-// best-so-far lower bound on hw.
-func HypertreeWidthBudget(h *hypergraph.Hypergraph, maxK int, b *budget.B) (width int, g *decomp.GHD, provenLB int) {
-	return HypertreeWidthObserved(h, maxK, b, nil)
-}
-
-// HypertreeWidthObserved is HypertreeWidthBudget with instrumentation: each
-// width attempt emits a detk_attempt event, each refuted width a lower_bound
-// event, and a found decomposition an improve event. rec may be nil.
-func HypertreeWidthObserved(h *hypergraph.Hypergraph, maxK int, b *budget.B, rec obs.Recorder) (width int, g *decomp.GHD, provenLB int) {
-	return hypertreeWidthLoop(h, maxK, 1, b, rec)
-}
-
-// hypertreeWidthLoop is the k = 1, 2, … driver shared by the serial and
-// parallel entry points; workers > 1 selects DecideHWParallel per attempt.
-func hypertreeWidthLoop(h *hypergraph.Hypergraph, maxK, workers int, b *budget.B, rec obs.Recorder) (width int, g *decomp.GHD, provenLB int) {
+// HypertreeWidth computes hw(h) under the run budget b (nil = unlimited) by
+// deciding k = 1, 2, … up to maxK. It returns the width and a witnessing
+// decomposition, or (-1, nil) when maxK is too small or the budget ran
+// out. provenLB is the smallest k not yet refuted: every width below it has
+// been proven impossible, so hw(h) ≥ provenLB. On a completed run with a
+// decomposition found, provenLB equals the returned width.
+//
+// rec (may be nil) receives a detk_attempt event per width attempt, a
+// lower_bound event per refuted width, and an improve event for the found
+// decomposition.
+func HypertreeWidth(h *hypergraph.Hypergraph, maxK int, b *budget.B, rec obs.Recorder) (width int, g *decomp.GHD, provenLB int) {
 	provenLB = 1
 	for k := 1; k <= maxK; k++ {
-		g, ok, interrupted := DecideHWParallel(h, k, workers, b)
+		g, ok, interrupted := DecideHW(h, k, b)
 		if rec != nil {
 			rec.Record(obs.Event{Kind: obs.KindAttempt, T: b.Elapsed(),
 				K: k, Found: ok, Nodes: b.Nodes()})
@@ -153,71 +114,26 @@ func hypertreeWidthLoop(h *hypergraph.Hypergraph, maxK, workers int, b *budget.B
 // comp ∪ oldSep (the det-k-decomp candidate rule enforcing the hypertree
 // descendant condition).
 func (d *decomposer) decompose(comp, connector, oldSep []int) *node {
-	if d.aborted() {
-		return nil
-	}
-	if d.stop.Load() || !d.b.Tick() {
-		d.stop.Store(true)
+	if d.stop || !d.b.Tick() {
+		d.stop = true
 		return nil
 	}
 	faultinject.Hit(faultinject.SiteSearchExpand)
 	key := memoKey(comp, connector)
-	if d.cmemo != nil {
-		return d.decomposeShared(key, comp, connector, oldSep)
-	}
 	if n, ok := d.memo[key]; ok {
 		return n
 	}
 	n := d.solve(comp, connector, oldSep)
-	// An exhausted or unwinding search proves nothing: memoizing nil here
-	// would wrongly record this subproblem as unsolvable for later (or
-	// resumed) queries.
-	if !d.halted() {
+	// An exhausted search proves nothing: memoizing nil here would wrongly
+	// record this subproblem as unsolvable for later (or resumed) queries.
+	if !d.stop {
 		d.memo[key] = n
 	}
 	return n
 }
 
-// decomposeShared is decompose's memo path for parallel runs: exactly one
-// worker computes each (component, connector) subproblem while the others
-// wait for its answer. Waiting cannot deadlock — an owner only ever waits
-// on strictly smaller components than the one it owns (the progress guard
-// in try enforces strict shrinkage), so wait chains cannot cycle.
-func (d *decomposer) decomposeShared(key string, comp, connector, oldSep []int) *node {
-	for {
-		ent, owner := d.cmemo.acquire(key)
-		if !owner {
-			if n, valid := ent.wait(); valid {
-				return n
-			}
-			if d.halted() {
-				return nil
-			}
-			// The previous owner unwound without an answer but this worker
-			// is still live: re-claim the entry and compute it ourselves.
-			continue
-		}
-		var n *node
-		solved := false
-		func() {
-			// Whatever happens to the owner — including a panic on its way
-			// to the worker's containment handler — the entry must complete,
-			// or waiting workers would block forever.
-			defer func() {
-				if !solved {
-					ent.complete(nil, false)
-				}
-			}()
-			n = d.solve(comp, connector, oldSep)
-			solved = true
-		}()
-		ent.complete(n, !d.halted())
-		return n
-	}
-}
-
 // solve computes one subproblem: the base case, or the separator
-// enumeration. Callers handle memoization.
+// enumeration. decompose handles memoization.
 func (d *decomposer) solve(comp, connector, oldSep []int) *node {
 	// Base case: the whole component fits into one λ-set.
 	if len(comp) <= d.k {
@@ -249,15 +165,10 @@ func (d *decomposer) solve(comp, connector, oldSep []int) *node {
 		return false
 	}
 	choose = func(start, depth int) bool {
-		if d.aborted() {
-			// A sibling worker already found a decomposition; unwind fast
-			// without marking the run interrupted.
-			return true
-		}
-		if d.stop.Load() || !d.b.Tick() {
+		if d.stop || !d.b.Tick() {
 			// Returning true unwinds the separator enumeration fast; result
 			// stays nil and the stop latch keeps it out of the memo.
-			d.stop.Store(true)
+			d.stop = true
 			return true
 		}
 		if len(sep) > 0 {

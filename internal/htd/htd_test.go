@@ -5,6 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"hypertree/internal/budget"
 	"hypertree/internal/elim"
 	"hypertree/internal/hypergraph"
 )
@@ -23,7 +24,7 @@ func TestHWOneIffAcyclic(t *testing.T) {
 	h.AddEdge(0, 1, 2)
 	h.AddEdge(2, 3)
 	h.AddEdge(3, 4)
-	g, ok := DecideHW(h, 1)
+	g, ok, _ := DecideHW(h, 1, nil)
 	if !ok {
 		t.Fatal("acyclic hypergraph must have hw 1")
 	}
@@ -34,13 +35,13 @@ func TestHWOneIffAcyclic(t *testing.T) {
 		t.Fatalf("width = %d, want 1", g.Width())
 	}
 	// Cyclic: hw > 1.
-	if _, ok := DecideHW(triangle(), 1); ok {
+	if _, ok, _ := DecideHW(triangle(), 1, nil); ok {
 		t.Fatal("triangle must not have hw 1")
 	}
 }
 
 func TestHWTriangle(t *testing.T) {
-	w, g := HypertreeWidth(triangle(), 4)
+	w, g, _ := HypertreeWidth(triangle(), 4, nil, nil)
 	if w != 2 {
 		t.Fatalf("hw(triangle) = %d, want 2", w)
 	}
@@ -54,7 +55,7 @@ func TestHWExample5(t *testing.T) {
 	h.AddEdge(0, 1, 2)
 	h.AddEdge(0, 4, 5)
 	h.AddEdge(2, 3, 4)
-	w, g := HypertreeWidth(h, 4)
+	w, g, _ := HypertreeWidth(h, 4, nil, nil)
 	if w != 2 { // ghw = 2 and a width-2 hypertree decomposition exists
 		t.Fatalf("hw(example 5) = %d, want 2", w)
 	}
@@ -67,7 +68,7 @@ func TestHWCliqueHypergraph(t *testing.T) {
 	// K_n as binary hyperedges: hw = ceil(n/2) (one bag over all vertices).
 	for _, n := range []int{4, 5, 6} {
 		h := hypergraph.CliqueHypergraph(n)
-		w, g := HypertreeWidth(h, n)
+		w, g, _ := HypertreeWidth(h, n, nil, nil)
 		want := (n + 1) / 2
 		if w != want {
 			t.Errorf("hw(clique_%d) = %d, want %d", n, w, want)
@@ -82,7 +83,7 @@ func TestHWCliqueHypergraph(t *testing.T) {
 
 func TestHWGrid2D(t *testing.T) {
 	h := hypergraph.Grid2D(4)
-	w, g := HypertreeWidth(h, 4)
+	w, g, _ := HypertreeWidth(h, 4, nil, nil)
 	if w < 2 || w > 4 {
 		t.Fatalf("hw(grid2d_4) = %d, expected small", w)
 	}
@@ -96,19 +97,33 @@ func TestHWGrid2D(t *testing.T) {
 }
 
 func TestDecideHWEdgeCases(t *testing.T) {
-	if _, ok := DecideHW(hypergraph.NewHypergraph(3), 2); ok {
+	if _, ok, _ := DecideHW(hypergraph.NewHypergraph(3), 2, nil); ok {
 		t.Fatal("edgeless hypergraph should be rejected")
 	}
-	if _, ok := DecideHW(triangle(), 0); ok {
+	if _, ok, _ := DecideHW(triangle(), 0, nil); ok {
 		t.Fatal("k=0 should be rejected")
 	}
 	uncovered := hypergraph.NewHypergraph(3)
 	uncovered.AddEdge(0, 1)
-	if _, ok := DecideHW(uncovered, 2); ok {
+	if _, ok, _ := DecideHW(uncovered, 2, nil); ok {
 		t.Fatal("uncovered vertices should be rejected")
 	}
-	if w, _ := HypertreeWidth(triangle(), 1); w != -1 {
+	if w, _, _ := HypertreeWidth(triangle(), 1, nil, nil); w != -1 {
 		t.Fatalf("maxK too small should give -1, got %d", w)
+	}
+}
+
+// TestDecideHWInterrupted: an exhausted budget must report interrupted,
+// not a wrong "no decomposition" answer.
+func TestDecideHWInterrupted(t *testing.T) {
+	h := hypergraph.Grid2D(6)
+	b := budget.New(nil, budget.Limits{MaxNodes: 5, CheckEvery: 1})
+	g, ok, interrupted := DecideHW(h, 3, b)
+	if ok || g != nil {
+		t.Fatalf("5-node budget cannot decide grid2d_6 at k=3 (ok=%v)", ok)
+	}
+	if !interrupted {
+		t.Fatal("budget-stopped run did not report interrupted")
 	}
 }
 
@@ -136,7 +151,7 @@ func TestHWSoundAndMonotoneProperty(t *testing.T) {
 		prevOK := false
 		successes := 0
 		for k := 1; k <= h.M() && successes < 2; k++ {
-			g, ok := DecideHW(h, k)
+			g, ok, _ := DecideHW(h, k, nil)
 			if prevOK && !ok {
 				return false // monotone: once decomposable, stays so
 			}
@@ -177,7 +192,7 @@ func TestHWApproximationProperty(t *testing.T) {
 			}
 		}
 		ghw := elim.ExhaustiveGHW(h)
-		hw, _ := HypertreeWidth(h, 3*ghw+1)
+		hw, _, _ := HypertreeWidth(h, 3*ghw+1, nil, nil)
 		return hw >= ghw && hw <= 3*ghw+1
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 15}); err != nil {

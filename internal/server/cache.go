@@ -196,11 +196,3 @@ func (c *fifoCache[V]) stats() cacheStats {
 	}
 	return s
 }
-
-// resultCache is the exact-result instantiation; newResultCache keeps the
-// historical constructor name used throughout the serving path.
-type resultCache = fifoCache[*Response]
-
-func newResultCache(capacity int) *resultCache {
-	return newFIFOCache[*Response](capacity)
-}

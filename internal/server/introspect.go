@@ -281,27 +281,44 @@ func newSlowRing(n int) *slowRing {
 	return &slowRing{max: n}
 }
 
-// offer admits run if the ring has room or run outlasts the current
-// fastest member, which it evicts.
-func (r *slowRing) offer(run *SlowRun) {
+// offer retains the finished request lc, answered as rec describes, if the
+// ring has room or it outlasts the current fastest member, which it evicts.
+// The entry is built only once the ring admits it, so a request the ring
+// turns away allocates nothing here.
+func (r *slowRing) offer(lc *lifecycle, rec *accessRecord) {
 	if r == nil {
 		return
 	}
+	elapsed := rec.Timings.Total
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if len(r.runs) < r.max {
-		r.runs = append(r.runs, run)
-		return
-	}
-	fastest := 0
-	for i, m := range r.runs {
-		if m.Elapsed < r.runs[fastest].Elapsed {
-			fastest = i
+	slot := len(r.runs)
+	if slot == r.max {
+		slot = 0
+		for i, m := range r.runs {
+			if m.Elapsed < r.runs[slot].Elapsed {
+				slot = i
+			}
 		}
+		if elapsed <= r.runs[slot].Elapsed {
+			return
+		}
+	} else {
+		r.runs = append(r.runs, nil)
 	}
-	if run.Elapsed > r.runs[fastest].Elapsed {
-		r.runs[fastest] = run
+	run := &SlowRun{
+		Req:       lc.id,
+		Algo:      lc.algo,
+		Outcome:   rec.Outcome,
+		Width:     rec.Width,
+		Stop:      rec.Stop,
+		Start:     lc.start,
+		Elapsed:   elapsed,
+		QueueWait: lc.phases[phaseQueueWait],
+		Timings:   rec.Timings,
 	}
+	run.Events, run.DroppedEvents = lc.capture.take()
+	r.runs[slot] = run
 }
 
 // snapshot returns the retained runs, slowest first.

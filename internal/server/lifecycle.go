@@ -61,12 +61,22 @@ type Timings struct {
 	Total     time.Duration `json:"total_ns"`
 }
 
+// endpoint is the serving path a request came in on.
+type endpoint uint8
+
+const (
+	epDecompose endpoint = iota
+	// epQuery requests also feed the hypertree_query_* families.
+	epQuery
+)
+
 // lifecycle times one request through its phases. It is confined to the
 // request's handler goroutine; only the sinks it feeds (histograms, the
 // span recorder, the event capture) are shared.
 type lifecycle struct {
 	s    *Server
 	id   string
+	ep   endpoint
 	algo string
 	// remote is the client's network address (http.Request.RemoteAddr),
 	// carried to the access log so lines are attributable to callers.
@@ -84,12 +94,13 @@ type lifecycle struct {
 	capture *eventCapture
 }
 
-func (s *Server) newLifecycle(id, remote string) *lifecycle {
+func (s *Server) newLifecycle(id, remote string, ep endpoint) *lifecycle {
 	// algo stays empty until parseParams resolves one, so spans emitted for
 	// pre-parse rejections match the envelope (no algorithm ever chosen).
 	lc := &lifecycle{
 		s:      s,
 		id:     id,
+		ep:     ep,
 		remote: remote,
 		start:  time.Now(),
 	}
@@ -112,15 +123,26 @@ func (lc *lifecycle) phase(p reqPhase, d time.Duration) {
 	lc.emitSpan(phaseNames[p], d, "")
 }
 
-// finish closes the lifecycle under its typed outcome: the total span, the
-// per-outcome request histogram, and the timings block for the envelope.
-// Called exactly once per request, before the response is written.
-func (lc *lifecycle) finish(outcome Outcome) *Timings {
+// finish closes the lifecycle of a request answered as rec describes: the
+// response counter and the per-outcome request histogram (plus the
+// hypertree_query_* pair for /query requests), the total span, the
+// slow-ring offer and the access-log line. It returns the timings block for
+// the envelope. Called exactly once per request, before the response is
+// written, so every response is counted where it is timed.
+func (lc *lifecycle) finish(rec accessRecord) *Timings {
+	s := lc.s
 	total := time.Since(lc.start)
-	if i := outcomeIndex(outcome); i >= 0 {
-		lc.s.reqHist[i].Observe(total)
+	if i := outcomeIndex(rec.Outcome); i >= 0 {
+		s.outcomeCount[i].Add(1)
+		s.reqHist[i].Observe(total)
+		if lc.ep == epQuery {
+			s.queryOutcome[i].Add(1)
+		}
 	}
-	lc.emitSpan("total", total, outcome)
+	if lc.ep == epQuery {
+		s.queryHist.Observe(total)
+	}
+	lc.emitSpan("total", total, rec.Outcome)
 	tm := &Timings{Total: total}
 	for p := reqPhase(0); p < numPhases; p++ {
 		if !lc.touched[p] {
@@ -143,6 +165,9 @@ func (lc *lifecycle) finish(outcome Outcome) *Timings {
 			tm.Encode = lc.phases[p]
 		}
 	}
+	rec.Timings = tm
+	s.slow.offer(lc, &rec)
+	s.logAccess(lc, rec)
 	return tm
 }
 
@@ -168,7 +193,8 @@ func (lc *lifecycle) waitedMS() int64 {
 
 // accessRecord is one line of the structured access log: everything an
 // operator greps for without opening a trace file. Field order is the JSON
-// struct order, so lines are uniform and cut-able.
+// struct order, so lines are uniform and cut-able. Each exit builds one and
+// hands it to finish, which also files the slow-ring entry from it.
 type accessRecord struct {
 	Time    string  `json:"time"`
 	Req     string  `json:"req"`
@@ -195,39 +221,21 @@ type accessRecord struct {
 	Error     string   `json:"error,omitempty"`
 }
 
-// logAccess writes one JSON line describing a finished request. Writes are
-// serialized under accessMu, and each line is a single Write call, so
-// concurrent requests never interleave bytes. Called before the response is
-// sent: a log reader that sees a client's response also sees its line.
-func (s *Server) logAccess(lc *lifecycle, status int, resp *Response, stream bool) {
+// logAccess writes rec, completed with the request's identity and queue
+// wait, as one JSON line. Writes are serialized under accessMu, and each
+// line is a single Write call, so concurrent requests never interleave
+// bytes. Called before the response is sent: a log reader that sees a
+// client's response also sees its line.
+func (s *Server) logAccess(lc *lifecycle, rec accessRecord) {
 	if s.cfg.AccessLog == nil {
 		return
 	}
-	rec := accessRecord{
-		Time:      time.Now().UTC().Format(time.RFC3339Nano),
-		Req:       resp.Req,
-		Remote:    lc.remote,
-		Outcome:   resp.Outcome,
-		Status:    status,
-		Algo:      resp.Algo,
-		N:         resp.N,
-		M:         resp.M,
-		Width:     resp.Width,
-		Exact:     resp.Exact,
-		Stop:      resp.Stop,
-		Cached:    resp.Cached,
-		Stream:    stream,
-		WaitedMS:  resp.WaitedMS,
-		ElapsedMS: resp.ElapsedMS,
-		Timings:   resp.Timings,
-		Error:     resp.Error,
-	}
-	if resp.Attribution != nil {
-		rec.Winner = resp.Attribution.Winner
-	}
-	if resp.Timings != nil {
-		rec.ElapsedMS = resp.Timings.Total.Milliseconds()
-	}
+	rec.Time = time.Now().UTC().Format(time.RFC3339Nano)
+	rec.Req = lc.id
+	rec.Remote = lc.remote
+	rec.Algo = lc.algo
+	rec.WaitedMS = lc.waitedMS()
+	rec.ElapsedMS = rec.Timings.Total.Milliseconds()
 	line, err := json.Marshal(rec)
 	if err != nil {
 		return // accessRecord is a flat struct; unreachable

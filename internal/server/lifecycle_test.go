@@ -226,6 +226,7 @@ func TestDebugRunsMidSolve(t *testing.T) {
 
 // TestDebugSlowRetainsOutliers checks the slowest-N ring keeps the slow
 // request — with its event trace — and /debug/slow orders slowest first.
+// /query requests enter the ring too.
 func TestDebugSlowRetainsOutliers(t *testing.T) {
 	s := New(Config{Workers: 2, CheckEvery: 16})
 	ts := httptest.NewServer(s)
@@ -236,6 +237,10 @@ func TestDebugSlowRetainsOutliers(t *testing.T) {
 	hr, slow := postDecompose(t, ts, "algo=bb-ghw&timeout=300ms", grid12HG(t))
 	if hr.StatusCode != http.StatusOK || slow.Outcome != OutcomeDegraded {
 		t.Fatalf("slow request: status %d outcome %s", hr.StatusCode, slow.Outcome)
+	}
+	hr, query := postQuery(t, ts, "", queryBody(`{"op": "count"}`))
+	if hr.StatusCode != http.StatusOK {
+		t.Fatalf("query request: status %d (%s)", hr.StatusCode, query.Error)
 	}
 
 	resp, err := http.Get(ts.URL + "/debug/slow")
@@ -250,8 +255,8 @@ func TestDebugSlowRetainsOutliers(t *testing.T) {
 	if err := json.NewDecoder(resp.Body).Decode(&page); err != nil {
 		t.Fatal(err)
 	}
-	if page.Retained < 2 {
-		t.Fatalf("retained = %d, want >= 2", page.Retained)
+	if page.Retained < 3 {
+		t.Fatalf("retained = %d, want >= 3", page.Retained)
 	}
 	if page.Runs[0].Req != slow.Req {
 		t.Errorf("slowest retained = %s, want the degraded grid run %s", page.Runs[0].Req, slow.Req)
@@ -265,6 +270,26 @@ func TestDebugSlowRetainsOutliers(t *testing.T) {
 	for i := 1; i < len(page.Runs); i++ {
 		if page.Runs[i].Elapsed > page.Runs[i-1].Elapsed {
 			t.Errorf("slow runs not sorted slowest-first at %d", i)
+		}
+	}
+	var queryRun *SlowRun
+	for _, run := range page.Runs {
+		if run.Req == query.Req {
+			queryRun = run
+		}
+	}
+	if queryRun == nil {
+		t.Fatalf("/query request %s not retained", query.Req)
+	}
+	spans := map[string]bool{}
+	for _, e := range queryRun.Events {
+		if e.Kind == obs.KindSpan {
+			spans[e.Phase] = true
+		}
+	}
+	for _, want := range []string{"compile", "query", "total"} {
+		if !spans[want] {
+			t.Errorf("retained /query request has no %q span (events: %d)", want, len(queryRun.Events))
 		}
 	}
 }

@@ -46,6 +46,11 @@ func TestMetricsOpenMetricsLint(t *testing.T) {
 	postDecompose(t, ts, "algo=bb-ghw", []byte(acyclic4HG))
 	http.Post(ts.URL+"/decompose?algo=nope", "text/plain", strings.NewReader(cycle6HG))
 	postDecompose(t, ts, "algo=bb-ghw&timeout=50ms", grid12HG(t))
+	// /query responses go through the same counters: a plan miss, a plan
+	// hit and a rejection.
+	postQuery(t, ts, "", queryBody(`{"op": "count"}`))
+	postQuery(t, ts, "", queryBody(`{"op": "count"}`))
+	postQuery(t, ts, "", `{"queries": []}`)
 
 	hr, err := http.Get(ts.URL + "/metrics")
 	if err != nil {
@@ -59,6 +64,7 @@ func TestMetricsOpenMetricsLint(t *testing.T) {
 	}
 	families := map[string]*family{}
 	seenSeries := map[string]bool{}
+	values := map[string]float64{} // series -> sample value
 	// histogram bucket tracking: series key (name + labels sans le) ->
 	// ordered bucket values; counts for the +Inf == _count check.
 	buckets := map[string][]float64{}
@@ -135,6 +141,7 @@ func TestMetricsOpenMetricsLint(t *testing.T) {
 			t.Errorf("line %d: duplicate series %s", line, series)
 		}
 		seenSeries[series] = true
+		values[series] = value
 
 		if f.kind == "histogram" {
 			key := base + "{" + labelKeyExcept(labels, "le") + "}"
@@ -189,6 +196,26 @@ func TestMetricsOpenMetricsLint(t *testing.T) {
 	exactKey := `hypertree_daemon_request_seconds{outcome="exact"}`
 	if histCount[exactKey] < 5 {
 		t.Errorf("exact request histogram count = %g, want >= 5", histCount[exactKey])
+	}
+
+	// Every response is counted where it is timed, whichever endpoint
+	// served it: per outcome, the daemon counter equals the request
+	// histogram's count and covers the /query responses.
+	if got := values[`hypertree_query_requests_total{outcome="exact"}`]; got != 2 {
+		t.Errorf("query exact responses = %g, want 2", got)
+	}
+	if got := values[`hypertree_query_requests_total{outcome="rejected"}`]; got != 1 {
+		t.Errorf("query rejected responses = %g, want 1", got)
+	}
+	for _, o := range outcomes {
+		label := fmt.Sprintf("{outcome=%q}", o)
+		daemon := values["hypertree_daemon_requests_total"+label]
+		timed := values["hypertree_daemon_request_seconds_count"+label]
+		query := values["hypertree_query_requests_total"+label]
+		if daemon != timed || daemon < query {
+			t.Errorf("outcome %s: hypertree_daemon_requests_total %g, request_seconds_count %g, hypertree_query_requests_total %g (want daemon = timed >= query)",
+				o, daemon, timed, query)
+		}
 	}
 }
 

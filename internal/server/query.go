@@ -2,11 +2,9 @@ package server
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"strconv"
 	"time"
@@ -25,8 +23,9 @@ import (
 // CSP's constraint hypergraph, compiles the decomposition into an
 // engine.Plan (cached by content hash — the expensive part is paid once per
 // instance, not once per query), and answers the batch from the plan. The
-// serving discipline matches /decompose: draining check, bounded admission,
-// one worker slot per request, typed envelopes, full lifecycle timings.
+// request path is /decompose's (open, admit, fail, the lifecycle's finish):
+// draining check, bounded admission, one worker slot per request, typed
+// envelopes, full lifecycle timings.
 
 // Caps on a query batch. The request body cap bounds the CSP; these bound
 // the work a single request can demand from a compiled plan. Two further
@@ -93,7 +92,10 @@ func queryOpIndex(op string) int {
 	return -1
 }
 
-// QueryResponse is the typed envelope every /query request gets back.
+// QueryResponse is the typed envelope of an answered /query request.
+// Rejections and failures are written by fail as a Response, which marshals
+// to the bytes a QueryResponse would: every field one type has and the
+// other lacks is omitempty.
 type QueryResponse struct {
 	Outcome Outcome `json:"outcome"`
 	Req     string  `json:"req,omitempty"`
@@ -167,46 +169,23 @@ type cachedPlan struct {
 
 // handleQuery is the /query serving path.
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
-	id := fmt.Sprintf("r%06d", s.reqSeq.Add(1))
-	w.Header().Set("X-Request-ID", id)
-	lc := s.newLifecycle(id, r.RemoteAddr)
-
 	s.wg.Add(1)
 	defer s.wg.Done()
-	if s.draining.Load() {
-		s.queryReject(w, lc, http.StatusServiceUnavailable, "draining: not admitting new requests", drainingRetrySeconds)
-		return
-	}
-
-	p, err := s.parseParams(r)
-	if err != nil {
-		s.queryReject(w, lc, http.StatusBadRequest, err.Error(), 0)
-		return
-	}
-	lc.algo = string(p.algo)
-
-	body, err := io.ReadAll(hypergraph.LimitReader(r.Body, s.cfg.MaxRequestBytes))
-	if err != nil {
-		var tooBig *hypergraph.PayloadTooLargeError
-		if errors.As(err, &tooBig) {
-			s.queryReject(w, lc, http.StatusRequestEntityTooLarge,
-				fmt.Sprintf("payload exceeds %d-byte limit", tooBig.Limit), 0)
-			return
-		}
-		s.queryReject(w, lc, http.StatusBadRequest, fmt.Sprintf("reading body: %v", err), 0)
+	lc, p, body, ok := s.open(w, r, epQuery)
+	if !ok {
 		return
 	}
 	var env queryEnvelope
 	if err := json.Unmarshal(body, &env); err != nil {
-		s.queryReject(w, lc, http.StatusBadRequest, fmt.Sprintf("decoding request: %v", err), 0)
+		s.fail(w, lc, http.StatusBadRequest, OutcomeRejected, fmt.Sprintf("decoding request: %v", err), 0)
 		return
 	}
 	if len(env.CSP) == 0 {
-		s.queryReject(w, lc, http.StatusBadRequest, "missing csp", 0)
+		s.fail(w, lc, http.StatusBadRequest, OutcomeRejected, "missing csp", 0)
 		return
 	}
 	if len(env.Queries) > MaxQueriesPerRequest {
-		s.queryReject(w, lc, http.StatusBadRequest,
+		s.fail(w, lc, http.StatusBadRequest, OutcomeRejected,
 			fmt.Sprintf("%d queries exceed the %d-per-request cap", len(env.Queries), MaxQueriesPerRequest), 0)
 		return
 	}
@@ -222,36 +201,11 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 
 	// Even a plan-cache hit runs its batch inside a worker slot: query CPU
 	// stays pool-bounded exactly like solver CPU.
-	if s.pending.Add(1) > int64(s.cfg.Workers+s.cfg.QueueDepth) {
-		s.pending.Add(-1)
-		s.queryReject(w, lc, http.StatusTooManyRequests, "saturated: worker pool and queue full", saturatedRetrySeconds)
+	ri := s.admit(w, r, lc)
+	if ri == nil {
 		return
 	}
-	defer s.pending.Add(-1)
-
-	ri := &runInfo{id: id, algo: string(p.algo), start: time.Now()}
-	s.registry.add(ri)
-	defer s.registry.remove(id)
-
-	qstart := time.Now()
-	select {
-	case s.sem <- struct{}{}:
-	case <-r.Context().Done():
-		lc.phase(phaseQueueWait, time.Since(qstart))
-		s.queryReject(w, lc, statusClientClosedRequest, "client canceled while queued", 0)
-		return
-	case <-s.baseCtx.Done():
-		lc.phase(phaseQueueWait, time.Since(qstart))
-		s.queryReject(w, lc, http.StatusServiceUnavailable, "draining: canceled while queued", drainingRetrySeconds)
-		return
-	}
-	defer func() { <-s.sem }()
-	wait := time.Since(qstart)
-	lc.phase(phaseQueueWait, wait)
-	ri.waitNS.Store(int64(wait))
-	ri.running.Store(true)
-	s.inflight.Add(1)
-	defer s.inflight.Add(-1)
+	defer s.release(lc.id)
 
 	if !hit {
 		entry = s.compilePlan(w, lc, ri, r, p, env.CSP)
@@ -288,7 +242,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	info.Cached = hit
 	resp := &QueryResponse{
 		Outcome:   entry.outcome,
-		Req:       id,
+		Req:       lc.id,
 		N:         entry.n,
 		M:         entry.m,
 		Plan:      &info,
@@ -296,11 +250,16 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		ElapsedMS: time.Since(lc.start).Milliseconds(),
 	}
 	lc.phase(phaseEncode, time.Since(estart))
-	resp.Timings = lc.finish(resp.Outcome)
+	resp.Timings = lc.finish(accessRecord{
+		Outcome: resp.Outcome,
+		Status:  http.StatusOK,
+		N:       resp.N,
+		M:       resp.M,
+		Width:   info.Width,
+		Exact:   info.Exact,
+		Cached:  hit,
+	})
 	resp.WaitedMS = lc.waitedMS()
-	s.queryCount(resp.Outcome)
-	s.queryHist.Observe(resp.Timings.Total)
-	s.logQueryAccess(lc, http.StatusOK, resp, len(results))
 	s.writeJSON(w, http.StatusOK, resp)
 }
 
@@ -311,35 +270,17 @@ func (s *Server) compilePlan(w http.ResponseWriter, lc *lifecycle, ri *runInfo, 
 	c, err := parseCSP(rawCSP)
 	lc.phase(phaseParse, time.Since(pstart))
 	if err != nil {
-		s.queryReject(w, lc, http.StatusBadRequest, fmt.Sprintf("parsing csp: %v", err), 0)
+		s.fail(w, lc, http.StatusBadRequest, OutcomeRejected, fmt.Sprintf("parsing csp: %v", err), 0)
 		return nil
 	}
 	h := c.Hypergraph()
 
-	ctx, cancel := context.WithCancel(r.Context())
-	defer cancel()
-	unhook := context.AfterFunc(s.baseCtx, cancel)
-	defer unhook()
-
-	sstart := time.Now()
-	d, derr := core.Decompose(h, core.Options{
-		Algorithm:  p.algo,
-		Ctx:        ctx,
-		Timeout:    p.timeout,
-		MaxNodes:   p.nodes,
-		CheckEvery: s.cfg.CheckEvery,
-		Seed:       p.seed,
-		Workers:    p.workers,
-		Recorder:   obs.Tee(lc.spans, ri),
-	})
-	lc.phase(phaseSolve, time.Since(sstart))
+	ctx, stop := s.runContext(r)
+	defer stop()
+	d, derr := s.decompose(ctx, lc, p, h, obs.Tee(lc.spans, ri))
 	if derr != nil {
-		var pe *budget.PanicError
-		if errors.As(derr, &pe) {
-			s.queryError(w, lc, fmt.Sprintf("algorithm panicked (contained): %v", pe.Value))
-			return nil
-		}
-		s.queryReject(w, lc, http.StatusUnprocessableEntity, derr.Error(), 0)
+		o, status, msg := runFailure(derr)
+		s.fail(w, lc, status, o, msg, 0)
 		return nil
 	}
 
@@ -361,21 +302,19 @@ func (s *Server) compilePlan(w http.ResponseWriter, lc *lifecycle, ri *runInfo, 
 	s.compileHist.Observe(compileDur)
 	if err != nil {
 		var ie *csp.InterruptedError
-		if errors.As(err, &ie) {
-			switch {
-			case s.baseCtx.Err() != nil:
-				s.queryReject(w, lc, http.StatusServiceUnavailable,
-					"draining: plan compile canceled", drainingRetrySeconds)
-			case r.Context().Err() != nil:
-				s.queryReject(w, lc, statusClientClosedRequest,
-					"client canceled during plan compile", 0)
-			default:
-				s.queryReject(w, lc, http.StatusUnprocessableEntity,
-					fmt.Sprintf("plan compile exceeded its budget (%s): the instance materializes more bag-table work than this server will serve", ie.Reason), 0)
-			}
-			return nil
+		switch {
+		case !errors.As(err, &ie):
+			s.fail(w, lc, http.StatusInternalServerError, OutcomeError, fmt.Sprintf("compiling plan: %v", err), 0)
+		case s.baseCtx.Err() != nil:
+			s.fail(w, lc, http.StatusServiceUnavailable, OutcomeRejected,
+				"draining: plan compile canceled", drainingRetrySeconds)
+		case r.Context().Err() != nil:
+			s.fail(w, lc, statusClientClosedRequest, OutcomeRejected,
+				"client canceled during plan compile", 0)
+		default:
+			s.fail(w, lc, http.StatusUnprocessableEntity, OutcomeRejected,
+				fmt.Sprintf("plan compile exceeded its budget (%s): the instance materializes more bag-table work than this server will serve", ie.Reason), 0)
 		}
-		s.queryError(w, lc, fmt.Sprintf("compiling plan: %v", err))
 		return nil
 	}
 
@@ -587,75 +526,6 @@ func parseCSP(raw json.RawMessage) (*csp.CSP, error) {
 		c.AddConstraint(con.Scope, con.Tuples)
 	}
 	return c, nil
-}
-
-// queryReject answers a /query request that will not run.
-func (s *Server) queryReject(w http.ResponseWriter, lc *lifecycle, status int, msg string, retrySeconds int) {
-	s.queryCount(OutcomeRejected)
-	resp := &QueryResponse{Outcome: OutcomeRejected, Req: lc.id, Error: msg, RetrySeconds: retrySeconds}
-	resp.Timings = lc.finish(OutcomeRejected)
-	resp.WaitedMS = lc.waitedMS()
-	s.queryHist.Observe(resp.Timings.Total)
-	if retrySeconds > 0 {
-		w.Header().Set("Retry-After", strconv.Itoa(retrySeconds))
-	}
-	s.logQueryAccess(lc, status, resp, 0)
-	s.writeJSON(w, status, resp)
-}
-
-// queryError answers an admitted /query request that failed.
-func (s *Server) queryError(w http.ResponseWriter, lc *lifecycle, msg string) {
-	s.queryCount(OutcomeError)
-	resp := &QueryResponse{Outcome: OutcomeError, Req: lc.id, Error: msg}
-	resp.Timings = lc.finish(OutcomeError)
-	resp.WaitedMS = lc.waitedMS()
-	s.queryHist.Observe(resp.Timings.Total)
-	s.logQueryAccess(lc, http.StatusInternalServerError, resp, 0)
-	s.writeJSON(w, http.StatusInternalServerError, resp)
-}
-
-// logQueryAccess writes the access-log line for a finished /query request,
-// reusing the decompose record shape (queries ride in N/M and the timings).
-func (s *Server) logQueryAccess(lc *lifecycle, status int, resp *QueryResponse, served int) {
-	if s.cfg.AccessLog == nil {
-		return
-	}
-	rec := accessRecord{
-		Time:      time.Now().UTC().Format(time.RFC3339Nano),
-		Req:       resp.Req,
-		Remote:    lc.remote,
-		Outcome:   resp.Outcome,
-		Status:    status,
-		Algo:      lc.algo,
-		N:         resp.N,
-		M:         resp.M,
-		WaitedMS:  resp.WaitedMS,
-		ElapsedMS: resp.ElapsedMS,
-		Timings:   resp.Timings,
-		Error:     resp.Error,
-	}
-	if resp.Plan != nil {
-		rec.Width = resp.Plan.Width
-		rec.Exact = resp.Plan.Exact
-		rec.Cached = resp.Plan.Cached
-	}
-	if resp.Timings != nil {
-		rec.ElapsedMS = resp.Timings.Total.Milliseconds()
-	}
-	line, err := json.Marshal(rec)
-	if err != nil {
-		return
-	}
-	line = append(line, '\n')
-	s.accessMu.Lock()
-	defer s.accessMu.Unlock()
-	_, _ = s.cfg.AccessLog.Write(line)
-}
-
-func (s *Server) queryCount(o Outcome) {
-	if i := outcomeIndex(o); i >= 0 {
-		s.queryOutcome[i].Add(1)
-	}
 }
 
 // writeQueryMetrics renders the hypertree_query_* families on /metrics:

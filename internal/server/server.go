@@ -173,6 +173,18 @@ func (c Config) withDefaults() Config {
 	case c.SlowN < 0:
 		c.SlowN = 0
 	}
+	switch {
+	case c.CacheCapacity == 0:
+		c.CacheCapacity = DefaultCacheCapacity
+	case c.CacheCapacity < 0:
+		c.CacheCapacity = 0 // 0 = disabled for newFIFOCache
+	}
+	switch {
+	case c.PlanCacheCapacity == 0:
+		c.PlanCacheCapacity = DefaultPlanCacheCapacity
+	case c.PlanCacheCapacity < 0:
+		c.PlanCacheCapacity = 0
+	}
 	return c
 }
 
@@ -283,7 +295,7 @@ type Server struct {
 	outcomeCount [len(outcomes)]atomic.Int64
 	streamTotal  atomic.Int64
 	counters     *obs.EventCounters
-	cache        *resultCache
+	cache        *fifoCache[*Response]
 
 	// The query-serving layer (/query): compiled plans cached by content
 	// hash, per-outcome request counters, per-op served-query counters, and
@@ -369,20 +381,8 @@ func New(cfg Config) *Server {
 	for i := range s.phaseHist {
 		s.phaseHist[i] = hist.New()
 	}
-	// Config speaks "0 = default, negative = disabled"; newResultCache
-	// speaks entry counts with 0 = disabled.
-	switch {
-	case cfg.CacheCapacity == 0:
-		s.cache = newResultCache(DefaultCacheCapacity)
-	case cfg.CacheCapacity > 0:
-		s.cache = newResultCache(cfg.CacheCapacity)
-	}
-	switch {
-	case cfg.PlanCacheCapacity == 0:
-		s.plans = newFIFOCache[*cachedPlan](DefaultPlanCacheCapacity)
-	case cfg.PlanCacheCapacity > 0:
-		s.plans = newFIFOCache[*cachedPlan](cfg.PlanCacheCapacity)
-	}
+	s.cache = newFIFOCache[*Response](cfg.CacheCapacity)
+	s.plans = newFIFOCache[*cachedPlan](cfg.PlanCacheCapacity)
 	s.queryHist = hist.New()
 	s.compileHist = hist.New()
 	s.mux = http.NewServeMux()
@@ -528,47 +528,22 @@ func (s *Server) parseParams(r *http.Request) (reqParams, error) {
 // discipline it implements. Every exit goes through the request's lifecycle
 // (lc): phase timings, span events, the timings block, histograms.
 func (s *Server) handleDecompose(w http.ResponseWriter, r *http.Request) {
-	id := fmt.Sprintf("r%06d", s.reqSeq.Add(1))
-	w.Header().Set("X-Request-ID", id)
-	lc := s.newLifecycle(id, r.RemoteAddr)
-
-	// Count the request for drain before checking the flag: a request is
-	// either rejected-by-draining or fully waited for — never silently
-	// abandoned between the two.
 	s.wg.Add(1)
 	defer s.wg.Done()
-	if s.draining.Load() {
-		s.reject(w, lc, http.StatusServiceUnavailable, "draining: not admitting new requests", drainingRetrySeconds)
+	lc, p, body, ok := s.open(w, r, epDecompose)
+	if !ok {
 		return
 	}
 
-	p, err := s.parseParams(r)
-	if err != nil {
-		s.reject(w, lc, http.StatusBadRequest, err.Error(), 0)
-		return
-	}
-	lc.algo = string(p.algo)
-
-	// The body is read (capped) before admission: cheap, and the content
-	// hash can answer retries from the cache without spending a worker slot.
-	body, err := io.ReadAll(hypergraph.LimitReader(r.Body, s.cfg.MaxRequestBytes))
-	if err != nil {
-		var tooBig *hypergraph.PayloadTooLargeError
-		if errors.As(err, &tooBig) {
-			s.reject(w, lc, http.StatusRequestEntityTooLarge,
-				fmt.Sprintf("payload exceeds %d-byte limit", tooBig.Limit), 0)
-			return
-		}
-		s.reject(w, lc, http.StatusBadRequest, fmt.Sprintf("reading body: %v", err), 0)
-		return
-	}
+	// The body was read before admission: cheap, and the content hash can
+	// answer retries from the cache without spending a worker slot.
 	key := resultKey(body, p.format, p.algo, p.seed)
 	cstart := time.Now()
 	cached, hit := s.cache.lookup(key)
 	lc.phase(phaseCache, time.Since(cstart))
 	if hit && !p.stream {
 		cp := *cached
-		cp.Req = id
+		cp.Req = lc.id
 		cp.Cached = true
 		if !p.tree {
 			cp.Tree = nil
@@ -578,48 +553,17 @@ func (s *Server) handleDecompose(w http.ResponseWriter, r *http.Request) {
 		// stored ledger is stripped for the same reason — this request spent
 		// no solver work, so it has no costs to attribute.
 		cp.Attribution = nil
-		cp.Timings = lc.finish(cp.Outcome)
+		cp.Timings = lc.finish(cp.accessRecord(http.StatusOK, false))
 		cp.WaitedMS = 0
-		s.count(cp.Outcome)
-		s.logAccess(lc, http.StatusOK, &cp, false)
 		s.writeJSON(w, http.StatusOK, &cp)
 		return
 	}
 
-	// Admission: pending counts everything between here and response;
-	// beyond Workers+QueueDepth the request is shed with backpressure.
-	if s.pending.Add(1) > int64(s.cfg.Workers+s.cfg.QueueDepth) {
-		s.pending.Add(-1)
-		s.reject(w, lc, http.StatusTooManyRequests, "saturated: worker pool and queue full", saturatedRetrySeconds)
+	ri := s.admit(w, r, lc)
+	if ri == nil {
 		return
 	}
-	defer s.pending.Add(-1)
-
-	// Admitted: visible in /debug/runs from here (state "queued") until the
-	// response is built.
-	ri := &runInfo{id: id, algo: string(p.algo), start: time.Now()}
-	s.registry.add(ri)
-	defer s.registry.remove(id)
-
-	qstart := time.Now()
-	select {
-	case s.sem <- struct{}{}:
-	case <-r.Context().Done():
-		lc.phase(phaseQueueWait, time.Since(qstart))
-		s.reject(w, lc, statusClientClosedRequest, "client canceled while queued", 0)
-		return
-	case <-s.baseCtx.Done():
-		lc.phase(phaseQueueWait, time.Since(qstart))
-		s.reject(w, lc, http.StatusServiceUnavailable, "draining: canceled while queued", drainingRetrySeconds)
-		return
-	}
-	defer func() { <-s.sem }()
-	wait := time.Since(qstart)
-	lc.phase(phaseQueueWait, wait)
-	ri.waitNS.Store(int64(wait))
-	ri.running.Store(true)
-	s.inflight.Add(1)
-	defer s.inflight.Add(-1)
+	defer s.release(lc.id)
 
 	faultinject.Hit(faultinject.SiteServerHandle)
 
@@ -631,16 +575,12 @@ func (s *Server) handleDecompose(w http.ResponseWriter, r *http.Request) {
 	h, err := parsePayload(body, p.format)
 	lc.phase(phaseParse, time.Since(pstart))
 	if err != nil {
-		s.reject(w, lc, http.StatusBadRequest, fmt.Sprintf("parsing %s payload: %v", p.format, err), 0)
+		s.fail(w, lc, http.StatusBadRequest, OutcomeRejected, fmt.Sprintf("parsing %s payload: %v", p.format, err), 0)
 		return
 	}
 
-	// The run's budget: the client's clamped deadline, cut short by client
-	// disconnect or by a drain whose grace period expired.
-	ctx, cancel := context.WithCancel(r.Context())
-	defer cancel()
-	unhook := context.AfterFunc(s.baseCtx, cancel)
-	defer unhook()
+	ctx, stop := s.runContext(r)
+	defer stop()
 
 	// The run's recorder fans out to: obs counters + request-stamped trace +
 	// slow-ring capture (all via lc.spans), the in-flight registry gauges,
@@ -648,32 +588,19 @@ func (s *Server) handleDecompose(w http.ResponseWriter, r *http.Request) {
 	var sse *sseWriter
 	rec := obs.Tee(lc.spans, ri)
 	if p.stream {
-		sse = newSSEWriter(w, id)
+		sse = newSSEWriter(w, lc.id)
 		if sse == nil {
-			s.reject(w, lc, http.StatusNotAcceptable, "response writer cannot stream (no http.Flusher)", 0)
+			s.fail(w, lc, http.StatusNotAcceptable, OutcomeRejected, "response writer cannot stream (no http.Flusher)", 0)
 			return
 		}
 		s.streamTotal.Add(1)
 		rec = obs.Tee(rec, sse)
 	}
 
-	start := time.Now()
-	d, derr := core.Decompose(h, core.Options{
-		Algorithm:  p.algo,
-		Ctx:        ctx,
-		Timeout:    p.timeout,
-		MaxNodes:   p.nodes,
-		CheckEvery: s.cfg.CheckEvery,
-		Seed:       p.seed,
-		Workers:    p.workers,
-		Recorder:   rec,
-	})
-	solveDur := time.Since(start)
-	lc.phase(phaseSolve, solveDur)
+	d, derr := s.decompose(ctx, lc, p, h, rec)
 
 	estart := time.Now()
-	resp := s.buildResponse(id, p, h, d, derr, solveDur)
-
+	resp, status := buildResponse(lc.id, p, h, d, derr, lc.phases[phaseSolve])
 	if resp.Outcome == OutcomeExact && derr == nil {
 		// Cache a request-agnostic copy (with the tree: a later include=tree
 		// hit wants it; misses strip it). Exact widths are deterministic for
@@ -693,25 +620,138 @@ func (s *Server) handleDecompose(w http.ResponseWriter, r *http.Request) {
 	}
 	lc.phase(phaseEncode, time.Since(estart))
 
-	resp.Timings = lc.finish(resp.Outcome)
+	resp.Timings = lc.finish(resp.accessRecord(status, sse != nil))
 	resp.WaitedMS = lc.waitedMS()
 	s.recordAttribution(resp.Attribution)
-	s.offerSlow(lc, resp)
-
-	s.count(resp.Outcome)
-	status := http.StatusOK
-	switch resp.Outcome {
-	case OutcomeError:
-		status = http.StatusInternalServerError
-	case OutcomeRejected:
-		status = http.StatusUnprocessableEntity
-	}
-	s.logAccess(lc, status, resp, sse != nil)
 	if sse != nil {
 		sse.finish(resp)
 		return
 	}
 	s.writeJSON(w, status, resp)
+}
+
+// open starts serving a request that came in on endpoint ep: its id, its
+// lifecycle, the draining check, the query-string parameters and the
+// size-capped body. It answers a request it turns away itself and returns
+// ok=false. The caller counts the request for drain (s.wg) before calling
+// open, so a request is either rejected-by-draining or fully waited for —
+// never silently abandoned between the two.
+func (s *Server) open(w http.ResponseWriter, r *http.Request, ep endpoint) (lc *lifecycle, p reqParams, body []byte, ok bool) {
+	id := fmt.Sprintf("r%06d", s.reqSeq.Add(1))
+	w.Header().Set("X-Request-ID", id)
+	lc = s.newLifecycle(id, r.RemoteAddr, ep)
+	if s.draining.Load() {
+		s.fail(w, lc, http.StatusServiceUnavailable, OutcomeRejected, "draining: not admitting new requests", drainingRetrySeconds)
+		return nil, p, nil, false
+	}
+	p, err := s.parseParams(r)
+	if err != nil {
+		s.fail(w, lc, http.StatusBadRequest, OutcomeRejected, err.Error(), 0)
+		return nil, p, nil, false
+	}
+	lc.algo = string(p.algo)
+	body, err = io.ReadAll(hypergraph.LimitReader(r.Body, s.cfg.MaxRequestBytes))
+	if err != nil {
+		var tooBig *hypergraph.PayloadTooLargeError
+		if errors.As(err, &tooBig) {
+			s.fail(w, lc, http.StatusRequestEntityTooLarge, OutcomeRejected,
+				fmt.Sprintf("payload exceeds %d-byte limit", tooBig.Limit), 0)
+		} else {
+			s.fail(w, lc, http.StatusBadRequest, OutcomeRejected, fmt.Sprintf("reading body: %v", err), 0)
+		}
+		return nil, p, nil, false
+	}
+	return lc, p, body, true
+}
+
+// admit takes an opened request to a worker slot. pending counts everything
+// from here to the response; beyond Workers+QueueDepth the request is shed
+// with backpressure. An admitted request is visible in /debug/runs (state
+// "queued", then "running") until it is released. admit answers a request
+// it turns away itself and returns nil; otherwise the caller must defer
+// s.release(lc.id).
+func (s *Server) admit(w http.ResponseWriter, r *http.Request, lc *lifecycle) *runInfo {
+	if s.pending.Add(1) > int64(s.cfg.Workers+s.cfg.QueueDepth) {
+		s.pending.Add(-1)
+		s.fail(w, lc, http.StatusTooManyRequests, OutcomeRejected, "saturated: worker pool and queue full", saturatedRetrySeconds)
+		return nil
+	}
+	ri := &runInfo{id: lc.id, algo: lc.algo, start: time.Now()}
+	s.registry.add(ri)
+
+	qstart := time.Now()
+	var (
+		status, retry int
+		msg           string
+	)
+	select {
+	case s.sem <- struct{}{}:
+		wait := time.Since(qstart)
+		lc.phase(phaseQueueWait, wait)
+		ri.waitNS.Store(int64(wait))
+		ri.running.Store(true)
+		s.inflight.Add(1)
+		return ri
+	case <-r.Context().Done():
+		status, msg = statusClientClosedRequest, "client canceled while queued"
+	case <-s.baseCtx.Done():
+		status, msg, retry = http.StatusServiceUnavailable, "draining: canceled while queued", drainingRetrySeconds
+	}
+	lc.phase(phaseQueueWait, time.Since(qstart))
+	s.fail(w, lc, status, OutcomeRejected, msg, retry)
+	s.registry.remove(lc.id)
+	s.pending.Add(-1)
+	return nil
+}
+
+// release hands back everything admit took, after the response is written.
+func (s *Server) release(id string) {
+	s.inflight.Add(-1)
+	<-s.sem
+	s.registry.remove(id)
+	s.pending.Add(-1)
+}
+
+// runContext is the context an admitted request's budgets run under: the
+// request's own, cut short by client disconnect or by a drain whose grace
+// period expired. The caller must call stop once the run is over.
+func (s *Server) runContext(r *http.Request) (ctx context.Context, stop func()) {
+	ctx, cancel := context.WithCancel(r.Context())
+	unhook := context.AfterFunc(s.baseCtx, cancel)
+	return ctx, func() {
+		unhook()
+		cancel()
+	}
+}
+
+// decompose runs the request's decomposition under ctx and the request's
+// clamped budgets, timed as the solve phase.
+func (s *Server) decompose(ctx context.Context, lc *lifecycle, p reqParams, h *hypergraph.Hypergraph, rec obs.Recorder) (*core.Decomposition, error) {
+	start := time.Now()
+	d, err := core.Decompose(h, core.Options{
+		Algorithm:  p.algo,
+		Ctx:        ctx,
+		Timeout:    p.timeout,
+		MaxNodes:   p.nodes,
+		CheckEvery: s.cfg.CheckEvery,
+		Seed:       p.seed,
+		Workers:    p.workers,
+		Recorder:   rec,
+	})
+	lc.phase(phaseSolve, time.Since(start))
+	return d, err
+}
+
+// runFailure maps a failed decomposition to its typed outcome, HTTP status
+// and message. A contained panic is the server's failure; anything else —
+// an empty hypergraph, uncovered vertices, no decomposition within the
+// tried widths — is the request's.
+func runFailure(err error) (Outcome, int, string) {
+	var pe *budget.PanicError
+	if errors.As(err, &pe) {
+		return OutcomeError, http.StatusInternalServerError, fmt.Sprintf("algorithm panicked (contained): %v", pe.Value)
+	}
+	return OutcomeRejected, http.StatusUnprocessableEntity, err.Error()
 }
 
 // Retry-After hints on backpressure rejections. A saturated pool usually
@@ -723,35 +763,13 @@ const (
 	drainingRetrySeconds  = 1
 )
 
-// offerSlow hands a finished request (with its captured event trace) to the
-// slowest-N ring.
-func (s *Server) offerSlow(lc *lifecycle, resp *Response) {
-	if s.slow == nil {
-		return
-	}
-	run := &SlowRun{
-		Req:       resp.Req,
-		Algo:      resp.Algo,
-		Outcome:   resp.Outcome,
-		Width:     resp.Width,
-		Stop:      resp.Stop,
-		Start:     lc.start,
-		QueueWait: lc.phases[phaseQueueWait],
-		Timings:   resp.Timings,
-	}
-	if resp.Timings != nil {
-		run.Elapsed = resp.Timings.Total
-	}
-	run.Events, run.DroppedEvents = lc.capture.take()
-	s.slow.offer(run)
-}
-
 // statusClientClosedRequest is nginx's conventional code for "the client went
 // away before we answered"; no stdlib constant exists.
 const statusClientClosedRequest = 499
 
-// buildResponse folds a Decompose result (or error) into the typed envelope.
-func (s *Server) buildResponse(id string, p reqParams, h *hypergraph.Hypergraph, d *core.Decomposition, derr error, elapsed time.Duration) *Response {
+// buildResponse folds a Decompose result (or error) into the typed envelope
+// and its HTTP status.
+func buildResponse(id string, p reqParams, h *hypergraph.Hypergraph, d *core.Decomposition, derr error, elapsed time.Duration) (*Response, int) {
 	resp := &Response{
 		Req:       id,
 		Algo:      string(p.algo),
@@ -761,18 +779,9 @@ func (s *Server) buildResponse(id string, p reqParams, h *hypergraph.Hypergraph,
 		resp.N, resp.M = h.N(), h.M()
 	}
 	if derr != nil {
-		var pe *budget.PanicError
-		if errors.As(derr, &pe) {
-			resp.Outcome = OutcomeError
-			resp.Error = fmt.Sprintf("algorithm panicked (contained): %v", pe.Value)
-			return resp
-		}
-		// Unservable instance (empty hypergraph, uncovered vertices, no
-		// decomposition within the tried widths): the request is at fault,
-		// not the server.
-		resp.Outcome = OutcomeRejected
-		resp.Error = derr.Error()
-		return resp
+		var status int
+		resp.Outcome, status, resp.Error = runFailure(derr)
+		return resp, status
 	}
 	resp.Width = d.Width
 	resp.LowerBound = d.LowerBound
@@ -795,7 +804,28 @@ func (s *Server) buildResponse(id string, p reqParams, h *hypergraph.Hypergraph,
 	if p.tree {
 		resp.Tree = treeJSON(h, d)
 	}
-	return resp
+	return resp, http.StatusOK
+}
+
+// accessRecord is resp's access-log line; finish adds the request's identity
+// and timings.
+func (resp *Response) accessRecord(status int, stream bool) accessRecord {
+	rec := accessRecord{
+		Outcome: resp.Outcome,
+		Status:  status,
+		N:       resp.N,
+		M:       resp.M,
+		Width:   resp.Width,
+		Exact:   resp.Exact,
+		Stop:    resp.Stop,
+		Cached:  resp.Cached,
+		Stream:  stream,
+		Error:   resp.Error,
+	}
+	if resp.Attribution != nil {
+		rec.Winner = resp.Attribution.Winner
+	}
+	return rec
 }
 
 // treeJSON renders the decomposition for the wire: the GHD when the run
@@ -871,19 +901,20 @@ func parsePayload(body []byte, format string) (*hypergraph.Hypergraph, error) {
 	}
 }
 
-// reject answers a request that will not run, with backpressure hints when
-// retrySeconds is positive. It closes the request's lifecycle, so even
-// rejections land in the latency histograms and carry a timings block.
-func (s *Server) reject(w http.ResponseWriter, lc *lifecycle, status int, msg string, retrySeconds int) {
-	s.count(OutcomeRejected)
-	resp := &Response{Outcome: OutcomeRejected, Req: lc.id, Error: msg, RetrySeconds: retrySeconds}
-	resp.Timings = lc.finish(OutcomeRejected)
+// fail answers a request that produced no result: a rejection (it never
+// ran, or the request is at fault) or an error (an admitted run failed),
+// with backpressure hints when retrySeconds is positive. It closes the
+// request's lifecycle like every other exit, so failures too are counted,
+// timed, logged and offered to the slow ring. A /query request gets the
+// same envelope: every QueryResponse field a Response lacks is omitempty,
+// so the bytes match.
+func (s *Server) fail(w http.ResponseWriter, lc *lifecycle, status int, o Outcome, msg string, retrySeconds int) {
+	resp := &Response{Outcome: o, Req: lc.id, Error: msg, RetrySeconds: retrySeconds}
+	resp.Timings = lc.finish(accessRecord{Outcome: o, Status: status, Error: msg})
 	resp.WaitedMS = lc.waitedMS()
-	s.offerSlow(lc, resp)
 	if retrySeconds > 0 {
 		w.Header().Set("Retry-After", strconv.Itoa(retrySeconds))
 	}
-	s.logAccess(lc, status, resp, false)
 	s.writeJSON(w, status, resp)
 }
 

@@ -424,7 +424,7 @@ func waitFor(t *testing.T, timeout time.Duration, cond func() bool) {
 }
 
 func TestResultCacheFIFOEviction(t *testing.T) {
-	c := newResultCache(8)
+	c := newFIFOCache[*Response](8)
 	for i := 0; i < 32; i++ {
 		c.store(fmt.Sprintf("key-%d", i), &Response{Width: i})
 	}
@@ -435,10 +435,10 @@ func TestResultCacheFIFOEviction(t *testing.T) {
 	if st.Evictions != 24 {
 		t.Fatalf("evictions = %d, want 24", st.Evictions)
 	}
-	if c := newResultCache(0); c != nil {
+	if c := newFIFOCache[*Response](0); c != nil {
 		t.Fatal("capacity 0 must disable the cache")
 	}
-	var nilCache *resultCache
+	var nilCache *fifoCache[*Response]
 	if _, ok := nilCache.lookup("x"); ok {
 		t.Fatal("nil cache must miss")
 	}
