@@ -160,11 +160,13 @@ tracestat-smoke: trace-smoke
 	$(GO) run ./cmd/tracestat summary trace.smoke.jsonl
 	rm -f trace.smoke.jsonl
 
-# fuzz runs each parser fuzzer briefly; extend -fuzztime for real campaigns.
+# fuzz runs each parser fuzzer, and the /query CSP fuzzer, briefly; extend
+# -fuzztime for real campaigns.
 fuzz:
 	$(GO) test -run=^$$ -fuzz=FuzzParseHG     -fuzztime=30s ./internal/hypergraph/
 	$(GO) test -run=^$$ -fuzz=FuzzParseDIMACS -fuzztime=30s ./internal/hypergraph/
 	$(GO) test -run=^$$ -fuzz=FuzzParseGr     -fuzztime=30s ./internal/hypergraph/
+	$(GO) test -run=^$$ -fuzz=FuzzQueryCSP    -fuzztime=30s ./internal/server/
 
 clean:
 	$(GO) clean ./...

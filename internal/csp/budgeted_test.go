@@ -36,9 +36,9 @@ func TestBagTableBudgetTripsOnNodeBudget(t *testing.T) {
 	}
 }
 
-// A pre-canceled context must trip Join and Project with the cancellation
-// reason — this is the path the server leans on for client disconnects and
-// drain.
+// A pre-canceled context must trip JoinProject, joining or only projecting,
+// with the cancellation reason — this is the path the server leans on for
+// client disconnects and drain.
 func TestBudgetedOpsHonorContextCancel(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
@@ -48,19 +48,19 @@ func TestBudgetedOpsHonorContextCancel(t *testing.T) {
 	for i := 0; i < 64; i++ {
 		big.Rows = append(big.Rows, []Value{Value(i)})
 	}
-	if _, err := Join(big, big, bu); err == nil {
-		t.Fatal("Join ran to completion under a canceled context")
+	if _, err := JoinProject(big, big, []int{0}, bu); err == nil {
+		t.Fatal("JoinProject (join) ran to completion under a canceled context")
 	}
-	_, err := Project(big, []int{0}, bu)
+	_, err := JoinProject(big, identity(), []int{0}, bu)
 	var ie *InterruptedError
 	if !errors.As(err, &ie) || ie.Reason != budget.StopCanceled {
-		t.Fatalf("Project error = %v, want *InterruptedError(canceled)", err)
+		t.Fatalf("JoinProject (project) error = %v, want *InterruptedError(canceled)", err)
 	}
 }
 
-// Join's output ticks must bound multiplicative blowups: two 64-row tables
-// sharing no variables produce 4096 output rows, far above the 200-tick
-// budget, so the join must abandon rather than materialize.
+// JoinProject's per-joined-row ticks must bound multiplicative blowups: two
+// 64-row tables sharing no variables produce 4096 output rows, far above
+// the 200-tick budget, so the join must abandon rather than materialize.
 func TestJoinBudgetBoundsOutput(t *testing.T) {
 	a := &Table{Vars: []int{0}}
 	b := &Table{Vars: []int{1}}
@@ -69,7 +69,7 @@ func TestJoinBudgetBoundsOutput(t *testing.T) {
 		b.Rows = append(b.Rows, []Value{Value(i)})
 	}
 	bu := budget.New(context.Background(), budget.Limits{MaxNodes: 200, CheckEvery: 1})
-	if _, err := Join(a, b, bu); err == nil {
-		t.Fatal("Join materialized a cross product past its node budget")
+	if _, err := JoinProject(a, b, []int{0, 1}, bu); err == nil {
+		t.Fatal("JoinProject materialized a cross product past its node budget")
 	}
 }

@@ -1,16 +1,18 @@
 // Package csp implements the constraint-satisfaction substrate of the
 // thesis (Chapter 2): CSP instances, constraint hypergraphs, relational
-// algebra (natural join, semijoin, projection), the Acyclic Solving
+// algebra (natural join with projection, semijoin), the Acyclic Solving
 // algorithm (Figure 2.4), and solving arbitrary CSPs from tree
 // decompositions (§2.4, join-tree clustering) and from complete generalized
 // hypertree decompositions (Figure 2.9).
 //
 // Each relational step exists once. TDTables and GHDTables build the node
-// tables of a decomposition, Join and Project take an optional budget (nil
-// = unbounded), and ReduceBottomUp is the bottom-up semijoin pass. The
-// reference solvers here (SolveFromTD, SolveFromGHD, CountFromTD,
-// EnumerateFromTD) and the compiled query engine (internal/csp/engine) all
-// run on them, so only the query-answering code differs between the two.
+// tables of a decomposition, JoinProject (π_keep(a ⋈ b), built without
+// materializing the join) takes an optional budget (nil = unbounded), and
+// ReduceBottomUp is the bottom-up semijoin pass. The reference solvers here
+// (SolveFromTD, SolveFromGHD, CountFromTD, EnumerateFromTD) and the
+// compiled query engine (internal/csp/engine) build their tables with the
+// same builders; the engine reduces them with its own sorted row groups, so
+// the hash semijoins here check it independently.
 package csp
 
 import (

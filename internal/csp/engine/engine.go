@@ -4,27 +4,30 @@
 // of join-tree clustering (thesis §2.4) are materialized and fully
 // Yannakakis-reduced (one bottom-up and one top-down semijoin pass), rows
 // are packed into flat []Value arenas, and every child table stores, for
-// each parent row, the exact group of its rows compatible with it. A
+// each parent row, the exact group of its rows compatible with it. One
+// stable sort per tree edge, of the child's rows on the variables it shares
+// with its parent, serves both semijoin passes and the row groups. A
 // compiled Plan serves Solve, Count, and Enumerate(limit) — optionally
 // parameterized by per-query unary pins applied to each candidate row as
 // residual filters — from any number of goroutines with zero
 // synchronization: all mutable per-query state lives in a Cursor owned by
 // a single goroutine.
 //
-// The engine builds its tables with csp.TDTables / csp.GHDTables and runs
-// csp.ReduceBottomUp, the same code the reference solvers run. Its answers
-// are pinned by differential tests to be *exactly* equal (values and
-// enumeration order) to the reference paths csp.SolveFromTD,
-// csp.CountFromTD, csp.EnumerateFromTD and csp.SolveFromGHD; counts too
-// large for an int saturate at math.MaxInt on both sides, and the engine
-// also raises an explicit overflow flag (Stats.SolutionsOverflow,
-// Cursor.CountExact). A query with pins behaves exactly like the reference
-// run on a copy of the CSP whose pinned domains are restricted to the
-// pinned value. This works because both sides traverse nodes in
-// csp.TopDownOrder, all relational operators preserve row order, and by the
-// connectedness condition a row's consistency with the global partial
-// assignment is equivalent to its compatibility with the parent's chosen
-// row.
+// The engine builds its tables with csp.TDTables / csp.GHDTables, the same
+// code the reference solvers run. The reference solvers reduce with hash
+// semijoins (csp.ReduceBottomUp), the engine with its sorted groups, so
+// each checks the other. The engine's answers are pinned by differential
+// tests to be *exactly* equal (values and enumeration order) to the
+// reference paths csp.SolveFromTD, csp.CountFromTD, csp.EnumerateFromTD
+// and csp.SolveFromGHD; counts too large for an int saturate at
+// math.MaxInt on both sides, and the engine also raises an explicit
+// overflow flag (Stats.SolutionsOverflow, Cursor.CountExact). A query with
+// pins behaves exactly like the reference run on a copy of the CSP whose
+// pinned domains are restricted to the pinned value. This works because
+// both sides traverse nodes in csp.TopDownOrder, both reductions preserve
+// row order, and by the connectedness condition a row's consistency with
+// the global partial assignment is equivalent to its compatibility with
+// the parent's chosen row.
 package engine
 
 import (
@@ -47,10 +50,10 @@ type node struct {
 	parent   int32   // BFS index of the parent node, -1 for the root
 	children []int32 // BFS indexes of children, in BFS order
 
-	// The rows compatible with each parent row, compiled once (see
-	// groupRows): group g is grpRows[grpOff[g]:grpOff[g+1]], row ids in row
-	// order, and parent row pr's group is group[pr]. nil for the root (root
-	// candidates are a plain scan).
+	// The rows compatible with each parent row, compiled once (see edge):
+	// group g is grpRows[grpOff[g]:grpOff[g+1]], row ids in row order, and
+	// parent row pr's group is group[pr]. nil for the root (root candidates
+	// are a plain scan).
 	grpRows []int32
 	grpOff  []int32
 	group   []int32
@@ -68,46 +71,99 @@ func (n *node) rowsFor(prow int32) []int32 {
 	return n.grpRows[n.grpOff[g]:n.grpOff[g+1]]
 }
 
-// groupRows compiles n's compatibility with its parent pn. n's row ids are
-// stably sorted by their values on the shared variables, so each run of
-// equal values is one group with row order kept inside it, and each parent
-// row finds its group by binary search. A child that shares no variable
-// with its parent is one group holding all of its rows. After full
-// reduction every parent row has a nonempty group.
-func (n *node) groupRows(pn *node) {
-	var cols, pcols []int
-	for j, v := range n.vars {
-		if pc := slices.Index(pn.vars, v); pc >= 0 {
-			cols = append(cols, j)
-			pcols = append(pcols, pc)
-		}
-	}
-	n.grpRows = make([]int32, n.nrows)
-	for r := range n.grpRows {
-		n.grpRows[r] = int32(r)
-	}
-	slices.SortStableFunc(n.grpRows, func(a, b int32) int {
-		return cmpOn(n.row(a), cols, n.row(b), cols)
-	})
-	n.grpOff = []int32{0}
-	for i := int32(1); i < n.nrows; i++ {
-		if cmpOn(n.row(n.grpRows[i-1]), cols, n.row(n.grpRows[i]), cols) != 0 {
-			n.grpOff = append(n.grpOff, i)
-		}
-	}
-	n.grpOff = append(n.grpOff, n.nrows)
+// edge reduces and groups one tree edge, a child table against its
+// parent's, with one stable sort: the child's rows that survive the
+// bottom-up pass below it are sorted on the variables the two share, so
+// each run of equal values is one group, with row order kept inside it.
+// The groups give the bottom-up semijoin (a parent row survives when its
+// binary search finds a group), the top-down semijoin (a group no
+// surviving parent row found is dropped whole) and the plan's row groups.
+// A child that shares no variable with its parent is one group holding all
+// of its rows. Rows are indexes into the csp.Table rows until groupChild
+// numbers the final ones as the plan does.
+type edge struct {
+	child, parent *csp.Table
+	cols, pcols   []int   // the shared variables' columns in child and parent
+	sorted        []int32 // the child's surviving rows, grouped
+	off           []int32 // group g is sorted[off[g]:off[g+1]]
+	grp           []int32 // per child row: its group
+	found         []int32 // per surviving parent row: the group it found
+}
 
-	starts := n.grpOff[:len(n.grpOff)-1] // each group's first position
-	n.group = make([]int32, pn.nrows)
-	for pr := range n.group {
-		g, ok := slices.BinarySearchFunc(starts, pn.row(int32(pr)), func(start int32, prow []csp.Value) int {
-			return cmpOn(n.row(n.grpRows[start]), cols, prow, pcols)
-		})
-		if !ok {
-			panic("engine: parent row without a compatible child row after full reduction")
+// reduceParent groups the child's rows crows and returns the parent's rows
+// prows that find a group, in order: the bottom-up semijoin.
+func (e *edge) reduceParent(crows, prows []int32) []int32 {
+	for j, v := range e.child.Vars {
+		if pc := slices.Index(e.parent.Vars, v); pc >= 0 {
+			e.cols = append(e.cols, j)
+			e.pcols = append(e.pcols, pc)
 		}
-		n.group[pr] = int32(g)
 	}
+	ct := e.child.Rows
+	e.sorted = slices.Clone(crows)
+	slices.SortStableFunc(e.sorted, func(a, b int32) int {
+		return cmpOn(ct[a], e.cols, ct[b], e.cols)
+	})
+	e.off = []int32{0}
+	e.grp = make([]int32, len(ct))
+	for i, r := range e.sorted {
+		if i > 0 && cmpOn(ct[e.sorted[i-1]], e.cols, ct[r], e.cols) != 0 {
+			e.off = append(e.off, int32(i))
+		}
+		e.grp[r] = int32(len(e.off) - 1)
+	}
+	e.off = append(e.off, int32(len(e.sorted)))
+
+	starts := e.off[:len(e.off)-1] // each group's first position
+	e.found = make([]int32, len(e.parent.Rows))
+	kept := prows[:0]
+	for _, pr := range prows {
+		g, ok := slices.BinarySearchFunc(starts, e.parent.Rows[pr], func(start int32, prow []csp.Value) int {
+			return cmpOn(ct[e.sorted[start]], e.cols, prow, e.pcols)
+		})
+		if ok {
+			e.found[pr] = int32(g)
+			kept = append(kept, pr)
+		}
+	}
+	return kept
+}
+
+// groupChild takes the parent's final rows prows and the child's rows
+// crows left by the bottom-up pass. It returns the child's final rows (the
+// top-down semijoin) and stores in n the row groups over them, numbering
+// rows and groups as the plan does: by position among the final ones.
+func (e *edge) groupChild(n *node, prows, crows []int32) []int32 {
+	ngroups := len(e.off) - 1
+	newGrp := make([]int32, ngroups) // 0: dropped; else 1 + the final number (1 until numbered)
+	for _, pr := range prows {
+		newGrp[e.found[pr]] = 1
+	}
+	id := make([]int32, len(e.child.Rows)) // per surviving child row: its final id
+	kept := crows[:0]
+	for _, r := range crows {
+		if newGrp[e.grp[r]] != 0 {
+			id[r] = int32(len(kept))
+			kept = append(kept, r)
+		}
+	}
+	n.grpRows = make([]int32, 0, len(kept))
+	n.grpOff = []int32{0}
+	for g := 0; g < ngroups; g++ {
+		if newGrp[g] == 0 {
+			continue
+		}
+		newGrp[g] = int32(len(n.grpOff))
+		for _, r := range e.sorted[e.off[g]:e.off[g+1]] {
+			n.grpRows = append(n.grpRows, id[r])
+		}
+		n.grpOff = append(n.grpOff, int32(len(n.grpRows)))
+	}
+	n.group = make([]int32, len(prows))
+	for i, pr := range prows {
+		n.group[i] = newGrp[e.found[pr]] - 1
+	}
+	return kept
 }
 
 // cmpOn compares row a at columns ac with row b at the parallel columns bc,
@@ -195,8 +251,8 @@ func CompileBudget(c *csp.CSP, td *decomp.TreeDecomposition, bu *budget.B) (*Pla
 // CompileGHDBudget builds a Plan from a complete generalized hypertree
 // decomposition, on the node tables of csp.GHDTables: each node's table is
 // the projection onto its bag of the join of its λ-set relations, so
-// compile cost is output-sensitive. bu is ticked per joined, projected or
-// probed row; see CompileBudget.
+// compile cost is output-sensitive. bu is ticked per probing and per
+// joined row; see CompileBudget.
 func CompileGHDBudget(c *csp.CSP, g *decomp.GHD, bu *budget.B) (*Plan, error) {
 	tables, err := csp.GHDTables(c, g, bu)
 	if err != nil {
@@ -205,13 +261,93 @@ func CompileGHDBudget(c *csp.CSP, g *decomp.GHD, bu *budget.B) (*Plan, error) {
 	return build(c, tables, g.Parent, g.Root, g.Width(), bu)
 }
 
-// build runs the shared compile pipeline: Yannakakis reduction, arena
-// packing, row grouping, then one pin-free run of the cursor's count DP and
-// solve walk for the plan's cached answers. The count DP ticks bu per
-// compatible child row it visits (its only superlinear-in-rows phase); the
-// semijoin passes and row grouping cost O(rows log rows) over rows already
-// paid for during materialization.
+// build runs the shared compile pipeline: full Yannakakis reduction with
+// row grouping (one stable sort per tree edge, see edge), arena packing,
+// then one pin-free run of the cursor's count DP and solve walk for the
+// plan's cached answers. The count DP ticks bu per compatible child row it
+// visits (its only superlinear-in-rows phase); reduction and grouping cost
+// O(rows log rows) over rows already paid for during materialization.
 func build(c *csp.CSP, tables []*csp.Table, parentOf []int, root, width int, bu *budget.B) (*Plan, error) {
+	p := newPlan(c, tables, width)
+	order := csp.TopDownOrder(parentOf, root)
+	rows, edges := reduceBottomUp(tables, parentOf, order)
+	if rows == nil {
+		// Unsatisfiable for every query (pins only shrink the solution
+		// space): compile the O(1) empty plan. total stays 0.
+		p.tablesEmpty = true
+		return p, nil
+	}
+
+	// Pack nodes in BFS order, so a parent's rows are final before the
+	// top-down semijoin reduces its children's and groups them. After it,
+	// every surviving row is also reachable from some root row, so each
+	// participates in at least one solution (over the bag variables).
+	pos := make([]int32, len(tables))
+	for k, orig := range order {
+		pos[orig] = int32(k)
+	}
+	p.nodes = make([]node, len(order))
+	p.rowOff = make([]int32, len(order)+1)
+	for k, orig := range order {
+		n := &p.nodes[k]
+		if orig == root {
+			n.parent = -1
+		} else {
+			pk := pos[parentOf[orig]]
+			n.parent = pk
+			rows[orig] = edges[orig].groupChild(n, rows[parentOf[orig]], rows[orig])
+			p.nodes[pk].children = append(p.nodes[pk].children, int32(k))
+		}
+		t := tables[orig]
+		n.vars = append([]int(nil), t.Vars...)
+		n.width = len(t.Vars)
+		n.nrows = int32(len(rows[orig]))
+		n.arena = make([]csp.Value, 0, len(rows[orig])*n.width)
+		for _, r := range rows[orig] {
+			n.arena = append(n.arena, t.Rows[r]...)
+		}
+		p.rowOff[k+1] = p.rowOff[k] + n.nrows
+	}
+	p.rowsTot = int(p.rowOff[len(order)])
+	if err := p.cacheAnswers(bu); err != nil {
+		return nil, err
+	}
+	return p, nil
+}
+
+// reduceBottomUp is the bottom-up phase of Acyclic Solving (thesis Figure
+// 2.4) on row ids: visiting the nodes in reverse of order (a
+// csp.TopDownOrder), it groups each child's surviving rows and keeps the
+// parent rows that find a group. Afterwards every surviving row extends
+// into its node's whole subtree. It returns each node's surviving rows and
+// the grouped edges (indexed by child), or nil rows as soon as a table is
+// or becomes empty: then there are no solutions.
+func reduceBottomUp(tables []*csp.Table, parentOf, order []int) ([][]int32, []edge) {
+	rows := make([][]int32, len(tables))
+	for i, t := range tables {
+		if len(t.Rows) == 0 {
+			return nil, nil
+		}
+		rows[i] = make([]int32, len(t.Rows))
+		for r := range rows[i] {
+			rows[i][r] = int32(r)
+		}
+	}
+	edges := make([]edge, len(tables))
+	for i := len(order) - 1; i >= 1; i-- {
+		ch, pa := order[i], parentOf[order[i]]
+		e := &edges[ch]
+		e.child, e.parent = tables[ch], tables[pa]
+		if rows[pa] = e.reduceParent(rows[ch], rows[pa]); len(rows[pa]) == 0 {
+			return nil, nil
+		}
+	}
+	return rows, edges
+}
+
+// newPlan starts c's plan: its domains, and the variables in no table
+// ("free"), which take their first domain value.
+func newPlan(c *csp.CSP, tables []*csp.Table, width int) *Plan {
 	p := &Plan{numVars: c.NumVars, width: width}
 	p.domains = make([][]csp.Value, c.NumVars)
 	for v := range p.domains {
@@ -231,65 +367,21 @@ func build(c *csp.CSP, tables []*csp.Table, parentOf []int, root, width int, bu 
 			}
 		}
 	}
+	return p
+}
 
-	// Full Yannakakis reduction. After the bottom-up pass every row has an
-	// extension into its whole subtree; after the top-down pass every row is
-	// also reachable from some root row, so each surviving row participates
-	// in at least one solution (over the bag variables).
-	order := csp.TopDownOrder(parentOf, root)
-	if !csp.ReduceBottomUp(tables, parentOf, order) {
-		// Unsatisfiable for every query (pins only shrink the solution
-		// space): compile the O(1) empty plan. total stays 0.
-		p.tablesEmpty = true
-		return p, nil
-	}
-	for _, nd := range order[1:] {
-		// Top-down pass; cannot empty a table (every remaining parent row
-		// has support in each child after the bottom-up pass).
-		tables[nd] = csp.Semijoin(tables[nd], tables[parentOf[nd]])
-	}
-
-	// Pack nodes in BFS order, so a parent is packed before its children
-	// group their rows against it.
-	pos := make([]int32, len(tables))
-	for k, orig := range order {
-		pos[orig] = int32(k)
-	}
-	p.nodes = make([]node, len(order))
-	p.rowOff = make([]int32, len(order)+1)
-	for k, orig := range order {
-		t := tables[orig]
-		n := &p.nodes[k]
-		n.vars = append([]int(nil), t.Vars...)
-		n.width = len(t.Vars)
-		n.nrows = int32(len(t.Rows))
-		n.arena = make([]csp.Value, 0, len(t.Rows)*n.width)
-		for _, r := range t.Rows {
-			n.arena = append(n.arena, r...)
-		}
-		if orig == root {
-			n.parent = -1
-		} else {
-			pk := pos[parentOf[orig]]
-			n.parent = pk
-			n.groupRows(&p.nodes[pk])
-			p.nodes[pk].children = append(p.nodes[pk].children, int32(k))
-		}
-		p.rowOff[k+1] = p.rowOff[k] + n.nrows
-	}
-	p.rowsTot = int(p.rowOff[len(order)])
-
-	// The pin-free answers every pin-free query returns: the cursor's own
-	// count DP and solve walk, run once with no pins.
+// cacheAnswers stores the pin-free answers every pin-free query returns:
+// the cursor's own count DP and solve walk, run once with no pins.
+func (p *Plan) cacheAnswers(bu *budget.B) error {
 	cu := p.NewCursor()
 	cu.begin(nil)
 	total, exact, err := cu.count(bu)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	p.total, p.totalOv = total, !exact
 	if sol, ok := cu.solve(); ok {
 		p.solution = append([]csp.Value(nil), sol...)
 	}
-	return p, nil
+	return nil
 }

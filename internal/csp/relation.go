@@ -2,14 +2,15 @@ package csp
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"hypertree/internal/budget"
 )
 
 // Table is a relation with named columns: Vars lists the variable index of
 // each column, Rows the tuples. The relational operators below are the ones
-// Acyclic Solving needs (thesis §2.2.3): natural join, semijoin, projection.
+// Acyclic Solving needs (thesis §2.2.3): natural join with projection, and
+// semijoin.
 //
 // The operators hash rows by uint64 tuple hashes (see rowIndex) instead of
 // the original string keys; the string-keyed implementations are kept in
@@ -135,27 +136,51 @@ func Interrupted(bu *budget.B) error {
 	return &InterruptedError{Reason: bu.Reason()}
 }
 
-// Join computes the natural join a ⋈ b. It ticks bu (nil = unbounded) once
-// per probing row of a and once per emitted row, bounding both the scan and
-// the (possibly multiplicative) output, and returns an *InterruptedError as
-// soon as the budget trips.
-func Join(a, b *Table, bu *budget.B) (*Table, error) {
-	ai, bi := sharedColumns(a, b)
-	// Output columns: all of a, then b's non-shared.
-	sharedB := make(map[int]bool, len(bi))
-	for _, j := range bi {
-		sharedB[j] = true
-	}
-	outVars := append([]int(nil), a.Vars...)
-	var extraB []int
-	for j, v := range b.Vars {
-		if !sharedB[j] {
-			outVars = append(outVars, v)
-			extraB = append(extraB, j)
+// JoinProject computes π_keep(a ⋈ b), projecting each joined row as it is
+// built, so the full join never materializes. The output columns are the
+// variables of keep that occur in a or b, in increasing order. Rows come
+// in join order (a's rows in order, each followed by its matches in b's row
+// order), and only the first occurrence of each projected tuple is kept, so
+// the result is the projection of the whole join with first-occurrence
+// dedup, row order included. It ticks bu (nil = unbounded) once per
+// probing row of a and once per joined row, bounding both the scan and the
+// (possibly multiplicative) join, and returns an *InterruptedError as soon
+// as the budget trips.
+func JoinProject(a, b *Table, keep []int, bu *budget.B) (*Table, error) {
+	vars := slices.Clone(keep)
+	slices.Sort(vars)
+	// src[k] is output column k's source: column src[k] of a, or column
+	// src[k]-len(a.Vars) of b. A variable of both reads a, which agrees
+	// with b on every joined row.
+	out := &Table{}
+	var src []int
+	for i, v := range vars {
+		if i > 0 && v == vars[i-1] {
+			continue
 		}
+		if c := slices.Index(a.Vars, v); c >= 0 {
+			src = append(src, c)
+		} else if c := slices.Index(b.Vars, v); c >= 0 {
+			src = append(src, len(a.Vars)+c)
+		} else {
+			continue
+		}
+		out.Vars = append(out.Vars, v)
 	}
+	cols := make([]int, len(src))
+	for i := range cols {
+		cols[i] = i
+	}
+	// Dedup by the hash of the projected row: last[h] is 1 + the index of
+	// the latest kept row hashing to h, and prev chains back to the earlier
+	// ones, which are compared value by value, so a collision cannot drop a
+	// distinct row.
+	last := make(map[uint64]int32)
+	var prev []int32
+	row := make([]Value, len(src))
+	na := len(a.Vars)
+	ai, bi := sharedColumns(a, b)
 	ix := newRowIndex(b.Rows, bi)
-	out := &Table{Vars: outVars}
 	stop := false
 	for _, ra := range a.Rows {
 		if !bu.Tick() {
@@ -167,12 +192,22 @@ func Join(a, b *Table, bu *budget.B) (*Table, error) {
 				return false
 			}
 			rb := b.Rows[ri]
-			row := make([]Value, 0, len(outVars))
-			row = append(row, ra...)
-			for _, j := range extraB {
-				row = append(row, rb[j])
+			for k, s := range src {
+				if s < na {
+					row[k] = ra[s]
+				} else {
+					row[k] = rb[s-na]
+				}
 			}
-			out.Rows = append(out.Rows, row)
+			h := hashRowHook(row, cols)
+			for i := last[h]; i != 0; i = prev[i-1] {
+				if slices.Equal(out.Rows[i-1], row) {
+					return true
+				}
+			}
+			prev = append(prev, last[h])
+			out.Rows = append(out.Rows, slices.Clone(row))
+			last[h] = int32(len(out.Rows))
 			return true
 		})
 		if stop {
@@ -204,63 +239,6 @@ func Semijoin(a, b *Table) *Table {
 		}
 	}
 	return out
-}
-
-// Project computes π_vars(a), deduplicating rows. Variables not present in
-// a are ignored. It ticks bu (nil = unbounded) once per input row — the
-// output is at most input-sized — and returns an *InterruptedError as soon
-// as the budget trips.
-func Project(a *Table, vars []int, bu *budget.B) (*Table, error) {
-	var cols []int
-	var outVars []int
-	pos := make(map[int]int, len(a.Vars))
-	for i, v := range a.Vars {
-		pos[v] = i
-	}
-	sorted := append([]int(nil), vars...)
-	sort.Ints(sorted)
-	for _, v := range sorted {
-		if i, ok := pos[v]; ok {
-			cols = append(cols, i)
-			outVars = append(outVars, v)
-		}
-	}
-	out := &Table{Vars: outVars}
-	// Dedup by hashing the projected columns of the source rows directly;
-	// candidates with equal hashes are verified against the already-emitted
-	// row, so collisions cannot drop a distinct row.
-	seen := make(map[uint64][]int32)
-	for _, r := range a.Rows {
-		if !bu.Tick() {
-			return nil, Interrupted(bu)
-		}
-		h := hashRowHook(r, cols)
-		dup := false
-		for _, oi := range seen[h] {
-			prev := out.Rows[oi]
-			same := true
-			for k := range cols {
-				if prev[k] != r[cols[k]] {
-					same = false
-					break
-				}
-			}
-			if same {
-				dup = true
-				break
-			}
-		}
-		if dup {
-			continue
-		}
-		row := make([]Value, len(cols))
-		for i, c := range cols {
-			row[i] = r[c]
-		}
-		seen[h] = append(seen[h], int32(len(out.Rows)))
-		out.Rows = append(out.Rows, row)
-	}
-	return out, nil
 }
 
 // selectConsistent returns the rows of t agreeing with the partial

@@ -3,6 +3,7 @@ package csp
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -25,25 +26,41 @@ func randomTable(rng *rand.Rand) *Table {
 	return t
 }
 
-// join and project run the operators unbudgeted, where they cannot fail.
+// identity is the nullary identity table: a ⋈ identity = a.
+func identity() *Table { return &Table{Rows: [][]Value{{}}} }
+
+// join and project run JoinProject unbudgeted, where it cannot fail: join
+// keeps every variable of both tables, project joins with the identity.
 func join(a, b *Table) *Table {
-	t, _ := Join(a, b, nil)
+	t, _ := JoinProject(a, b, append(slices.Clone(a.Vars), b.Vars...), nil)
 	return t
 }
 
 func project(a *Table, vars []int) *Table {
-	t, _ := Project(a, vars, nil)
+	t, _ := JoinProject(a, identity(), vars, nil)
 	return t
 }
 
-// Property: the uint64-hash operators produce byte-identical tables to the
+// joinRefAll is the reference for join: the string-keyed join, projected
+// onto all of its variables (JoinProject's columns are in increasing
+// variable order, and a duplicated row is kept once).
+func joinRefAll(a, b *Table) *Table {
+	j := joinRef(a, b)
+	return projectRef(j, j.Vars)
+}
+
+// Property: JoinProject and Semijoin produce byte-identical tables to the
 // string-keyed references, including row order (the engine's exact-equality
 // differential tests depend on order preservation).
 func TestHashOpsMatchReferenceProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		a, b := randomTable(rng), randomTable(rng)
-		if !reflect.DeepEqual(join(a, b), joinRef(a, b)) {
+		if !reflect.DeepEqual(join(a, b), joinRefAll(a, b)) {
+			return false
+		}
+		keep := rng.Perm(5)[:1+rng.Intn(4)]
+		if got, _ := JoinProject(a, b, keep, nil); !reflect.DeepEqual(got, projectRef(joinRef(a, b), keep)) {
 			return false
 		}
 		if !reflect.DeepEqual(Semijoin(a, b), semijoinRef(a, b)) {
@@ -132,8 +149,9 @@ func TestRowIndexForcedCollisions(t *testing.T) {
 	}
 }
 
-// Join and Semijoin must agree with the references even when every hash
-// collides (all-bucket scans): correctness never depends on hash quality.
+// JoinProject and Semijoin must agree with the references even when every
+// hash collides (all-bucket scans, every row a dedup candidate): correctness
+// never depends on hash quality.
 func TestHashOpsUnderForcedCollisions(t *testing.T) {
 	old := hashRowHook
 	hashRowHook = func([]Value, []int) uint64 { return 0 }
@@ -141,15 +159,15 @@ func TestHashOpsUnderForcedCollisions(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for i := 0; i < 50; i++ {
 		a, b := randomTable(rng), randomTable(rng)
-		if !reflect.DeepEqual(join(a, b), joinRef(a, b)) {
-			t.Fatalf("Join diverged under forced collisions (iter %d)", i)
+		if !reflect.DeepEqual(join(a, b), joinRefAll(a, b)) {
+			t.Fatalf("JoinProject (join) diverged under forced collisions (iter %d)", i)
 		}
 		if !reflect.DeepEqual(Semijoin(a, b), semijoinRef(a, b)) {
 			t.Fatalf("Semijoin diverged under forced collisions (iter %d)", i)
 		}
 		vars := rng.Perm(5)[:2]
 		if !reflect.DeepEqual(project(a, vars), projectRef(a, vars)) {
-			t.Fatalf("Project diverged under forced collisions (iter %d)", i)
+			t.Fatalf("JoinProject (project) diverged under forced collisions (iter %d)", i)
 		}
 	}
 }

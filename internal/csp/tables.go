@@ -3,6 +3,7 @@ package csp
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"hypertree/internal/budget"
 	"hypertree/internal/decomp"
@@ -37,9 +38,12 @@ func TDTables(c *CSP, td *decomp.TreeDecomposition, bu *budget.B) ([]*Table, err
 // GHDTables materializes the node tables of a complete generalized
 // hypertree decomposition (thesis Figure 2.9): each node's table is the
 // projection onto its bag of the join of the relations in its λ-set — no
-// enumeration over domains, so the cost is output-sensitive. bu (nil =
-// unbounded) is ticked per joined, projected or probed row; see Join and
-// Project.
+// enumeration over domains, so the cost is output-sensitive. The λ-set is
+// folded through JoinProject, keeping at each step only the bag's
+// variables and those a relation still to be joined needs; since
+// JoinProject keeps first occurrences, every table equals joining the
+// whole λ-set and then projecting, rows and row order included. bu (nil =
+// unbounded) is ticked per probing and per joined row; see JoinProject.
 func GHDTables(c *CSP, g *decomp.GHD, bu *budget.B) ([]*Table, error) {
 	h := c.Hypergraph()
 	if err := g.Validate(h); err != nil {
@@ -48,6 +52,7 @@ func GHDTables(c *CSP, g *decomp.GHD, bu *budget.B) ([]*Table, error) {
 	if !g.IsComplete(h) {
 		return nil, errors.New("csp: GHD must be complete (call Complete first)")
 	}
+	rels := make([]*Table, len(c.Constraints)) // domain tables, built on first use
 	tables := make([]*Table, len(g.Bags))
 	for i, bag := range g.Bags {
 		if len(bag) == 0 {
@@ -56,20 +61,26 @@ func GHDTables(c *CSP, g *decomp.GHD, bu *budget.B) ([]*Table, error) {
 			tables[i] = &Table{Rows: [][]Value{{}}}
 			continue
 		}
-		// Validate guarantees a nonempty bag has a nonempty λ-set.
+		// Validate guarantees a nonempty bag has a nonempty λ-set. The fold
+		// starts from the nullary identity.
+		t := &Table{Rows: [][]Value{{}}}
 		lambda := g.Lambdas[i]
-		t := domainTable(c, &c.Constraints[lambda[0]])
-		for _, e := range lambda[1:] {
+		for k, e := range lambda {
+			if rels[e] == nil {
+				rels[e] = domainTable(c, &c.Constraints[e])
+			}
+			// The clipped bag is copied by the first append, never
+			// overwritten.
+			keep := slices.Clip(bag)
+			for _, later := range lambda[k+1:] {
+				keep = append(keep, c.Constraints[later].Scope...)
+			}
 			var err error
-			if t, err = Join(t, domainTable(c, &c.Constraints[e]), bu); err != nil {
+			if t, err = JoinProject(t, rels[e], keep, bu); err != nil {
 				return nil, err
 			}
 		}
-		p, err := Project(t, bag, bu)
-		if err != nil {
-			return nil, err
-		}
-		tables[i] = p
+		tables[i] = t
 	}
 	return tables, nil
 }

@@ -485,15 +485,23 @@ func parseCSP(raw json.RawMessage) (*csp.CSP, error) {
 	if len(spec.Constraints) == 0 {
 		return nil, fmt.Errorf("at least one constraint is required")
 	}
+	// A domain is a set: a repeated value would make the bag enumeration
+	// of the tree-decomposition solvers emit every assignment once per copy.
 	c := &csp.CSP{NumVars: spec.NumVars, Domains: make([][]csp.Value, spec.NumVars)}
 	if spec.Domains != nil {
 		if len(spec.Domains) != spec.NumVars {
 			return nil, fmt.Errorf("domains has %d entries for %d variables", len(spec.Domains), spec.NumVars)
 		}
 		for v := range c.Domains {
+			if x, ok := repeatedValue(spec.Domains[v]); ok {
+				return nil, fmt.Errorf("domains[%d]: value %d repeats", v, x)
+			}
 			c.Domains[v] = append([]csp.Value(nil), spec.Domains[v]...)
 		}
 	} else {
+		if x, ok := repeatedValue(spec.Domain); ok {
+			return nil, fmt.Errorf("domain: value %d repeats", x)
+		}
 		for v := range c.Domains {
 			c.Domains[v] = append([]csp.Value(nil), spec.Domain...)
 		}
@@ -526,6 +534,18 @@ func parseCSP(raw json.RawMessage) (*csp.CSP, error) {
 		c.AddConstraint(con.Scope, con.Tuples)
 	}
 	return c, nil
+}
+
+// repeatedValue returns a value that occurs twice in vals, if any.
+func repeatedValue(vals []int) (int, bool) {
+	seen := make(map[int]bool, len(vals))
+	for _, x := range vals {
+		if seen[x] {
+			return x, true
+		}
+		seen[x] = true
+	}
+	return 0, false
 }
 
 // writeQueryMetrics renders the hypertree_query_* families on /metrics:
