@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet fmt-check staticcheck test race check par-smoke portfolio-smoke deadline-smoke daemon-smoke latency-smoke query-smoke attr-smoke servebench-test load-smoke bench-smoke bench-diff trace-smoke tracestat-smoke fuzz clean
+.PHONY: all build vet fmt-check staticcheck test race check par-smoke portfolio-smoke deadline-smoke daemon-smoke latency-smoke query-smoke attr-smoke servebench-test load-smoke bench-smoke bench-diff trace-smoke tracestat-smoke fuzz fuzz-smoke clean
 
 all: check
 
@@ -36,10 +36,10 @@ race:
 
 # check is the full verification gate: static analysis, a gofmt check, a
 # clean build, the test suite under the race detector (which subsumes plain
-# `go test`), the serving benchmark's own module, a smoke run of the
-# evaluator benchmarks with a regression diff against the committed report,
-# and trace emission + analysis smoke runs.
-check: vet fmt-check staticcheck build race par-smoke portfolio-smoke deadline-smoke daemon-smoke latency-smoke query-smoke attr-smoke servebench-test load-smoke bench-smoke bench-diff trace-smoke tracestat-smoke
+# `go test`), a short run of every fuzz target, the serving benchmark's own
+# module, a smoke run of the evaluator benchmarks with a regression diff
+# against the committed report, and trace emission + analysis smoke runs.
+check: vet fmt-check staticcheck build race fuzz-smoke par-smoke portfolio-smoke deadline-smoke daemon-smoke latency-smoke query-smoke attr-smoke servebench-test load-smoke bench-smoke bench-diff trace-smoke tracestat-smoke
 
 # par-smoke is the quick parallel-correctness gate: one mid-size instance
 # through parallel BB-ghw, Workers=4, under the race detector, asserting the
@@ -160,13 +160,22 @@ tracestat-smoke: trace-smoke
 	$(GO) run ./cmd/tracestat summary trace.smoke.jsonl
 	rm -f trace.smoke.jsonl
 
-# fuzz runs each parser fuzzer, and the /query CSP fuzzer, briefly; extend
-# -fuzztime for real campaigns.
+# fuzz runs each fuzz target for 30 s: the three parser fuzzers, the /query
+# CSP fuzzer and the /query batch fuzzer; extend -fuzztime for real
+# campaigns. fuzz-smoke, part of check, runs the same targets for 5 s each.
 fuzz:
 	$(GO) test -run=^$$ -fuzz=FuzzParseHG     -fuzztime=30s ./internal/hypergraph/
 	$(GO) test -run=^$$ -fuzz=FuzzParseDIMACS -fuzztime=30s ./internal/hypergraph/
 	$(GO) test -run=^$$ -fuzz=FuzzParseGr     -fuzztime=30s ./internal/hypergraph/
 	$(GO) test -run=^$$ -fuzz=FuzzQueryCSP    -fuzztime=30s ./internal/server/
+	$(GO) test -run=^$$ -fuzz=FuzzQueryBatch  -fuzztime=30s ./internal/server/
+
+fuzz-smoke:
+	$(GO) test -run=^$$ -fuzz=FuzzParseHG     -fuzztime=5s ./internal/hypergraph/
+	$(GO) test -run=^$$ -fuzz=FuzzParseDIMACS -fuzztime=5s ./internal/hypergraph/
+	$(GO) test -run=^$$ -fuzz=FuzzParseGr     -fuzztime=5s ./internal/hypergraph/
+	$(GO) test -run=^$$ -fuzz=FuzzQueryCSP    -fuzztime=5s ./internal/server/
+	$(GO) test -run=^$$ -fuzz=FuzzQueryBatch  -fuzztime=5s ./internal/server/
 
 clean:
 	$(GO) clean ./...

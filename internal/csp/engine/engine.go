@@ -6,12 +6,18 @@
 // are packed into flat []Value arenas, and every child table stores, for
 // each parent row, the exact group of its rows compatible with it. One
 // stable sort per tree edge, of the child's rows on the variables it shares
-// with its parent, serves both semijoin passes and the row groups. A
-// compiled Plan serves Solve, Count, and Enumerate(limit) — optionally
-// parameterized by per-query unary pins applied to each candidate row as
-// residual filters — from any number of goroutines with zero
+// with its parent, serves both semijoin passes and the row groups. The
+// pin-free count DP runs once at compile time and its per-row subtree
+// counts are kept. A compiled Plan serves Solve, Count, and
+// Enumerate(limit) from any number of goroutines with zero
 // synchronization: all mutable per-query state lives in a Cursor owned by
 // a single goroutine.
+//
+// A query may pin variables to values (see Pin). A pin filters the rows of
+// one node, the first whose bag holds the variable, and a query revisits
+// only the filtered nodes and their ancestors: every other subtree is
+// answered as it is pin-free, since full reduction already proves that each
+// of its rows extends into it, and its counts are the compiled ones.
 //
 // The engine builds its tables with csp.TDTables / csp.GHDTables, the same
 // code the reference solvers run. The reference solvers reduce with hash
@@ -21,13 +27,15 @@
 // reference paths csp.SolveFromTD, csp.CountFromTD, csp.EnumerateFromTD
 // and csp.SolveFromGHD; counts too large for an int saturate at
 // math.MaxInt on both sides, and the engine also raises an explicit
-// overflow flag (Stats.SolutionsOverflow, Cursor.CountExact). A query with
-// pins behaves exactly like the reference run on a copy of the CSP whose
-// pinned domains are restricted to the pinned value. This works because
-// both sides traverse nodes in csp.TopDownOrder, both reductions preserve
-// row order, and by the connectedness condition a row's consistency with
-// the global partial assignment is equivalent to its compatibility with
-// the parent's chosen row.
+// overflow flag (Stats.SolutionsOverflow, Cursor.CountExact). On a plan
+// compiled from a tree decomposition, a query with pins behaves exactly
+// like the reference run on a copy of the CSP whose pinned domains are
+// restricted to the pinned value. This works because both sides traverse
+// nodes in csp.TopDownOrder, both reductions preserve row order, and by
+// the connectedness condition a row's consistency with the global partial
+// assignment is equivalent to its compatibility with the parent's chosen
+// row. On a GHD plan, pinned satisfiability and counts are exact too, but
+// solutions come in the plan's own row order (see Pin).
 package engine
 
 import (
@@ -193,6 +201,18 @@ type Plan struct {
 	total        int         // pin-free solution count, saturated at MaxInt
 	totalOv      bool        // total saturated: it is a lower bound, not exact
 	width        int         // decomposition width, for Stats
+
+	// The pin-free count DP, kept for pinned queries: per (node,row), the
+	// row's extensions into its subtree and whether that count saturated
+	// somewhere below. A query reads them for every subtree its pins do
+	// not reach.
+	sub   []int
+	subOv []bool
+	// top[v] is the first node, in BFS order, whose bag holds variable v,
+	// or -1 if none does. By connectedness it is an ancestor of every other
+	// node holding v, and each of those shares v with its parent, so
+	// filtering top[v]'s rows enforces a pin on v in all of them.
+	top []int32
 }
 
 // Stats summarizes a compiled plan for observability surfaces.
@@ -370,16 +390,34 @@ func newPlan(c *csp.CSP, tables []*csp.Table, width int) *Plan {
 	return p
 }
 
-// cacheAnswers stores the pin-free answers every pin-free query returns:
-// the cursor's own count DP and solve walk, run once with no pins.
+// cacheAnswers stores the pin-free answers every pin-free query returns,
+// and what pinned queries reuse: each variable's top node and every row's
+// pin-free subtree count, from the cursor's own count DP and solve walk,
+// run once with no pins.
 func (p *Plan) cacheAnswers(bu *budget.B) error {
+	p.top = make([]int32, p.numVars)
+	for v := range p.top {
+		p.top[v] = -1
+	}
+	for k := int32(len(p.nodes) - 1); k >= 0; k-- {
+		for _, v := range p.nodes[k].vars {
+			p.top[v] = k
+		}
+	}
+
+	// Every node stamped as reached runs the DP, straight into the plan.
 	cu := p.NewCursor()
+	p.sub, p.subOv = cu.counts, cu.countOv
 	cu.begin(nil)
+	for k := range cu.reachEp {
+		cu.reachEp[k] = cu.epoch
+	}
 	total, exact, err := cu.count(bu)
 	if err != nil {
 		return err
 	}
 	p.total, p.totalOv = total, !exact
+	cu.begin(nil) // nothing reached: the walk takes each group's first row
 	if sol, ok := cu.solve(); ok {
 		p.solution = append([]csp.Value(nil), sol...)
 	}

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"math"
 	"math/rand"
 	"reflect"
 	"slices"
@@ -200,6 +201,171 @@ func TestPlanMatchesReferenceGHD(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// mixedPins draws a query's pins: none, or 1 to 3, each in the variable's
+// domain, outside it, or a duplicate disagreeing with the pin before it.
+func mixedPins(c *csp.CSP, rng *rand.Rand) []Pin {
+	if rng.Intn(4) == 0 {
+		return nil
+	}
+	pins := make([]Pin, 0, 3)
+	for n := 1 + rng.Intn(3); len(pins) < n; {
+		v := rng.Intn(c.NumVars)
+		dom := c.Domains[v]
+		pin := Pin{Var: v, Val: dom[rng.Intn(len(dom))]}
+		switch rng.Intn(6) {
+		case 0:
+			pin.Val = len(dom) // domains are 0..d-1
+		case 1:
+			if len(pins) > 0 {
+				last := pins[len(pins)-1]
+				pin = Pin{Var: last.Var, Val: (last.Val + 1) % len(c.Domains[last.Var])}
+			}
+		}
+		pins = append(pins, pin)
+	}
+	return pins
+}
+
+// checkPinnedSolution fails unless sol is a complete assignment of c within
+// its domains that satisfies every constraint and every pin.
+func checkPinnedSolution(t *testing.T, c *csp.CSP, pins []Pin, sol []csp.Value) {
+	t.Helper()
+	if !c.Consistent(sol) {
+		t.Fatalf("pins %v: %v is not a solution", pins, sol)
+	}
+	for v, x := range sol {
+		if !slices.Contains(c.Domains[v], x) {
+			t.Fatalf("pins %v: %v leaves the domain of variable %d", pins, sol, v)
+		}
+	}
+	for _, pin := range pins {
+		if sol[pin.Var] != pin.Val {
+			t.Fatalf("pins %v: %v breaks pin %v", pins, sol, pin)
+		}
+	}
+}
+
+// checkPinnedSequence runs one sequence of pinned queries on one cursor of
+// a GHD plan, twice: from a fresh cursor, and again with the epoch just
+// below the wrap, so the second run crosses it with the first run's stamps
+// still in place. Against the pin-restricted CSP, every sat bit must equal
+// csp.SolveFromGHD's, every solution satisfy the CSP and the pins, every
+// count equal countRef, and every enumeration return min(limit, count)
+// distinct solutions.
+func checkPinnedSequence(t *testing.T, c *csp.CSP, g *decomp.GHD, seq [][]Pin, countRef func(*csp.CSP) int) {
+	t.Helper()
+	plan, err := CompileGHDBudget(c, g, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	counts := make([]int, len(seq))
+	for i, pins := range seq {
+		rc := restrict(c, pins)
+		counts[i] = countRef(rc)
+		if sat := csp.SolveFromGHD(rc, g) != nil; sat != (counts[i] > 0) {
+			t.Fatalf("pins %v: reference solve says sat=%v, reference count %d", pins, sat, counts[i])
+		}
+	}
+	cu := plan.NewCursor()
+	for _, epoch := range []uint32{cu.epoch, math.MaxUint32 - 9} {
+		cu.epoch = epoch
+		for i, pins := range seq {
+			want, sat := counts[i], counts[i] > 0
+			sol, ok := cu.Solve(pins)
+			if ok != sat {
+				t.Fatalf("Solve(%v) sat=%v; reference %v", pins, ok, sat)
+			}
+			if ok {
+				checkPinnedSolution(t, c, pins, sol)
+			}
+			if n, exact := cu.CountExact(pins); n != want || !exact {
+				t.Fatalf("CountExact(%v) = (%d, %v); reference %d", pins, n, exact, want)
+			}
+			for _, limit := range []int{1, 3} {
+				rows := cu.Enumerate(limit, pins)
+				if len(rows) != min(limit, want) {
+					t.Fatalf("Enumerate(%d, %v) returned %d rows; reference count %d", limit, pins, len(rows), want)
+				}
+				for i, row := range rows {
+					checkPinnedSolution(t, c, pins, row)
+					for _, prev := range rows[:i] {
+						if slices.Equal(prev, row) {
+							t.Fatalf("Enumerate(%d, %v) repeats %v", limit, pins, row)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// Property: on GHD plans, one cursor answers a mixed sequence of pinned
+// queries — pin-free, in-domain, out-of-domain and conflicting pins — as
+// the pin-restricted CSP does, across the epoch wrap. A GHD plan's solution
+// may differ from csp.SolveFromGHD's on the restricted CSP (see Pin), so
+// solutions are checked for validity, not equality. Counts are checked by
+// brute force on random CSPs with random completed GHDs, and by
+// csp.CountFromTD over the GHD's tree decomposition on greedy GHDs of
+// 24-signal circuit CSPs.
+func TestPinnedQueriesOnGHDPlans(t *testing.T) {
+	rng := rand.New(rand.NewSource(19))
+	sequence := func(c *csp.CSP) [][]Pin {
+		seq := make([][]Pin, 20)
+		for j := range seq {
+			seq[j] = mixedPins(c, rng)
+		}
+		return seq
+	}
+	for i := 0; i < 150; i++ {
+		c := randomCSP(rng)
+		h := c.Hypergraph()
+		g, err := elim.GHDFromOrdering(h, rng.Perm(c.NumVars), false, rng)
+		if err != nil {
+			t.Fatal(err)
+		}
+		g.Complete(h)
+		checkPinnedSequence(t, c, g, sequence(c), (*csp.CSP).CountSolutionsBrute)
+	}
+	for i := 0; i < 4; i++ {
+		c := circuitCSP(24, 26, rng.Int63())
+		g := greedyGHD(t, c)
+		checkPinnedSequence(t, c, g, sequence(c), func(rc *csp.CSP) int { return csp.CountFromTD(rc, &g.TreeDecomposition) })
+	}
+}
+
+// A wrapped epoch clears every stamp. On the path x0-x1-x2-x3 (not-equal
+// constraints, solutions 0101 and 1010), epoch 1 pins x1 at the root and x3
+// at the leaf and reaches all three nodes; epoch 2 reaches the root only.
+// After the wrap, epoch 1 pins x2 at the middle node: a stale pin on x1
+// would empty the middle node's rows, and a stale "reached" stamp there
+// would stop the ancestor walk at once and leave the root reading its
+// pin-free counts.
+func TestEpochWrapClearsStamps(t *testing.T) {
+	c := csp.New(4, []csp.Value{0, 1})
+	c.AddNotEqual(0, 1)
+	c.AddNotEqual(1, 2)
+	c.AddNotEqual(2, 3)
+	td := &decomp.TreeDecomposition{
+		Tree: decomp.Tree{Parent: []int{-1, 0, 1}, Root: 0},
+		Bags: [][]int{{0, 1}, {1, 2}, {2, 3}},
+	}
+	cu := mustPlan(t, c, td).NewCursor()
+	for _, q := range []struct {
+		pins  []Pin
+		epoch uint32 // set before the query
+		want  int
+	}{
+		{[]Pin{{Var: 1, Val: 0}, {Var: 3, Val: 0}}, 0, 1},
+		{[]Pin{{Var: 0, Val: 1}}, 1, 1},
+		{[]Pin{{Var: 2, Val: 0}}, math.MaxUint32, 1},
+	} {
+		cu.epoch = q.epoch
+		if n := cu.Count(q.pins); n != q.want {
+			t.Fatalf("Count(%v) from epoch %d = %d, want %d", q.pins, q.epoch, n, q.want)
+		}
 	}
 }
 

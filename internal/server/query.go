@@ -510,6 +510,18 @@ func parseCSP(raw json.RawMessage) (*csp.CSP, error) {
 		if len(spec.VarNames) != spec.NumVars {
 			return nil, fmt.Errorf("var_names has %d entries for %d variables", len(spec.VarNames), spec.NumVars)
 		}
+		// A pin names one variable: a repeated name would bind only the
+		// last variable that carries it. Unnamed variables are "".
+		named := make(map[string]bool, len(spec.VarNames))
+		for _, name := range spec.VarNames {
+			if name == "" {
+				continue
+			}
+			if named[name] {
+				return nil, fmt.Errorf("var_names: name %q repeats", name)
+			}
+			named[name] = true
+		}
 		c.VarNames = spec.VarNames
 	}
 	for i, con := range spec.Constraints {

@@ -306,3 +306,34 @@ func TestQueryRejectsRepeatedDomainValue(t *testing.T) {
 		}
 	}
 }
+
+// A pin names one variable, so a repeated var_names entry is rejected with
+// a 400; unnamed ("") entries may repeat. Accepted, {"a": 1} bound only the
+// last variable named "a": this CSP (x0 != x1, x1 = x2) answered the solve
+// with [0,1,1], and variable 0 could never be pinned by name.
+func TestQueryRejectsRepeatedVarName(t *testing.T) {
+	s := New(Config{})
+	ts := httptest.NewServer(s)
+	defer ts.Close()
+
+	body := func(names string) string {
+		return fmt.Sprintf(`{"csp": {"num_vars": 3, "domain": [0, 1], "var_names": %s, "constraints": [
+			{"scope": [0, 1], "tuples": [[0, 1], [1, 0]]},
+			{"scope": [1, 2], "tuples": [[0, 0], [1, 1]]}]},
+			"queries": [{"op": "solve", "assign": {"a": 1}}]}`, names)
+	}
+	for _, algo := range []string{"greedy", "astar-tw"} {
+		hr, resp := postQuery(t, ts, "algo="+algo, body(`["a", "a", "b"]`))
+		if hr.StatusCode != http.StatusBadRequest || resp.Outcome != OutcomeRejected || !strings.Contains(resp.Error, `var_names: name "a" repeats`) {
+			t.Fatalf("algo=%s: status %d outcome %q error %q; want a 400 rejection naming the repeated name",
+				algo, hr.StatusCode, resp.Outcome, resp.Error)
+		}
+		hr, resp = postQuery(t, ts, "algo="+algo, body(`["a", "", ""]`))
+		if hr.StatusCode != http.StatusOK || len(resp.Results) != 1 || resp.Results[0].Sat == nil {
+			t.Fatalf("algo=%s, unnamed variables: status %d error %q; want 200 with a solve answer", algo, hr.StatusCode, resp.Error)
+		}
+		if got, want := resp.Results[0].Assignment, []int{1, 0, 0}; !equalInts(got, want) {
+			t.Fatalf("algo=%s: solve with a=1 answered %v, want %v", algo, got, want)
+		}
+	}
+}
