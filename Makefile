@@ -161,21 +161,26 @@ tracestat-smoke: trace-smoke
 	rm -f trace.smoke.jsonl
 
 # fuzz runs each fuzz target for 30 s: the three parser fuzzers, the /query
-# CSP fuzzer and the /query batch fuzzer; extend -fuzztime for real
-# campaigns. fuzz-smoke, part of check, runs the same targets for 5 s each.
+# CSP, batch, envelope-reader and request-parameter fuzzers; extend
+# -fuzztime for real campaigns. fuzz-smoke, part of check, runs the same
+# targets for 5 s each.
 fuzz:
-	$(GO) test -run=^$$ -fuzz=FuzzParseHG     -fuzztime=30s ./internal/hypergraph/
-	$(GO) test -run=^$$ -fuzz=FuzzParseDIMACS -fuzztime=30s ./internal/hypergraph/
-	$(GO) test -run=^$$ -fuzz=FuzzParseGr     -fuzztime=30s ./internal/hypergraph/
-	$(GO) test -run=^$$ -fuzz=FuzzQueryCSP    -fuzztime=30s ./internal/server/
-	$(GO) test -run=^$$ -fuzz=FuzzQueryBatch  -fuzztime=30s ./internal/server/
+	$(GO) test -run=^$$ -fuzz=FuzzParseHG       -fuzztime=30s ./internal/hypergraph/
+	$(GO) test -run=^$$ -fuzz=FuzzParseDIMACS   -fuzztime=30s ./internal/hypergraph/
+	$(GO) test -run=^$$ -fuzz=FuzzParseGr       -fuzztime=30s ./internal/hypergraph/
+	$(GO) test -run=^$$ -fuzz=FuzzQueryCSP      -fuzztime=30s ./internal/server/
+	$(GO) test -run=^$$ -fuzz=FuzzQueryBatch    -fuzztime=30s ./internal/server/
+	$(GO) test -run=^$$ -fuzz=FuzzQueryEnvelope -fuzztime=30s ./internal/server/
+	$(GO) test -run=^$$ -fuzz=FuzzRequestParams -fuzztime=30s ./internal/server/
 
 fuzz-smoke:
-	$(GO) test -run=^$$ -fuzz=FuzzParseHG     -fuzztime=5s ./internal/hypergraph/
-	$(GO) test -run=^$$ -fuzz=FuzzParseDIMACS -fuzztime=5s ./internal/hypergraph/
-	$(GO) test -run=^$$ -fuzz=FuzzParseGr     -fuzztime=5s ./internal/hypergraph/
-	$(GO) test -run=^$$ -fuzz=FuzzQueryCSP    -fuzztime=5s ./internal/server/
-	$(GO) test -run=^$$ -fuzz=FuzzQueryBatch  -fuzztime=5s ./internal/server/
+	$(GO) test -run=^$$ -fuzz=FuzzParseHG       -fuzztime=5s ./internal/hypergraph/
+	$(GO) test -run=^$$ -fuzz=FuzzParseDIMACS   -fuzztime=5s ./internal/hypergraph/
+	$(GO) test -run=^$$ -fuzz=FuzzParseGr       -fuzztime=5s ./internal/hypergraph/
+	$(GO) test -run=^$$ -fuzz=FuzzQueryCSP      -fuzztime=5s ./internal/server/
+	$(GO) test -run=^$$ -fuzz=FuzzQueryBatch    -fuzztime=5s ./internal/server/
+	$(GO) test -run=^$$ -fuzz=FuzzQueryEnvelope -fuzztime=5s ./internal/server/
+	$(GO) test -run=^$$ -fuzz=FuzzRequestParams -fuzztime=5s ./internal/server/
 
 clean:
 	$(GO) clean ./...

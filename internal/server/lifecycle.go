@@ -33,9 +33,10 @@ const (
 	// phaseQuery: running the request's query batch against the compiled
 	// plan (/query only). The steady-state cost of a hot instance.
 	phaseQuery
-	// phaseEncode: building the response envelope, including tree rendering
-	// and result-cache population. The final socket write is excluded — once
-	// bytes leave, there is nowhere left to record.
+	// phaseEncode: assembling the response envelope, including tree
+	// rendering and result-cache population. The JSON marshal of the
+	// envelope and the socket write fall outside every phase: they run after
+	// the timings block is stamped onto the envelope they encode.
 	phaseEncode
 
 	numPhases
@@ -49,7 +50,8 @@ var phaseNames = [numPhases]string{"queue_wait", "parse", "cache", "solve", "com
 // Timings is the per-request phase breakdown stamped onto every response
 // envelope: where the request's wall-clock went, in nanoseconds. Phases a
 // request never reached are omitted; Total is always present and measures
-// handler entry to response construction (the socket write is excluded).
+// handler entry to envelope assembly (the JSON marshal and the socket write
+// are excluded).
 type Timings struct {
 	QueueWait time.Duration `json:"queue_wait_ns,omitempty"`
 	Parse     time.Duration `json:"parse_ns,omitempty"`
@@ -105,7 +107,8 @@ func (s *Server) newLifecycle(id, remote string, ep endpoint) *lifecycle {
 		start:  time.Now(),
 	}
 	if s.slow != nil {
-		lc.capture = &eventCapture{}
+		// Room for every span a request emits, the total included.
+		lc.capture = &eventCapture{events: make([]obs.Event, 0, numPhases+1)}
 	}
 	lc.spans = obs.Tee(s.counters, obs.WithReq(s.cfg.Trace, id), lc.capture.recorder())
 	return lc

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net/http"
 	"strconv"
+	"sync"
 	"time"
 
 	"hypertree/internal/budget"
@@ -49,7 +50,7 @@ const (
 
 // queryEnvelope is the /query request body. The CSP stays raw until after
 // the plan-cache lookup: its bytes are the cache key, and a hit never parses
-// them.
+// them. readQueryEnvelope decodes it.
 type queryEnvelope struct {
 	CSP     json.RawMessage `json:"csp"`
 	Queries []querySpec     `json:"queries"`
@@ -158,7 +159,10 @@ type QueryResult struct {
 // request-agnostic facts every later hit reports.
 type cachedPlan struct {
 	plan *engine.Plan
-	info PlanJSON // Cached=false; hits flip it on their copy
+	// cursors holds the plan's idle cursors. A batch takes one and puts it
+	// back, so a hit allocates none; epoch stamps make reuse O(1).
+	cursors sync.Pool
+	info    PlanJSON // Cached=false; hits flip it on their copy
 	// names maps declared variable names to indexes, for resolving query
 	// pins without reparsing the CSP on cache hits. Nil when the CSP
 	// declared none.
@@ -175,8 +179,8 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	var env queryEnvelope
-	if err := json.Unmarshal(body, &env); err != nil {
+	env, err := readQueryEnvelope(body)
+	if err != nil {
 		s.fail(w, lc, http.StatusBadRequest, OutcomeRejected, fmt.Sprintf("decoding request: %v", err), 0)
 		return
 	}
@@ -229,12 +233,17 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	// assignment cell across the batch draws it down, so response memory is
 	// bounded whatever the batch asks for.
 	qrstart := time.Now()
-	cu := entry.plan.NewCursor()
+	cu, _ := entry.cursors.Get().(*engine.Cursor)
+	if cu == nil {
+		cu = entry.plan.NewCursor()
+	}
 	cells := s.cfg.MaxResultCells
 	results := make([]QueryResult, len(env.Queries))
 	for i := range env.Queries {
 		results[i] = s.runQuery(cu, entry, &env.Queries[i], &cells)
 	}
+	// Not deferred: a batch that panics drops its cursor.
+	entry.cursors.Put(cu)
 	lc.phase(phaseQuery, time.Since(qrstart))
 
 	estart := time.Now()

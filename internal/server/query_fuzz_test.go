@@ -12,6 +12,7 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+	"time"
 
 	"hypertree/internal/budget"
 	"hypertree/internal/core"
@@ -50,6 +51,70 @@ func FuzzQueryCSP(f *testing.F) {
 		}
 		if got, want := plan.NewCursor().Count(nil), c.CountSolutionsBrute(); got != want {
 			t.Fatalf("the plan counts %d solutions, brute force %d", got, want)
+		}
+	})
+}
+
+// FuzzRequestParams fuzzes the query string of a POST /query on a fixed
+// small CSP, through ServeHTTP on a server with MaxTimeout and MaxNodes
+// set. No string panics the server or draws any other 500, and every
+// response is a typed envelope. The response is a 400 carrying parseParams's error exactly
+// when parseParams rejects the string. Accepted parameters hold a timeout
+// in (0, MaxTimeout], a node budget in [0, MaxNodes], and the worker count
+// core.ClampWorkers makes of the one asked for.
+func FuzzRequestParams(f *testing.F) {
+	for _, raw := range []string{
+		"",
+		"algo=greedy&seed=7&timeout=250ms&nodes=5000&workers=2",
+		"algo=nope", "algo=%zz", "algo=astar-tw&include=tree",
+		"timeout=-1s", "timeout=abc", "timeout=10h", "timeout=1ns",
+		"nodes=-1", "nodes=0", "nodes=99999999999",
+		"workers=-1", "workers=1000", "workers=2&workers=-1",
+		"seed=x", "seed=-9223372036854775808",
+		"stream=sse", "stream=ws", "include=x", "format=dimacs", "format=json",
+	} {
+		f.Add(raw)
+	}
+	s := New(Config{MaxTimeout: 50 * time.Millisecond, MaxNodes: 100_000})
+	body := `{"csp":` + pathCSPJSON + `,"queries":[{"op":"count"},{"op":"solve","assign":{"x0":1}}]}`
+	f.Fuzz(func(t *testing.T, raw string) {
+		req := httptest.NewRequest(http.MethodPost, "/query", strings.NewReader(body))
+		req.URL.RawQuery = raw
+		p, perr := s.parseParams(req)
+		rec := httptest.NewRecorder()
+		s.ServeHTTP(rec, req)
+		var resp QueryResponse
+		if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil || outcomeIndex(resp.Outcome) < 0 {
+			t.Fatalf("%q: status %d with an untyped body %q", raw, rec.Code, rec.Body.String())
+		}
+		if rec.Code == http.StatusInternalServerError {
+			t.Fatalf("%q: a 500, which a contained panic answers: %s", raw, resp.Error)
+		}
+		if perr != nil {
+			if rec.Code != http.StatusBadRequest || resp.Error != perr.Error() {
+				t.Fatalf("%q: status %d error %q; parseParams rejects it: %v", raw, rec.Code, resp.Error, perr)
+			}
+			return
+		}
+		if rec.Code == http.StatusBadRequest {
+			t.Fatalf("%q: a 400 (%s) for parameters parseParams accepts", raw, resp.Error)
+		}
+		if p.timeout <= 0 || p.timeout > s.cfg.MaxTimeout {
+			t.Fatalf("%q: timeout %v outside (0, %v]", raw, p.timeout, s.cfg.MaxTimeout)
+		}
+		if p.nodes < 0 || p.nodes > s.cfg.MaxNodes {
+			t.Fatalf("%q: nodes %d outside [0, %d]", raw, p.nodes, s.cfg.MaxNodes)
+		}
+		want := 0
+		if v := req.URL.Query().Get("workers"); v != "" {
+			n, err := strconv.Atoi(v)
+			if err != nil {
+				t.Fatalf("%q: workers %q accepted", raw, v)
+			}
+			want = core.ClampWorkers(n)
+		}
+		if p.workers != want {
+			t.Fatalf("%q: workers %d, want %d", raw, p.workers, want)
 		}
 	})
 }

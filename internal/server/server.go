@@ -650,7 +650,7 @@ func (s *Server) open(w http.ResponseWriter, r *http.Request, ep endpoint) (lc *
 		return nil, p, nil, false
 	}
 	lc.algo = string(p.algo)
-	body, err = io.ReadAll(hypergraph.LimitReader(r.Body, s.cfg.MaxRequestBytes))
+	body, err = readBody(r, s.cfg.MaxRequestBytes)
 	if err != nil {
 		var tooBig *hypergraph.PayloadTooLargeError
 		if errors.As(err, &tooBig) {
@@ -662,6 +662,39 @@ func (s *Server) open(w http.ResponseWriter, r *http.Request, ep endpoint) (lc *
 		return nil, p, nil, false
 	}
 	return lc, p, body, true
+}
+
+// maxPresizedBody bounds the buffer readBody sizes from a declared
+// Content-Length before any byte arrives: a client that declares the whole
+// MaxRequestBytes and sends nothing holds no more than this.
+const maxPresizedBody = 1 << 20
+
+// readBody reads r's body, capped at limit bytes. A body whose declared
+// Content-Length is within the cap and maxPresizedBody is read into one
+// buffer of that size, where io.ReadAll would double its buffer from 512
+// bytes; longer bodies grow past it as they arrive.
+func readBody(r *http.Request, limit int64) ([]byte, error) {
+	size := int64(512)
+	if n := r.ContentLength; n > 0 && n <= limit {
+		// One byte past the length: the read that meets EOF then has room
+		// without growing the buffer.
+		size = min(n, maxPresizedBody) + 1
+	}
+	lr := hypergraph.LimitReader(r.Body, limit)
+	b := make([]byte, 0, size)
+	for {
+		n, err := lr.Read(b[len(b):cap(b)])
+		b = b[:len(b)+n]
+		if err == io.EOF {
+			return b, nil
+		}
+		if err != nil {
+			return b, err
+		}
+		if len(b) == cap(b) {
+			b = append(b, 0)[:len(b)] // let append pick the growth
+		}
+	}
 }
 
 // admit takes an opened request to a worker slot. pending counts everything
