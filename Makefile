@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet fmt-check staticcheck test race check par-smoke portfolio-smoke deadline-smoke daemon-smoke latency-smoke query-smoke attr-smoke servebench-test load-smoke bench-smoke bench-diff trace-smoke tracestat-smoke fuzz fuzz-smoke clean
+.PHONY: all build vet fmt-check staticcheck test race check reach examples-smoke par-smoke portfolio-smoke deadline-smoke daemon-smoke latency-smoke query-smoke attr-smoke servebench-test load-smoke bench-smoke bench-diff trace-smoke tracestat-smoke fuzz fuzz-smoke clean
 
 all: check
 
@@ -35,11 +35,29 @@ race:
 	$(GO) test -race ./...
 
 # check is the full verification gate: static analysis, a gofmt check, a
-# clean build, the test suite under the race detector (which subsumes plain
-# `go test`), a short run of every fuzz target, the serving benchmark's own
-# module, a smoke run of the evaluator benchmarks with a regression diff
-# against the committed report, and trace emission + analysis smoke runs.
-check: vet fmt-check staticcheck build race fuzz-smoke par-smoke portfolio-smoke deadline-smoke daemon-smoke latency-smoke query-smoke attr-smoke servebench-test load-smoke bench-smoke bench-diff trace-smoke tracestat-smoke
+# clean build, the reach gate, the test suite under the race detector (which
+# subsumes plain `go test`), a run of every example program, a short run of
+# every fuzz target, the serving benchmark's own module, a smoke run of the
+# evaluator benchmarks with a regression diff against the committed report,
+# and trace emission + analysis smoke runs.
+check: vet fmt-check staticcheck build reach race examples-smoke fuzz-smoke par-smoke portfolio-smoke deadline-smoke daemon-smoke latency-smoke query-smoke attr-smoke servebench-test load-smoke bench-smoke bench-diff trace-smoke tracestat-smoke
+
+# reach is the production-code gate (reach_test.go): it links every binary
+# under cmd/ and examples/, and servebench's, with the linker's dependency
+# dump, and fails on a non-test function no binary reaches unless its doc
+# comment carries a "// test-only:" marker naming its test callers, and on
+# a marker left on a function a binary does reach. It prints how many
+# functions carry a marker.
+reach:
+	$(GO) test -count=1 -v -run '^TestReach$$' .
+
+# examples-smoke runs every example program; each checks its own answer and
+# exits non-zero (log.Fatal) when it is wrong.
+examples-smoke:
+	@for f in examples/*/main.go; do \
+		d=./$$(dirname $$f); echo "go run $$d"; \
+		$(GO) run $$d >/dev/null || exit 1; \
+	done
 
 # par-smoke is the quick parallel-correctness gate: one mid-size instance
 # through parallel BB-ghw, Workers=4, under the race detector, asserting the
@@ -163,24 +181,26 @@ tracestat-smoke: trace-smoke
 # fuzz runs each fuzz target for 30 s: the three parser fuzzers, the /query
 # CSP, batch, envelope-reader and request-parameter fuzzers; extend
 # -fuzztime for real campaigns. fuzz-smoke, part of check, runs the same
-# targets for 5 s each.
+# targets for 5 s each. Both cap the minimization of each new interesting
+# input at 2 s: Go's default of 60 s let a 30 s run spend most of its time
+# minimizing at 0 execs/s.
 fuzz:
-	$(GO) test -run=^$$ -fuzz=FuzzParseHG       -fuzztime=30s ./internal/hypergraph/
-	$(GO) test -run=^$$ -fuzz=FuzzParseDIMACS   -fuzztime=30s ./internal/hypergraph/
-	$(GO) test -run=^$$ -fuzz=FuzzParseGr       -fuzztime=30s ./internal/hypergraph/
-	$(GO) test -run=^$$ -fuzz=FuzzQueryCSP      -fuzztime=30s ./internal/server/
-	$(GO) test -run=^$$ -fuzz=FuzzQueryBatch    -fuzztime=30s ./internal/server/
-	$(GO) test -run=^$$ -fuzz=FuzzQueryEnvelope -fuzztime=30s ./internal/server/
-	$(GO) test -run=^$$ -fuzz=FuzzRequestParams -fuzztime=30s ./internal/server/
+	$(GO) test -run=^$$ -fuzz=FuzzParseHG       -fuzztime=30s -fuzzminimizetime=2s ./internal/hypergraph/
+	$(GO) test -run=^$$ -fuzz=FuzzParseDIMACS   -fuzztime=30s -fuzzminimizetime=2s ./internal/hypergraph/
+	$(GO) test -run=^$$ -fuzz=FuzzParseGr       -fuzztime=30s -fuzzminimizetime=2s ./internal/hypergraph/
+	$(GO) test -run=^$$ -fuzz=FuzzQueryCSP      -fuzztime=30s -fuzzminimizetime=2s ./internal/server/
+	$(GO) test -run=^$$ -fuzz=FuzzQueryBatch    -fuzztime=30s -fuzzminimizetime=2s ./internal/server/
+	$(GO) test -run=^$$ -fuzz=FuzzQueryEnvelope -fuzztime=30s -fuzzminimizetime=2s ./internal/server/
+	$(GO) test -run=^$$ -fuzz=FuzzRequestParams -fuzztime=30s -fuzzminimizetime=2s ./internal/server/
 
 fuzz-smoke:
-	$(GO) test -run=^$$ -fuzz=FuzzParseHG       -fuzztime=5s ./internal/hypergraph/
-	$(GO) test -run=^$$ -fuzz=FuzzParseDIMACS   -fuzztime=5s ./internal/hypergraph/
-	$(GO) test -run=^$$ -fuzz=FuzzParseGr       -fuzztime=5s ./internal/hypergraph/
-	$(GO) test -run=^$$ -fuzz=FuzzQueryCSP      -fuzztime=5s ./internal/server/
-	$(GO) test -run=^$$ -fuzz=FuzzQueryBatch    -fuzztime=5s ./internal/server/
-	$(GO) test -run=^$$ -fuzz=FuzzQueryEnvelope -fuzztime=5s ./internal/server/
-	$(GO) test -run=^$$ -fuzz=FuzzRequestParams -fuzztime=5s ./internal/server/
+	$(GO) test -run=^$$ -fuzz=FuzzParseHG       -fuzztime=5s -fuzzminimizetime=2s ./internal/hypergraph/
+	$(GO) test -run=^$$ -fuzz=FuzzParseDIMACS   -fuzztime=5s -fuzzminimizetime=2s ./internal/hypergraph/
+	$(GO) test -run=^$$ -fuzz=FuzzParseGr       -fuzztime=5s -fuzzminimizetime=2s ./internal/hypergraph/
+	$(GO) test -run=^$$ -fuzz=FuzzQueryCSP      -fuzztime=5s -fuzzminimizetime=2s ./internal/server/
+	$(GO) test -run=^$$ -fuzz=FuzzQueryBatch    -fuzztime=5s -fuzzminimizetime=2s ./internal/server/
+	$(GO) test -run=^$$ -fuzz=FuzzQueryEnvelope -fuzztime=5s -fuzzminimizetime=2s ./internal/server/
+	$(GO) test -run=^$$ -fuzz=FuzzRequestParams -fuzztime=5s -fuzzminimizetime=2s ./internal/server/
 
 clean:
 	$(GO) clean ./...

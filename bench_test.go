@@ -159,9 +159,15 @@ func BenchmarkGreedySetCover(b *testing.B) {
 			sets[i] = append(sets[i], rng.Intn(40))
 		}
 	}
+	h := hypergraph.NewHypergraph(len(universe))
+	for _, s := range sets {
+		h.AddEdge(s...)
+	}
+	eng := setcover.NewEngine(h, 0)
+	sc := eng.NewScratch()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		setcover.Greedy(universe, sets, rng)
+		eng.GreedyCover(sc, universe, rng)
 	}
 }
 

@@ -16,7 +16,6 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
-	"runtime"
 	"sort"
 	"strings"
 	"syscall"
@@ -42,10 +41,9 @@ func main() {
 		seed    = flag.Int64("seed", 1, "random seed for heuristic tie-breaking")
 		show    = flag.Bool("show", false, "print the decomposition tree")
 
-		parallel = flag.Bool("parallel", false, "run with one worker per CPU (GOMAXPROCS): parallel BB, parallel GA evaluation; overridden by -workers")
-		workers  = flag.Int("workers", 0, "explicit worker count for the parallel engines (0 = serial, or GOMAXPROCS with -parallel)")
-		dotPath  = flag.String("dot", "", "write the decomposition as Graphviz DOT to this file")
-		tdPath   = flag.String("td", "", "write the tree decomposition in PACE .td format to this file")
+		workers = flag.Int("workers", 0, "worker count for the parallel engines: parallel BB, parallel GA evaluation (0 = serial; counts above GOMAXPROCS clamp to it)")
+		dotPath = flag.String("dot", "", "write the decomposition as Graphviz DOT to this file")
+		tdPath  = flag.String("td", "", "write the tree decomposition in PACE .td format to this file")
 
 		tracePath  = flag.String("trace", "", "write the run's instrumentation events as JSONL to this file")
 		stats      = flag.Bool("stats", false, "print the run's aggregated statistics (anytime-width timeline, effort, cache traffic)")
@@ -104,18 +102,13 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	// One switch for every parallel engine: -parallel scales to the machine,
-	// -workers pins an exact count (useful for comparing scaling steps).
-	// Negative counts are an error; counts beyond the machine clamp to
-	// GOMAXPROCS — more workers than CPUs only adds contention.
+	// One switch for every parallel engine. Negative counts are an error;
+	// counts beyond the machine clamp to GOMAXPROCS — more workers than CPUs
+	// only adds contention.
 	if *workers < 0 {
 		fatal(fmt.Errorf("-workers must be >= 0, got %d", *workers))
 	}
-	nw := *workers
-	if nw == 0 && *parallel {
-		nw = runtime.GOMAXPROCS(0)
-	}
-	nw = core.ClampWorkers(nw)
+	nw := core.ClampWorkers(*workers)
 	h, err := loadInput(*inPath, *format, *gen)
 	if err != nil {
 		fatal(err)

@@ -10,8 +10,8 @@
 // Scales: smoke (seconds), small (about a minute per table), full
 // (approximates the thesis's one-hour-per-instance protocol).
 //
-// -bench-json runs the ghw width-evaluator microbenchmarks (engine,
-// engine without cache, pre-engine slice path) over a fixed instance set,
+// -bench-json runs the ghw width-evaluator microbenchmarks (engine, engine
+// with a discarding recorder, engine without cache) over a fixed instance set,
 // prints benchstat-compatible lines, and writes a JSON report; -bench-check
 // validates such a report and exits; -bench-diff old.json new.json compares
 // two reports and exits 1 when any entry slowed beyond

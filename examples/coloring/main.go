@@ -1,6 +1,8 @@
 // Coloring: model the map 3-coloring of Australia (thesis Example 1) as a
 // CSP, decompose its constraint graph, and solve it backtrack-free from the
-// tree decomposition via join-tree clustering + Acyclic Solving.
+// tree decomposition: the compiled engine materializes one table per bag
+// (join-tree clustering), reduces them bottom-up (Acyclic Solving), and
+// reads a solution off top-down.
 //
 //	go run ./examples/coloring
 package main
@@ -11,6 +13,7 @@ import (
 
 	"hypertree/internal/core"
 	"hypertree/internal/csp"
+	"hypertree/internal/csp/engine"
 	"hypertree/internal/elim"
 )
 
@@ -45,10 +48,14 @@ func main() {
 	}
 	fmt.Printf("treewidth: %d (exact: %v) — solving costs O(n·d^%d)\n", d.Width, d.Exact, d.Width+1)
 
-	// Solve from the decomposition the search produced.
+	// Compile the decomposition the search produced, then solve from it.
 	td := elim.TDFromOrdering(h, d.Ordering)
-	solution := csp.SolveFromTD(problem, td)
-	if solution == nil {
+	plan, err := engine.CompileBudget(problem, td, nil)
+	if err != nil {
+		log.Fatal(err)
+	}
+	solution, ok := plan.NewCursor().Solve(nil)
+	if !ok {
 		log.Fatal("unexpected: Australia is 3-colorable")
 	}
 	if !problem.Consistent(solution) {

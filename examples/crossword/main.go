@@ -13,6 +13,7 @@ import (
 
 	"hypertree/internal/core"
 	"hypertree/internal/csp"
+	"hypertree/internal/csp/engine"
 	"hypertree/internal/decomp"
 )
 
@@ -62,13 +63,18 @@ func main() {
 	fmt.Printf("ghw = %d (exact: %v) vs treewidth bags of up to %d letters\n",
 		d.Width, d.Exact, d.TD.Width()+1)
 
-	// Solve from the complete GHD: per-node joins over word lists, then
-	// Acyclic Solving — never enumerating 26^k letter combinations.
+	// Compile the complete GHD and solve from it: per-node joins over word
+	// lists, then Acyclic Solving — never enumerating 26^k letter
+	// combinations.
 	g := &decomp.GHD{}
 	*g = *d.GHD
 	g.Complete(h)
-	sol := csp.SolveFromGHD(problem, g)
-	if sol == nil {
+	plan, err := engine.CompileGHDBudget(problem, g, nil)
+	if err != nil {
+		log.Fatal(err)
+	}
+	sol, ok := plan.NewCursor().Solve(nil)
+	if !ok {
 		log.Fatal("no fill exists for this dictionary")
 	}
 	letter := func(v int) byte { return byte('a' + sol[v]) }

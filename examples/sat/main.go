@@ -1,8 +1,9 @@
 // SAT: thesis Example 2 — boolean satisfiability as a CSP. The formula
 // φ = (¬x1 ∨ x2 ∨ x3) ∧ (x1 ∨ ¬x4) ∧ (¬x3 ∨ ¬x5) has an acyclic constraint
 // hypergraph, so Acyclic Solving decides it in polynomial time directly from
-// a join tree; larger random 3-CNF formulas are then solved through tree
-// decompositions, with the solution count computed by the counting DP.
+// a join tree — a width-1 GHD with one constraint per node; larger random
+// 3-CNF formulas are then solved through tree decompositions, with the
+// solution count computed by the counting DP.
 //
 //	go run ./examples/sat
 package main
@@ -13,6 +14,8 @@ import (
 	"math/rand"
 
 	"hypertree/internal/csp"
+	"hypertree/internal/csp/engine"
+	"hypertree/internal/decomp"
 	"hypertree/internal/elim"
 	"hypertree/internal/hypergraph"
 )
@@ -32,8 +35,21 @@ func main() {
 	if !ok {
 		log.Fatal("example 2 hypergraph should be acyclic")
 	}
-	sol := csp.SolveAcyclic(problem, jt)
-	if sol == nil {
+	// A join tree is a GHD of width 1: node e holds constraint e's scope
+	// and covers it with that one constraint.
+	g := &decomp.GHD{TreeDecomposition: decomp.TreeDecomposition{
+		Tree: decomp.Tree{Parent: jt.Parent, Root: jt.Root},
+		Bags: make([][]int, h.M()),
+	}, Lambdas: make([][]int, h.M())}
+	for e := range g.Bags {
+		g.Bags[e], g.Lambdas[e] = h.Edge(e), []int{e}
+	}
+	plan, err := engine.CompileGHDBudget(problem, g, nil)
+	if err != nil {
+		log.Fatal(err)
+	}
+	sol, ok := plan.NewCursor().Solve(nil)
+	if !ok {
 		log.Fatal("φ should be satisfiable")
 	}
 	fmt.Print("satisfying assignment:")
@@ -69,8 +85,13 @@ func main() {
 	td := elim.TDFromOrdering(h2, order)
 	fmt.Printf("\nrandom 3-CNF: %d vars, %d clauses, decomposition width %d\n",
 		n, m, td.Width())
-	if s := csp.SolveFromTD(p2, td); s != nil {
-		fmt.Println("satisfiable; model count =", csp.CountFromTD(p2, td))
+	plan2, err := engine.CompileBudget(p2, td, nil)
+	if err != nil {
+		log.Fatal(err)
+	}
+	if plan2.Stats().Satisfiable {
+		count, _ := plan2.NewCursor().CountExact(nil)
+		fmt.Println("satisfiable; model count =", count)
 	} else {
 		fmt.Println("unsatisfiable (proved via the decomposition)")
 	}

@@ -11,7 +11,7 @@ func sampleReport() *BenchReport {
 		Unit: "test op",
 		Entries: []BenchEntry{
 			{Instance: "grid2d_10", Mode: "engine", Iterations: 1000, NsPerOp: 1000, Width: 4, AllocsPerOp: 10},
-			{Instance: "grid2d_10", Mode: "sliceapi", Iterations: 1000, NsPerOp: 5000, Width: 4, AllocsPerOp: 50},
+			{Instance: "grid2d_10", Mode: "engine-nocache", Iterations: 1000, NsPerOp: 5000, Width: 4, AllocsPerOp: 50},
 			{Instance: "adder_25", Mode: "engine", Iterations: 1000, NsPerOp: 2000, Width: 2, AllocsPerOp: 20},
 		},
 	}
@@ -66,7 +66,7 @@ func TestDiffReportsSyntheticRegression(t *testing.T) {
 
 func TestDiffReportsImprovementAndChurn(t *testing.T) {
 	old := sampleReport()
-	improved := degrade(old, "grid2d_10", "sliceapi", 0.2)
+	improved := degrade(old, "grid2d_10", "engine-nocache", 0.2)
 	// Drop one entry and add a new mode.
 	improved.Entries = improved.Entries[:len(improved.Entries)-1]
 	improved.Entries = append(improved.Entries, BenchEntry{
@@ -80,8 +80,8 @@ func TestDiffReportsImprovementAndChurn(t *testing.T) {
 	for _, e := range d.Entries {
 		verdicts[e.Instance+"/"+e.Mode] = e.Verdict
 	}
-	if verdicts["grid2d_10/sliceapi"] != "improved" {
-		t.Fatalf("5x speedup verdict %q", verdicts["grid2d_10/sliceapi"])
+	if verdicts["grid2d_10/engine-nocache"] != "improved" {
+		t.Fatalf("5x speedup verdict %q", verdicts["grid2d_10/engine-nocache"])
 	}
 	if verdicts["adder_25/engine"] != "removed" || verdicts["grid2d_10/engine-nooprec"] != "added" {
 		t.Fatalf("churn verdicts wrong: %v", verdicts)
@@ -191,7 +191,7 @@ func TestCheckBenchJSONParPairing(t *testing.T) {
 	}
 	badWidth := &BenchReport{Unit: "test op", Entries: []BenchEntry{
 		{Instance: "grid2d_10", Mode: "engine", Iterations: 10, NsPerOp: 1000, Width: 4},
-		{Instance: "grid2d_10", Mode: "sliceapi", Iterations: 10, NsPerOp: 1000, Width: 5},
+		{Instance: "grid2d_10", Mode: "engine-nocache", Iterations: 10, NsPerOp: 1000, Width: 5},
 	}}
 	if err := CheckBenchJSON(write("badwidth.json", badWidth)); err == nil {
 		t.Fatal("evaluator width mismatch accepted")

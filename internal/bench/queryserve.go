@@ -1,10 +1,9 @@
 // The query-serving benchmark: the compiled join-tree engine's
 // decompose-once-serve-many contract, measured. Each instance's constraint
 // hypergraph becomes a binary-domain CSP (one sparse constraint per
-// hyperedge), decomposed once with the greedy solver; then the modes compare
-// answering parameterized queries from a compiled engine.Plan against the
-// per-query reference path that re-runs the full Yannakakis pass, and record
-// served-latency percentiles at 1k/10k/100k-query scale.
+// hyperedge), decomposed once with the greedy solver; then the modes measure
+// compiling it into an engine.Plan, answering parameterized queries from the
+// plan, and served-latency percentiles at 1k/10k/100k-query scale.
 package bench
 
 import (
@@ -94,22 +93,6 @@ func (s *queryBenchSetup) queryPin(i int) []engine.Pin {
 	return []engine.Pin{{Var: i % s.c.NumVars, Val: csp.Value(i % 2)}}
 }
 
-// refSolve answers one pinned query the pre-engine way: restrict the pinned
-// variable's domain on a shallow CSP copy and run the full SolveFromTD pass
-// (bag materialization + Yannakakis) from scratch.
-func (s *queryBenchSetup) refSolve(pins []engine.Pin) []csp.Value {
-	r := &csp.CSP{
-		NumVars:     s.c.NumVars,
-		Domains:     append([][]csp.Value(nil), s.c.Domains...),
-		Constraints: s.c.Constraints,
-		VarNames:    s.c.VarNames,
-	}
-	for _, p := range pins {
-		r.Domains[p.Var] = []csp.Value{p.Val}
-	}
-	return csp.SolveFromTD(r, s.td)
-}
-
 // runQueryBench appends the query-serving modes for all QueryBenchInstances
 // to the report.
 func runQueryBench(report *BenchReport, logf func(format string, args ...interface{})) error {
@@ -132,16 +115,6 @@ func runQueryBench(report *BenchReport, logf func(format string, args ...interfa
 			}
 		})
 		addQueryEntry(report, logf, name, "query-compile", rc, width, 0)
-
-		// query-ref: one pinned query via per-query SolveFromTD — the
-		// baseline the compiled plan must beat by >= 10x.
-		rr := testing.Benchmark(func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				s.refSolve(s.queryPin(i))
-			}
-		})
-		addQueryEntry(report, logf, name, "query-ref", rr, width, 0)
 
 		// query-serial: one pinned query on the compiled plan, one cursor.
 		cu := s.plan.NewCursor()
@@ -225,15 +198,6 @@ func RunQueryDemo(instance string, logf func(format string, args ...interface{})
 	e := measureQueryLatency(s, n)
 	logf("served %d pinned solve queries from one cursor: %.0f ns/query mean, P50 %.0f ns, P95 %.0f ns, P99 %.0f ns, %.0f queries/s\n",
 		n, e.NsPerOp, e.P50NS, e.P95NS, e.P99NS, e.QPS)
-
-	t1 := time.Now()
-	const refN = 5
-	for i := 0; i < refN; i++ {
-		s.refSolve(s.queryPin(i))
-	}
-	refPer := time.Since(t1) / refN
-	logf("per-query SolveFromTD reference: %v/query -> compiled plan is %.0fx faster\n",
-		refPer.Round(time.Microsecond), float64(refPer.Nanoseconds())/e.NsPerOp)
 	return nil
 }
 

@@ -1,8 +1,8 @@
 // Package bitset implements the word-packed vertex/edge sets underlying the
 // set-cover engine: fixed-capacity bitsets with the boolean algebra the
-// cover algorithms need (And/AndNot/Or, popcount, subset test, intersection
-// counting), plus a pooled scratch allocator so the search hot paths reuse
-// word slices instead of allocating per bag.
+// cover algorithms need (And/AndNot, subset test, intersection counting),
+// plus a pooled scratch allocator so the search hot paths reuse word slices
+// instead of allocating per bag.
 //
 // A Set is a plain []uint64; the zero-length Set is a valid empty set. All
 // operations treat bits beyond the constructed capacity as absent, and
@@ -24,23 +24,8 @@ func Words(n int) int { return (n + wordBits - 1) / wordBits }
 // New returns an empty set with capacity for elements 0..n-1.
 func New(n int) Set { return make(Set, Words(n)) }
 
-// FromInts returns a new set of capacity n holding the given elements.
-func FromInts(n int, elems []int) Set {
-	s := New(n)
-	for _, v := range elems {
-		s.Add(v)
-	}
-	return s
-}
-
 // Add inserts v. The caller must keep v within the constructed capacity.
 func (s Set) Add(v int) { s[v/wordBits] |= 1 << (uint(v) % wordBits) }
-
-// Remove deletes v.
-func (s Set) Remove(v int) { s[v/wordBits] &^= 1 << (uint(v) % wordBits) }
-
-// Contains reports whether v is in the set.
-func (s Set) Contains(v int) bool { return s[v/wordBits]&(1<<(uint(v)%wordBits)) != 0 }
 
 // Clear empties the set in place.
 func (s Set) Clear() {
@@ -65,15 +50,6 @@ func (s Set) Any() bool {
 	return false
 }
 
-// Count returns the number of elements (population count).
-func (s Set) Count() int {
-	n := 0
-	for _, w := range s {
-		n += bits.OnesCount64(w)
-	}
-	return n
-}
-
 // And intersects s with o in place.
 func (s Set) And(o Set) {
 	for i := range s {
@@ -85,13 +61,6 @@ func (s Set) And(o Set) {
 func (s Set) AndNot(o Set) {
 	for i := range s {
 		s[i] &^= o[i]
-	}
-}
-
-// Or adds every element of o to s in place.
-func (s Set) Or(o Set) {
-	for i := range s {
-		s[i] |= o[i]
 	}
 }
 
@@ -115,37 +84,14 @@ func (s Set) SubsetOf(o Set) bool {
 	return true
 }
 
-// Intersects reports whether s and o share an element.
-func (s Set) Intersects(o Set) bool {
-	for i, w := range s {
-		if w&o[i] != 0 {
-			return true
-		}
-	}
-	return false
-}
-
-// Equal reports whether s and o hold exactly the same elements.
-func (s Set) Equal(o Set) bool {
-	if len(s) != len(o) {
-		return false
-	}
-	for i, w := range s {
-		if w != o[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // NextSetBit returns the smallest element >= from, or -1 when no such
 // element exists. It is the allocation-free iteration primitive of the cover
 // engine's hot paths:
 //
 //	for v := s.NextSetBit(0); v >= 0; v = s.NextSetBit(v + 1) { ... }
 //
-// Unlike ForEach it needs no closure, so loop bodies that write to captured
-// locals stay off the heap.
+// It needs no closure, so loop bodies that write to captured locals stay off
+// the heap.
 func (s Set) NextSetBit(from int) int {
 	if from < 0 {
 		from = 0
@@ -163,17 +109,6 @@ func (s Set) NextSetBit(from int) int {
 		}
 	}
 	return -1
-}
-
-// ForEach calls fn for every element in ascending order.
-func (s Set) ForEach(fn func(v int)) {
-	for i, w := range s {
-		base := i * wordBits
-		for w != 0 {
-			fn(base + bits.TrailingZeros64(w))
-			w &= w - 1
-		}
-	}
 }
 
 // AppendTo appends the elements in ascending order to buf and returns it.

@@ -102,6 +102,9 @@ func MinorGammaR(g *hypergraph.Graph, rng *rand.Rand) int {
 // Degeneracy computes the MMD (maximum minimum degree) lower bound: the
 // graph's degeneracy, obtained by repeatedly deleting a minimum-degree
 // vertex.
+//
+// test-only: TestDegeneracyKnown and TestBoundsSoundProperty; no solver uses
+// the MMD bound.
 func Degeneracy(g *hypergraph.Graph) int {
 	c := newContractGraph(g)
 	lb := 0

@@ -91,11 +91,10 @@ type B struct {
 	onCheck atomic.Pointer[[]CheckpointFunc]
 	lastObs atomic.Int64
 
-	// parent and label make this budget an attributed member view; both are
-	// immutable after Member. nodes is the root's global work counter on a
-	// root, and the member's attributed share on a view.
+	// parent makes this budget an attributed member view; it is immutable
+	// after Member. nodes is the root's global work counter on a root, and
+	// the member's attributed share on a view.
 	parent *B
-	label  string
 
 	nodes   atomic.Int64
 	stopped atomic.Bool
@@ -130,19 +129,19 @@ func New(ctx context.Context, l Limits) *B {
 	return b
 }
 
-// Member returns an attributed view of b labeled label (typically the
-// member's algorithm name). The view enforces the same limits and shares the
+// Member returns an attributed view of b, one per portfolio member. The
+// view enforces the same limits and shares the
 // same stop latch, clock and checkpoint observers as b, but Nodes() on the
 // view returns only the work ticked *through the view*. Ticks through a view
 // still count against the root's global budget, so the per-member counts of
 // all views plus any direct root ticks sum exactly to the root's Nodes().
 // Member of a member attaches to the same root (views do not nest); Member
 // of a nil budget is nil (unlimited, unattributed).
-func (b *B) Member(label string) *B {
+func (b *B) Member() *B {
 	if b == nil {
 		return nil
 	}
-	return &B{parent: b.root(), label: label}
+	return &B{parent: b.root()}
 }
 
 // root resolves the budget whose limits and counters govern this one:
@@ -152,24 +151,6 @@ func (b *B) root() *B {
 		return b.parent
 	}
 	return b
-}
-
-// Label returns the attribution label given to Member, or "" for a root or
-// nil budget.
-func (b *B) Label() string {
-	if b == nil {
-		return ""
-	}
-	return b.label
-}
-
-// Context returns the budget's context, or context.Background for a nil or
-// context-less budget.
-func (b *B) Context() context.Context {
-	if b == nil || b.root().ctx == nil {
-		return context.Background()
-	}
-	return b.root().ctx
 }
 
 // Tick counts one unit of work and reports whether the run may continue.

@@ -51,6 +51,9 @@ type plan struct {
 
 // Arm schedules action to run on the nth future Hit of site (n >= 1),
 // replacing any previous plan for the site. The action runs at most once.
+//
+// test-only: the fault plans of the core, search, server and tracestat
+// tests.
 func Arm(site string, n int64, action func()) {
 	if n < 1 {
 		n = 1
@@ -66,6 +69,8 @@ func Arm(site string, n int64, action func()) {
 
 // Reset disarms every site. Tests must call it (usually via defer) so a
 // leftover plan cannot fire in an unrelated test.
+//
+// test-only: the cleanup of the core, search, server and tracestat tests.
 func Reset() {
 	mu.Lock()
 	defer mu.Unlock()
@@ -74,6 +79,8 @@ func Reset() {
 }
 
 // Armed reports whether any site currently has a pending plan.
+//
+// test-only: the faultinject tests.
 func Armed() bool { return armed.Load() }
 
 // Hit marks one pass through an injection site. It is a no-op unless the

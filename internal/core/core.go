@@ -481,14 +481,6 @@ func recordPost(d *Decomposition, opts Options, ev obs.Event) {
 	}
 }
 
-// Treewidth runs a treewidth algorithm directly on a graph.
-func Treewidth(g *hypergraph.Graph, opts Options) (*Decomposition, error) {
-	if !opts.Algorithm.IsTreewidth() {
-		return nil, fmt.Errorf("core: %s is not a treewidth algorithm", opts.Algorithm)
-	}
-	return Decompose(hypergraph.FromGraph(g), opts)
-}
-
 func fromSearch(r search.Result) *Decomposition {
 	return &Decomposition{
 		Width:      r.Width,

@@ -108,10 +108,7 @@ func TestDecomposeErrors(t *testing.T) {
 		t.Fatalf("tw on uncovered vertices: %v", err)
 	}
 	g := hypergraph.Grid(3)
-	if _, err := Treewidth(g, Options{Algorithm: AlgBBGHW}); err == nil {
-		t.Fatal("Treewidth should reject ghw algorithms")
-	}
-	if d, err := Treewidth(g, Options{Algorithm: AlgAStarTW, Seed: 1}); err != nil || d.Width != 3 {
-		t.Fatalf("Treewidth(grid3) = %v, %v", d, err)
+	if d, err := Decompose(hypergraph.FromGraph(g), Options{Algorithm: AlgAStarTW, Seed: 1}); err != nil || d.Width != 3 {
+		t.Fatalf("A*-tw on grid3 = %v, %v", d, err)
 	}
 }

@@ -241,7 +241,7 @@ func decomposePortfolio(h *hypergraph.Hypergraph, opts Options) (*Decomposition,
 	var wg sync.WaitGroup
 	for i, alg := range members {
 		i, alg := i, alg
-		children[i] = b.Member(string(alg))
+		children[i] = b.Member()
 		engines[i] = eng.Member()
 		mrec := memberRecorder{algo: alg, pf: pf, next: opts.Recorder}
 		wg.Add(1)

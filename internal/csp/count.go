@@ -14,6 +14,8 @@ import (
 // into compatible bag tuples, so each is counted exactly once.
 // Variables in no bag contribute a factor |domain|. A count too large for
 // an int saturates at math.MaxInt instead of wrapping.
+//
+// test-only: the reference count of the csp and csp/engine tests.
 func CountFromTD(c *CSP, td *decomp.TreeDecomposition) int {
 	tables, err := TDTables(c, td, nil)
 	if err != nil {
@@ -69,6 +71,9 @@ func CountFromTD(c *CSP, td *decomp.TreeDecomposition) int {
 	return total
 }
 
+// compatible reports whether rowA and rowB agree on their shared columns.
+//
+// test-only: CountFromTD's join test.
 func compatible(rowA, rowB []Value, ai, bi []int) bool {
 	for k := range ai {
 		if rowA[ai[k]] != rowB[bi[k]] {

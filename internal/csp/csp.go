@@ -5,14 +5,17 @@
 // decompositions (§2.4, join-tree clustering) and from complete generalized
 // hypertree decompositions (Figure 2.9).
 //
-// Each relational step exists once. TDTables and GHDTables build the node
-// tables of a decomposition, JoinProject (π_keep(a ⋈ b), built without
-// materializing the join) takes an optional budget (nil = unbounded), and
-// ReduceBottomUp is the bottom-up semijoin pass. The reference solvers here
-// (SolveFromTD, SolveFromGHD, CountFromTD, EnumerateFromTD) and the
-// compiled query engine (internal/csp/engine) build their tables with the
-// same builders; the engine reduces them with its own sorted row groups, so
-// the hash semijoins here check it independently.
+// The compiled query engine (internal/csp/engine) is the one path that
+// answers CSPs; this package gives it the CSP model and its node tables.
+// TDTables and GHDTables build the node tables of a decomposition, and
+// JoinProject (π_keep(a ⋈ b), built without materializing the join) takes
+// an optional budget (nil = unbounded). The reference solvers here
+// (SolveFromTD, SolveFromGHD, CountFromTD, EnumerateFromTD, with the
+// ReduceBottomUp semijoin pass and the brute-force counter) are test code
+// kept in place: the engine's differential tests compare against them, and
+// each carries a "test-only" marker. They build their tables with the same
+// builders; the engine reduces them with its own sorted row groups, so the
+// hash semijoins here check it independently.
 package csp
 
 import (
@@ -133,31 +136,10 @@ func (c *CSP) Consistent(assignment []Value) bool {
 	return true
 }
 
-// BruteForce enumerates all complete assignments and returns the first
-// consistent one, or nil. Exponential; for tests and tiny instances only.
-func (c *CSP) BruteForce() []Value {
-	assignment := make([]Value, c.NumVars)
-	var rec func(i int) bool
-	rec = func(i int) bool {
-		if i == c.NumVars {
-			return c.Consistent(assignment)
-		}
-		for _, v := range c.Domains[i] {
-			assignment[i] = v
-			if rec(i + 1) {
-				return true
-			}
-		}
-		return false
-	}
-	if rec(0) {
-		return assignment
-	}
-	return nil
-}
-
 // CountSolutionsBrute counts all complete consistent assignments by
-// enumeration (ground truth for tests).
+// enumeration.
+//
+// test-only: the ground-truth count of the csp, csp/engine and server tests.
 func (c *CSP) CountSolutionsBrute() int {
 	assignment := make([]Value, c.NumVars)
 	count := 0

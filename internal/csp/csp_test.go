@@ -317,3 +317,45 @@ func TestCountSolutionsBrute(t *testing.T) {
 		t.Fatalf("count = %d, want 2", got)
 	}
 }
+
+// SolveAcyclic solves an acyclic CSP from a join tree of its constraint
+// hypergraph (thesis Figure 2.4, Algorithm Acyclic Solving); the tests
+// reproduce the figure with it. It returns a
+// complete consistent assignment or nil. Variables constrained by no
+// constraint receive their first domain value.
+//
+// jt must be a join tree of c.Hypergraph() (one node per constraint).
+func SolveAcyclic(c *CSP, jt *hypergraph.JoinTree) []Value {
+	if len(c.Constraints) == 0 {
+		// An empty join tree: one nullary identity node stands in for it.
+		return first(acyclicOnTables(c, []*Table{{Rows: [][]Value{{}}}}, []int{-1}, 0, 1))
+	}
+	tables := make([]*Table, len(c.Constraints))
+	for i := range tables {
+		tables[i] = domainTable(c, &c.Constraints[i])
+	}
+	return first(acyclicOnTables(c, tables, jt.Parent, jt.Root, 1))
+}
+
+// BruteForce enumerates all complete assignments and returns the first
+// consistent one, or nil. Exponential: the ground truth of the solver tests.
+func (c *CSP) BruteForce() []Value {
+	assignment := make([]Value, c.NumVars)
+	var rec func(i int) bool
+	rec = func(i int) bool {
+		if i == c.NumVars {
+			return c.Consistent(assignment)
+		}
+		for _, v := range c.Domains[i] {
+			assignment[i] = v
+			if rec(i + 1) {
+				return true
+			}
+		}
+		return false
+	}
+	if rec(0) {
+		return assignment
+	}
+	return nil
+}

@@ -24,9 +24,9 @@ func TestSolveAndCountZeroAllocs(t *testing.T) {
 		t.Fatalf("Solve allocates %v per query, want 0", got)
 	}
 	if got := testing.AllocsPerRun(200, func() {
-		cu.Count(pins)
+		cu.CountExact(pins)
 	}); got != 0 {
-		t.Fatalf("Count allocates %v per query, want 0", got)
+		t.Fatalf("CountExact allocates %v per query, want 0", got)
 	}
 	if got := testing.AllocsPerRun(200, func() {
 		cu.Solve(nil)

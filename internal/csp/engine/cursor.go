@@ -33,7 +33,7 @@ type Pin struct {
 // Cursor holds all mutable per-query state for one goroutine. Any number of
 // cursors can query the same Plan concurrently with zero synchronization; a
 // single cursor must not be shared. All scratch is allocated once in
-// NewCursor, so the Solve and Count paths allocate nothing per query. A
+// NewCursor, so the Solve and CountExact paths allocate nothing per query. A
 // query revisits only the nodes its pins reach: the pinned variables' top
 // nodes and their ancestors.
 type Cursor struct {
@@ -255,19 +255,12 @@ func (cu *Cursor) solve() ([]csp.Value, bool) {
 	return cu.result, true
 }
 
-// Count returns the number of complete consistent assignments respecting
-// the pins (csp.CountFromTD semantics on the pin-restricted CSP: free
-// variables contribute a |restricted domain| factor). Counts too large for
-// an int saturate at math.MaxInt instead of wrapping; use CountExact to
-// detect saturation.
-func (cu *Cursor) Count(pins []Pin) int {
-	n, _ := cu.CountExact(pins)
-	return n
-}
-
-// CountExact is Count plus an exactness bit: exact is false when the DP
-// saturated at math.MaxInt on the way to the answer, making count a
-// saturated lower bound rather than the true (int-overflowing) value.
+// CountExact returns the number of complete consistent assignments
+// respecting the pins (csp.CountFromTD semantics on the pin-restricted CSP:
+// free variables contribute a |restricted domain| factor). Counts too large
+// for an int saturate at math.MaxInt instead of wrapping: exact is false
+// when the DP saturated on the way to the answer, making count a saturated
+// lower bound rather than the true (int-overflowing) value.
 func (cu *Cursor) CountExact(pins []Pin) (count int, exact bool) {
 	p := cu.p
 	if len(pins) == 0 {

@@ -8,7 +8,7 @@
 // stable sort per tree edge, of the child's rows on the variables it shares
 // with its parent, serves both semijoin passes and the row groups. The
 // pin-free count DP runs once at compile time and its per-row subtree
-// counts are kept. A compiled Plan serves Solve, Count, and
+// counts are kept. A compiled Plan serves Solve, CountExact, and
 // Enumerate(limit) from any number of goroutines with zero
 // synchronization: all mutable per-query state lives in a Cursor owned by
 // a single goroutine.

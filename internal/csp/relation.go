@@ -112,6 +112,8 @@ func (ix *rowIndex) probe(probe []Value, probeCols []int, fn func(ri int32) bool
 }
 
 // contains reports whether any indexed row matches probe at probeCols.
+//
+// test-only: Semijoin's probe, and TestRowIndexForcedCollisions.
 func (ix *rowIndex) contains(probe []Value, probeCols []int) bool {
 	found := false
 	ix.probe(probe, probeCols, func(int32) bool { found = true; return false })
@@ -223,6 +225,9 @@ func JoinProject(a, b *Table, keep []int, bu *budget.B) (*Table, error) {
 // empty. The returned table is always a fresh *Table that shares no slice
 // headers with a — callers may append to or filter the result's Rows without
 // corrupting a (the row slices themselves stay shared, as in every branch).
+//
+// test-only: the reference semijoin of the csp and csp/engine tests, and
+// ReduceBottomUp's step.
 func Semijoin(a, b *Table) *Table {
 	ai, bi := sharedColumns(a, b)
 	if len(ai) == 0 {
@@ -243,6 +248,8 @@ func Semijoin(a, b *Table) *Table {
 
 // selectConsistent returns the rows of t agreeing with the partial
 // assignment (assigned[v] true means variable v is pinned to assignment[v]).
+//
+// test-only: acyclicOnTables's row filter.
 func selectConsistent(t *Table, assignment []Value, assigned []bool) [][]Value {
 	var out [][]Value
 	for _, r := range t.Rows {

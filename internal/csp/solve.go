@@ -1,32 +1,13 @@
 package csp
 
-import (
-	"hypertree/internal/decomp"
-	"hypertree/internal/hypergraph"
-)
-
-// SolveAcyclic solves an acyclic CSP from a join tree of its constraint
-// hypergraph (thesis Figure 2.4, Algorithm Acyclic Solving). It returns a
-// complete consistent assignment or nil. Variables constrained by no
-// constraint receive their first domain value.
-//
-// jt must be a join tree of c.Hypergraph() (one node per constraint).
-func SolveAcyclic(c *CSP, jt *hypergraph.JoinTree) []Value {
-	if len(c.Constraints) == 0 {
-		// An empty join tree: one nullary identity node stands in for it.
-		return first(acyclicOnTables(c, []*Table{{Rows: [][]Value{{}}}}, []int{-1}, 0, 1))
-	}
-	tables := make([]*Table, len(c.Constraints))
-	for i := range tables {
-		tables[i] = domainTable(c, &c.Constraints[i])
-	}
-	return first(acyclicOnTables(c, tables, jt.Parent, jt.Root, 1))
-}
+import "hypertree/internal/decomp"
 
 // SolveFromTD solves an arbitrary CSP from a tree decomposition of its
 // constraint hypergraph using join-tree clustering (thesis §2.4): the node
 // tables of TDTables form a join tree, which is processed by Acyclic
 // Solving. The work per node is O(d^(width+1)).
+//
+// test-only: the reference answer of the csp, csp/engine and bench tests.
 func SolveFromTD(c *CSP, td *decomp.TreeDecomposition) []Value {
 	tables, err := TDTables(c, td, nil)
 	if err != nil {
@@ -40,6 +21,8 @@ func SolveFromTD(c *CSP, td *decomp.TreeDecomposition) []Value {
 // the node tables of GHDTables form a join tree, which is processed by
 // Acyclic Solving. The work per node is O(|I|^width · log|I|)-style — no
 // enumeration over domains.
+//
+// test-only: the reference answer of the csp and csp/engine tests.
 func SolveFromGHD(c *CSP, g *decomp.GHD) []Value {
 	tables, err := GHDTables(c, g, nil)
 	if err != nil {
@@ -55,6 +38,8 @@ func SolveFromGHD(c *CSP, g *decomp.GHD) []Value {
 // all); the total work is polynomial in the output size for fixed width.
 // Variables in no bag are fixed to their first domain value rather than
 // expanded, keeping the output focused on the constrained part.
+//
+// test-only: the reference enumeration of the csp and csp/engine tests.
 func EnumerateFromTD(c *CSP, td *decomp.TreeDecomposition, limit int) [][]Value {
 	tables, err := TDTables(c, td, nil)
 	if err != nil {
@@ -87,6 +72,9 @@ func TopDownOrder(parent []int, root int) []int {
 // child's. Afterwards every row extends into its node's whole subtree. It
 // reports false — no solutions — as soon as any table is empty; a nullary
 // table with no rows is the empty relation too.
+//
+// test-only: the reference reduction of the csp/engine tests, and the
+// first pass of acyclicOnTables.
 func ReduceBottomUp(tables []*Table, parent, order []int) bool {
 	for _, t := range tables {
 		if len(t.Rows) == 0 {
@@ -109,6 +97,9 @@ func ReduceBottomUp(tables []*Table, parent, order []int) bool {
 // complete consistent assignments, nil if there are none. The first is
 // Acyclic Solving's answer: the first consistent row at every node.
 // Variables in no table take their first domain value.
+//
+// test-only: the shared core of the reference solvers above and of
+// SolveAcyclic in the tests.
 func acyclicOnTables(c *CSP, tables []*Table, parent []int, root, limit int) [][]Value {
 	order := TopDownOrder(parent, root)
 	if !ReduceBottomUp(tables, parent, order) {
@@ -153,6 +144,9 @@ func acyclicOnTables(c *CSP, tables []*Table, parent []int, root, limit int) [][
 	return out
 }
 
+// first is the first of sols, or nil.
+//
+// test-only: the reference solvers' pick.
 func first(sols [][]Value) []Value {
 	if len(sols) == 0 {
 		return nil

@@ -22,9 +22,6 @@ type Tree struct {
 	Root   int
 }
 
-// NumNodes returns the number of tree nodes.
-func (t *Tree) NumNodes() int { return len(t.Parent) }
-
 // Children returns the children lists of every node.
 func (t *Tree) Children() [][]int {
 	ch := make([][]int, len(t.Parent))
@@ -298,20 +295,15 @@ const (
 	CoverExact
 )
 
-// FromTreeDecomposition builds a GHD on the same tree by covering every bag
-// with hyperedges of h. With CoverExact the resulting width is the best
-// achievable for this tree decomposition's bags. rng is used for greedy tie
-// breaking and may be nil. It returns an error if some bag is uncoverable
-// (possible only if h does not cover all its vertices).
-func FromTreeDecomposition(h *hypergraph.Hypergraph, td *TreeDecomposition, mode CoverMode, rng *rand.Rand) (*GHD, error) {
-	return FromTreeDecompositionWithEngine(setcover.NewEngine(h, 0), td, mode, rng)
-}
-
-// FromTreeDecompositionWithEngine is FromTreeDecomposition on a caller-
-// provided cover engine for h, so the searches can reuse the engine (and
-// its warmed-up memo cache) they already evaluated bags with. The engine
-// restricts each bag's candidates to its incident hyperedges; the old code
-// handed every hyperedge of h to the cover solver for every bag.
+// FromTreeDecompositionWithEngine builds a GHD on the same tree by covering
+// every bag with hyperedges, using eng, a cover engine for the hypergraph,
+// so the searches can reuse the engine (and its warmed-up memo cache) they
+// already evaluated bags with; the engine restricts each bag's candidates
+// to its incident hyperedges. With CoverExact the resulting width is the
+// best achievable for this tree decomposition's bags. rng is used for
+// greedy tie breaking and may be nil. It returns an error if some bag is
+// uncoverable (possible only if the hypergraph does not cover all its
+// vertices).
 func FromTreeDecompositionWithEngine(eng *setcover.Engine, td *TreeDecomposition, mode CoverMode, rng *rand.Rand) (*GHD, error) {
 	g := &GHD{
 		TreeDecomposition: TreeDecomposition{

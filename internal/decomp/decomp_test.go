@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"hypertree/internal/hypergraph"
+	"hypertree/internal/setcover"
 )
 
 // example5 returns the thesis Example 5 hypergraph: vertices x1..x6
@@ -209,7 +210,7 @@ func TestFromTreeDecomposition(t *testing.T) {
 	h := example5()
 	td := example5TD()
 	for _, mode := range []CoverMode{CoverGreedy, CoverExact} {
-		g, err := FromTreeDecomposition(h, td, mode, rand.New(rand.NewSource(1)))
+		g, err := FromTreeDecompositionWithEngine(setcover.NewEngine(h, 0), td, mode, rand.New(rand.NewSource(1)))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -230,7 +231,7 @@ func TestFromTreeDecompositionUncoverable(t *testing.T) {
 		Tree: Tree{Parent: []int{-1}, Root: 0},
 		Bags: [][]int{{0, 1, 2}},
 	}
-	if _, err := FromTreeDecomposition(h, td, CoverExact, nil); err == nil {
+	if _, err := FromTreeDecompositionWithEngine(setcover.NewEngine(h, 0), td, CoverExact, nil); err == nil {
 		t.Fatal("expected uncoverable error")
 	}
 }

@@ -1,6 +1,8 @@
 package decomp
 
 import (
+	"fmt"
+	"sort"
 	"testing"
 
 	"hypertree/internal/hypergraph"
@@ -163,4 +165,128 @@ func TestIsLeafNormalFormRejects(t *testing.T) {
 	if err := IsLeafNormalForm(h, bad, []int{1, 3, 2}); err == nil {
 		t.Fatal("expected rejection: inner label too large")
 	}
+}
+
+// IsLeafNormalForm checks the two conditions of thesis Definition 18 for
+// td with the given hyperedge-to-leaf mapping: the checker the leaf normal
+// form tests (thesis Figs. 3.1–3.6) hold TransformLeafNormalForm to.
+func IsLeafNormalForm(h *hypergraph.Hypergraph, td *TreeDecomposition, leafOf []int) error {
+	n := len(td.Bags)
+	children := td.Children()
+	degree := make([]int, n)
+	for i, p := range td.Parent {
+		if p >= 0 {
+			degree[i]++
+			degree[p]++
+		}
+	}
+	// Condition 1: one-to-one mapping onto the leaves, bags equal edges.
+	if len(leafOf) != h.M() {
+		return fmt.Errorf("decomp: mapping covers %d of %d edges", len(leafOf), h.M())
+	}
+	seen := make(map[int]struct{})
+	for e, l := range leafOf {
+		if l < 0 || l >= n {
+			return fmt.Errorf("decomp: edge %d maps to invalid node %d", e, l)
+		}
+		if _, dup := seen[l]; dup {
+			return fmt.Errorf("decomp: node %d is the image of two edges", l)
+		}
+		seen[l] = struct{}{}
+		if n > 1 && degree[l] != 1 {
+			return fmt.Errorf("decomp: node %d (edge %d) is not a leaf", l, e)
+		}
+		if !equalInts(td.Bags[l], h.Edge(e)) {
+			return fmt.Errorf("decomp: leaf %d bag %v != edge %v", l, td.Bags[l], h.Edge(e))
+		}
+	}
+	for i := 0; i < n; i++ {
+		if n > 1 && degree[i] <= 1 {
+			if _, ok := seen[i]; !ok {
+				return fmt.Errorf("decomp: unmapped leaf %d", i)
+			}
+		}
+	}
+	// Condition 2: inner labels are exactly the Steiner paths.
+	// Recompute the expected labels and compare.
+	expect := make([]map[int]struct{}, n)
+	for i := range expect {
+		expect[i] = make(map[int]struct{})
+	}
+	post := make([]int, 0, n)
+	var stack []int
+	visited := make([]bool, n)
+	stack = append(stack, td.Root)
+	for len(stack) > 0 {
+		v := stack[len(stack)-1]
+		if !visited[v] {
+			visited[v] = true
+			stack = append(stack, children[v]...)
+			continue
+		}
+		stack = stack[:len(stack)-1]
+		post = append(post, v)
+	}
+	cnt := make([]int, n)
+	for v := 0; v < h.N(); v++ {
+		total := 0
+		for i := range cnt {
+			cnt[i] = 0
+		}
+		for _, e := range h.IncidentEdges(v) {
+			cnt[leafOf[e]]++
+			total++
+		}
+		if total == 0 {
+			continue
+		}
+		for _, p := range post {
+			for _, c := range children[p] {
+				cnt[p] += cnt[c]
+			}
+		}
+		for _, p := range post {
+			if _, isL := seen[p]; isL {
+				continue // mapped leaves are never internal nodes
+			}
+			branches := 0
+			for _, c := range children[p] {
+				if cnt[c] > 0 {
+					branches++
+				}
+			}
+			if total-cnt[p] > 0 {
+				branches++
+			}
+			if branches >= 2 {
+				expect[p][v] = struct{}{}
+			}
+		}
+	}
+	for p := 0; p < n; p++ {
+		if _, isL := seen[p]; isL {
+			continue
+		}
+		want := make([]int, 0, len(expect[p]))
+		for v := range expect[p] {
+			want = append(want, v)
+		}
+		sort.Ints(want)
+		if !equalInts(td.Bags[p], want) {
+			return fmt.Errorf("decomp: inner node %d label %v, expected %v", p, td.Bags[p], want)
+		}
+	}
+	return nil
+}
+
+func equalInts(a, b []int) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			return false
+		}
+	}
+	return true
 }

@@ -4,9 +4,6 @@ import (
 	"bufio"
 	"fmt"
 	"io"
-	"sort"
-	"strconv"
-	"strings"
 )
 
 // WriteTd writes a tree decomposition in the PACE .td output format:
@@ -30,113 +27,4 @@ func (td *TreeDecomposition) WriteTd(w io.Writer, numVertices int) error {
 		}
 	}
 	return bw.Flush()
-}
-
-// ParseTd reads a tree decomposition in the PACE .td format. The returned
-// decomposition is rooted at the first bag.
-func ParseTd(r io.Reader) (*TreeDecomposition, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
-	var bags [][]int
-	type edge struct{ a, b int }
-	var edges []edge
-	nBags := -1
-	line := 0
-	for sc.Scan() {
-		line++
-		fields := strings.Fields(sc.Text())
-		if len(fields) == 0 || fields[0] == "c" {
-			continue
-		}
-		switch fields[0] {
-		case "s":
-			if nBags >= 0 {
-				return nil, fmt.Errorf("td line %d: duplicate solution line", line)
-			}
-			if len(fields) < 5 || fields[1] != "td" {
-				return nil, fmt.Errorf("td line %d: malformed solution line", line)
-			}
-			n, err := strconv.Atoi(fields[2])
-			if err != nil || n < 0 {
-				return nil, fmt.Errorf("td line %d: bad bag count", line)
-			}
-			nBags = n
-			bags = make([][]int, n)
-			for i := range bags {
-				bags[i] = []int{}
-			}
-		case "b":
-			if nBags < 0 {
-				return nil, fmt.Errorf("td line %d: bag before solution line", line)
-			}
-			if len(fields) < 2 {
-				return nil, fmt.Errorf("td line %d: malformed bag", line)
-			}
-			id, err := strconv.Atoi(fields[1])
-			if err != nil || id < 1 || id > nBags {
-				return nil, fmt.Errorf("td line %d: bad bag id", line)
-			}
-			for _, f := range fields[2:] {
-				v, err := strconv.Atoi(f)
-				if err != nil || v < 1 {
-					return nil, fmt.Errorf("td line %d: bad vertex %q", line, f)
-				}
-				bags[id-1] = append(bags[id-1], v-1)
-			}
-		default:
-			if nBags < 0 {
-				return nil, fmt.Errorf("td line %d: edge before solution line", line)
-			}
-			if len(fields) != 2 {
-				return nil, fmt.Errorf("td line %d: malformed tree edge", line)
-			}
-			a, err1 := strconv.Atoi(fields[0])
-			b, err2 := strconv.Atoi(fields[1])
-			if err1 != nil || err2 != nil || a < 1 || a > nBags || b < 1 || b > nBags {
-				return nil, fmt.Errorf("td line %d: bad tree edge", line)
-			}
-			edges = append(edges, edge{a - 1, b - 1})
-		}
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	if nBags < 0 {
-		return nil, fmt.Errorf("td: missing solution line")
-	}
-	if len(edges) != nBags-1 && nBags > 0 {
-		return nil, fmt.Errorf("td: %d tree edges for %d bags", len(edges), nBags)
-	}
-	for i := range bags {
-		sort.Ints(bags[i])
-	}
-	// Root at bag 0 and orient edges by BFS.
-	adj := make([][]int, nBags)
-	for _, e := range edges {
-		adj[e.a] = append(adj[e.a], e.b)
-		adj[e.b] = append(adj[e.b], e.a)
-	}
-	parent := make([]int, nBags)
-	for i := range parent {
-		parent[i] = -2
-	}
-	if nBags > 0 {
-		parent[0] = -1
-		queue := []int{0}
-		for qi := 0; qi < len(queue); qi++ {
-			u := queue[qi]
-			for _, v := range adj[u] {
-				if parent[v] == -2 {
-					parent[v] = u
-					queue = append(queue, v)
-				}
-			}
-		}
-		for i, p := range parent {
-			if p == -2 {
-				return nil, fmt.Errorf("td: bag %d disconnected from bag 1", i+1)
-			}
-		}
-	}
-	return &TreeDecomposition{Tree: Tree{Parent: parent, Root: 0}, Bags: bags}, nil
 }

@@ -2,56 +2,26 @@ package decomp
 
 import (
 	"bytes"
-	"strings"
 	"testing"
 )
 
-func TestWriteTdParseTdRoundTrip(t *testing.T) {
-	h := example5()
-	td := example5TD()
+// TestWriteTdGolden pins WriteTd's PACE .td text for the thesis's Example 5
+// decomposition: the solution line, one 1-based bag line per node, and one
+// parent-child line per tree edge.
+func TestWriteTdGolden(t *testing.T) {
 	var buf bytes.Buffer
-	if err := td.WriteTd(&buf, h.N()); err != nil {
+	if err := example5TD().WriteTd(&buf, example5().N()); err != nil {
 		t.Fatal(err)
 	}
-	out := buf.String()
-	if !strings.HasPrefix(out, "s td 4 3 6\n") {
-		t.Fatalf("solution line wrong:\n%s", out)
-	}
-	td2, err := ParseTd(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := td2.Validate(h); err != nil {
-		t.Fatalf("round-tripped TD invalid: %v", err)
-	}
-	if td2.Width() != td.Width() || len(td2.Bags) != len(td.Bags) {
-		t.Fatalf("round trip changed shape: width %d vs %d", td2.Width(), td.Width())
-	}
-}
-
-func TestParseTdErrors(t *testing.T) {
-	for name, src := range map[string]string{
-		"no solution":  "b 1 1 2\n",
-		"bad bag id":   "s td 1 2 3\nb 9 1\n",
-		"bad vertex":   "s td 1 2 3\nb 1 x\n",
-		"edge early":   "1 2\ns td 2 2 3\n",
-		"bad edge":     "s td 2 2 3\nb 1 1\nb 2 2\n1 9\n",
-		"edge count":   "s td 3 2 3\nb 1 1\nb 2 2\nb 3 3\n1 2\n",
-		"disconnected": "s td 3 2 3\nb 1 1\nb 2 2\nb 3 3\n2 3\n2 3\n",
-		"dup solution": "s td 1 2 3\ns td 1 2 3\nb 1 1\n",
-	} {
-		if _, err := ParseTd(strings.NewReader(src)); err == nil {
-			t.Errorf("%s: expected error", name)
-		}
-	}
-}
-
-func TestParseTdSingleBag(t *testing.T) {
-	td, err := ParseTd(strings.NewReader("s td 1 3 3\nb 1 1 2 3\n"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(td.Bags) != 1 || td.Width() != 2 {
-		t.Fatalf("td = %+v", td)
+	const want = "s td 4 3 6\n" +
+		"b 1 1 3 5\n" +
+		"b 2 1 2 3\n" +
+		"b 3 3 4 5\n" +
+		"b 4 1 5 6\n" +
+		"1 2\n" +
+		"1 3\n" +
+		"1 4\n"
+	if got := buf.String(); got != want {
+		t.Fatalf("WriteTd =\n%s\nwant\n%s", got, want)
 	}
 }

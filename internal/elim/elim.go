@@ -1,8 +1,8 @@
-// Package elim implements elimination orderings and the two equivalent
-// constructions that turn an ordering into a tree decomposition — bucket
-// elimination (thesis Figure 2.10) and vertex elimination (Figure 2.12) —
-// plus the fast width evaluators used by the genetic algorithms (Figures 6.2
-// and 7.1) and the greedy ordering heuristics (min-fill, min-degree).
+// Package elim implements elimination orderings and vertex elimination
+// (thesis Figure 2.12), which turns an ordering into a tree decomposition
+// (the tests check it against the equivalent bucket elimination of Figure
+// 2.10), plus the fast width evaluators used by the genetic algorithms
+// (Figures 6.2 and 7.1) and the min-fill ordering heuristic.
 //
 // Ordering convention: everywhere in this library an ordering lists vertices
 // in the order they are eliminated (position 0 first). The thesis writes
@@ -221,90 +221,18 @@ func TDFromOrdering(h *hypergraph.Hypergraph, order []int) *decomp.TreeDecomposi
 	}
 }
 
-// BucketElimination builds the same tree decomposition as TDFromOrdering
-// using the thesis's bucket formulation (Figure 2.10): each hyperedge is
-// placed in the bucket of its first-eliminated vertex; processing buckets in
-// elimination order, the bucket's content minus the processed vertex is
-// forwarded to the bucket of its first-eliminated member. Exported for
-// cross-checking; TDFromOrdering is the faster equivalent.
-func BucketElimination(h *hypergraph.Hypergraph, order []int) *decomp.TreeDecomposition {
-	if err := Validate(order, h.N()); err != nil {
-		panic(err)
-	}
-	n := h.N()
-	if n == 0 {
-		panic("elim: empty hypergraph")
-	}
-	pos := make([]int, n)
-	for i, v := range order {
-		pos[v] = i
-	}
-	buckets := make([]map[int]struct{}, n) // indexed by position
-	for i := range buckets {
-		buckets[i] = map[int]struct{}{order[i]: {}}
-	}
-	for _, edge := range h.Edges() {
-		// First-eliminated vertex of the edge owns it.
-		min := pos[edge[0]]
-		for _, v := range edge[1:] {
-			if pos[v] < min {
-				min = pos[v]
-			}
-		}
-		for _, v := range edge {
-			buckets[min][v] = struct{}{}
-		}
-	}
-	parent := make([]int, n)
-	for i := 0; i < n; i++ {
-		v := order[i]
-		// A = bucket minus v; forward to the first-eliminated member of A.
-		next := -1
-		for u := range buckets[i] {
-			if u == v {
-				continue
-			}
-			if next < 0 || pos[u] < next {
-				next = pos[u]
-			}
-		}
-		if next >= 0 {
-			for u := range buckets[i] {
-				if u != v {
-					buckets[next][u] = struct{}{}
-				}
-			}
-			parent[i] = next
-		} else if i+1 < n {
-			parent[i] = i + 1
-		} else {
-			parent[i] = -1
-		}
-	}
-	bags := make([][]int, n)
-	for i := range bags {
-		bag := make([]int, 0, len(buckets[i]))
-		for v := range buckets[i] {
-			bag = append(bag, v)
-		}
-		sort.Ints(bag)
-		bags[i] = bag
-	}
-	return &decomp.TreeDecomposition{
-		Tree: decomp.Tree{Parent: parent, Root: n - 1},
-		Bags: bags,
-	}
-}
-
 // GHDFromOrdering builds a generalized hypertree decomposition from an
 // ordering: the vertex-elimination tree decomposition with every bag covered
 // by hyperedges (thesis §2.5.2). exact selects exact covers (the optimal
 // decomposition for this ordering, per Theorem 3) versus greedy covers.
+//
+// test-only: the reference GHD of the elim, csp, csp/engine and core tests;
+// core's exit (exitGHD) must keep the λ-sets it picks with exact covers.
 func GHDFromOrdering(h *hypergraph.Hypergraph, order []int, exact bool, rng *rand.Rand) (*decomp.GHD, error) {
 	td := TDFromOrdering(h, order)
 	mode := decomp.CoverGreedy
 	if exact {
 		mode = decomp.CoverExact
 	}
-	return decomp.FromTreeDecomposition(h, td, mode, rng)
+	return decomp.FromTreeDecompositionWithEngine(setcover.NewEngine(h, 0), td, mode, rng)
 }

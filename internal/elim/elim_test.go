@@ -2,6 +2,7 @@ package elim
 
 import (
 	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -127,7 +128,9 @@ func TestMinFillOrderingOnChordal(t *testing.T) {
 
 func TestMinDegreeOrderingValid(t *testing.T) {
 	g := hypergraph.Queen(4)
-	order := MinDegreeOrdering(g, rand.New(rand.NewSource(1)))
+	order := greedyOrdering(elimgraph.New(g), rand.New(rand.NewSource(1)), nil, func(e *elimgraph.ElimGraph, v int) int {
+		return e.Degree(v)
+	})
 	if err := Validate(order, g.N()); err != nil {
 		t.Fatal(err)
 	}
@@ -328,4 +331,79 @@ func minInt(a, b int) int {
 		return a
 	}
 	return b
+}
+
+// BucketElimination builds the same tree decomposition as TDFromOrdering
+// using the thesis's bucket formulation (Figure 2.10): each hyperedge is
+// placed in the bucket of its first-eliminated vertex; processing buckets in
+// elimination order, the bucket's content minus the processed vertex is
+// forwarded to the bucket of its first-eliminated member. The tests check
+// TDFromOrdering, the faster equivalent, against it.
+func BucketElimination(h *hypergraph.Hypergraph, order []int) *decomp.TreeDecomposition {
+	if err := Validate(order, h.N()); err != nil {
+		panic(err)
+	}
+	n := h.N()
+	if n == 0 {
+		panic("elim: empty hypergraph")
+	}
+	pos := make([]int, n)
+	for i, v := range order {
+		pos[v] = i
+	}
+	buckets := make([]map[int]struct{}, n) // indexed by position
+	for i := range buckets {
+		buckets[i] = map[int]struct{}{order[i]: {}}
+	}
+	for _, edge := range h.Edges() {
+		// First-eliminated vertex of the edge owns it.
+		min := pos[edge[0]]
+		for _, v := range edge[1:] {
+			if pos[v] < min {
+				min = pos[v]
+			}
+		}
+		for _, v := range edge {
+			buckets[min][v] = struct{}{}
+		}
+	}
+	parent := make([]int, n)
+	for i := 0; i < n; i++ {
+		v := order[i]
+		// A = bucket minus v; forward to the first-eliminated member of A.
+		next := -1
+		for u := range buckets[i] {
+			if u == v {
+				continue
+			}
+			if next < 0 || pos[u] < next {
+				next = pos[u]
+			}
+		}
+		if next >= 0 {
+			for u := range buckets[i] {
+				if u != v {
+					buckets[next][u] = struct{}{}
+				}
+			}
+			parent[i] = next
+		} else if i+1 < n {
+			parent[i] = i + 1
+		} else {
+			parent[i] = -1
+		}
+	}
+	bags := make([][]int, n)
+	for i := range bags {
+		bag := make([]int, 0, len(buckets[i]))
+		for v := range buckets[i] {
+			bag = append(bag, v)
+		}
+		sort.Ints(bag)
+		bags[i] = bag
+	}
+	return &decomp.TreeDecomposition{
+		Tree: decomp.Tree{Parent: parent, Root: n - 1},
+		Bags: bags,
+	}
 }

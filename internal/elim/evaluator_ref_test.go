@@ -13,8 +13,8 @@ import (
 
 // refGHWWidth is the pre-engine evaluator kept as ground truth: it walks
 // the elimination cliques like GHWEvaluator.Width and covers every bag with
-// the original map-based greedy (or, in exact mode, the public exact
-// solver) over the bag's incident hyperedges, sorted ascending so that the
+// the original map-based greedy (or, in exact mode, a brute-force minimum
+// cover) over the bag's incident hyperedges, sorted ascending so that the
 // nil-rng tie-breaking is the engine's canonical one.
 func refGHWWidth(h *hypergraph.Hypergraph, order []int, exact bool) int {
 	e := elimgraph.FromHypergraph(h)
@@ -55,7 +55,7 @@ func refCoverSize(h *hypergraph.Hypergraph, bag []int, exact bool) int {
 		sets[i] = h.Edge(ei)
 	}
 	if exact {
-		return setcover.ExactSize(bag, sets)
+		return bruteCoverSize(bag, sets)
 	}
 	// Map-based greedy, duplicated from the original coverSize path.
 	uncovered := make(map[int]struct{}, len(bag))
@@ -90,6 +90,53 @@ func refCoverSize(h *hypergraph.Hypergraph, bag []int, exact bool) int {
 		}
 	}
 	return size
+}
+
+// bruteCoverSize is the minimum number of sets covering bag, or -1 when
+// bag is uncoverable: iterative deepening over every choice of a set
+// containing the lowest uncovered element (some such set is in every
+// cover), on the sets restricted to the bag. Test bags have at most 64
+// vertices.
+func bruteCoverSize(bag []int, sets [][]int) int {
+	pos := make(map[int]uint, len(bag))
+	for _, v := range bag {
+		if _, dup := pos[v]; !dup {
+			pos[v] = uint(len(pos))
+		}
+	}
+	full := uint64(1)<<len(pos) - 1
+	var masks []uint64
+	for _, s := range sets {
+		var m uint64
+		for _, v := range s {
+			if p, ok := pos[v]; ok {
+				m |= 1 << p
+			}
+		}
+		masks = append(masks, m)
+	}
+	var within func(covered uint64, k int) bool
+	within = func(covered uint64, k int) bool {
+		if covered == full {
+			return true
+		}
+		if k == 0 {
+			return false
+		}
+		low := (full &^ covered) & -(full &^ covered)
+		for _, m := range masks {
+			if m&low != 0 && within(covered|m, k-1) {
+				return true
+			}
+		}
+		return false
+	}
+	for k := 0; k <= len(pos); k++ {
+		if within(0, k) {
+			return k
+		}
+	}
+	return -1
 }
 
 func randomTestHypergraph(rng *rand.Rand, n, m, maxEdge int) *hypergraph.Hypergraph {
@@ -141,6 +188,16 @@ func TestGHWEvaluatorMatchesReference(t *testing.T) {
 		}
 		if st := greedy.CoverCacheStats(); st.Hits == 0 {
 			t.Fatal("re-evaluation produced no cache hits")
+		}
+	}
+	// The evaluator benchmark's width cross-check: on the instances its
+	// BENCH_ghw.json rows time (bench.DefaultBenchInstances, built here since
+	// bench imports this package), the engine's width of the benchmark's
+	// first ordering must be the reference evaluator's.
+	for _, h := range []*hypergraph.Hypergraph{hypergraph.Grid2D(10), hypergraph.Grid2D(20), hypergraph.Adder(25), hypergraph.Bridge(15)} {
+		order := rand.New(rand.NewSource(42)).Perm(h.N())
+		if got, want := NewGHWEvaluator(h, false, nil).Width(order), refGHWWidth(h, order, false); got != want {
+			t.Fatalf("%v: engine width %d != reference width %d on the benchmark's first ordering", h, got, want)
 		}
 	}
 }

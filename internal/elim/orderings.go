@@ -26,14 +26,6 @@ func MinFillOrderingBudget(g *hypergraph.Graph, rng *rand.Rand, b *budget.B) []i
 	})
 }
 
-// MinDegreeOrdering returns an elimination ordering built by repeatedly
-// eliminating a vertex of minimum live degree.
-func MinDegreeOrdering(g *hypergraph.Graph, rng *rand.Rand) []int {
-	return greedyOrdering(elimgraph.New(g), rng, nil, func(e *elimgraph.ElimGraph, v int) int {
-		return e.Degree(v)
-	})
-}
-
 // greedyOrdering eliminates all vertices, always choosing a minimizer of
 // score among live vertices, with reservoir tie-breaking when rng != nil.
 // A stopped budget short-circuits the remaining greedy choices to index
@@ -73,14 +65,12 @@ func greedyOrdering(e *elimgraph.ElimGraph, rng *rand.Rand, b *budget.B, score f
 	return order
 }
 
-// RandomOrdering returns a uniformly random permutation of 0..n-1.
-func RandomOrdering(n int, rng *rand.Rand) []int {
-	return rng.Perm(n)
-}
-
 // ExhaustiveTreewidth computes the exact treewidth of g's hypergraph by
 // evaluating every elimination ordering. Only feasible for tiny graphs
-// (n ≤ ~9); used as ground truth in tests and property checks.
+// (n ≤ ~9).
+//
+// test-only: the exact treewidth oracle of the elim, bounds, ga, reduce and
+// search tests.
 func ExhaustiveTreewidth(g *hypergraph.Graph) int {
 	e := elimgraph.New(g)
 	best := g.N() // upper bound: width ≤ n-1 always
@@ -116,7 +106,9 @@ func ExhaustiveTreewidth(g *hypergraph.Graph) int {
 // ExhaustiveGHW computes the exact generalized hypertree width of h by
 // branch-and-bound over elimination orderings with exact set covers. By
 // thesis Theorem 3 the optimum over orderings equals ghw(h). Only feasible
-// for tiny hypergraphs; used as ground truth in tests.
+// for tiny hypergraphs.
+//
+// test-only: the exact ghw oracle of the elim, bounds, htd and search tests.
 func ExhaustiveGHW(h *hypergraph.Hypergraph) int {
 	if !h.CoversAllVertices() {
 		return -1

@@ -76,22 +76,6 @@ func (e *ElimGraph) Eliminated(v int) bool { return e.eliminated[v] }
 // Depth returns the number of eliminations currently applied.
 func (e *ElimGraph) Depth() int { return len(e.undo) }
 
-// Stack returns the eliminated vertices in elimination order. The slice is
-// freshly allocated.
-func (e *ElimGraph) Stack() []int {
-	out := make([]int, len(e.undo))
-	for i, s := range e.undo {
-		out[i] = s.v
-	}
-	return out
-}
-
-// HasEdge reports whether {u,v} is an edge of the current (filled) graph.
-// Both endpoints must be live for a true result.
-func (e *ElimGraph) HasEdge(u, v int) bool {
-	return e.matrix[u*e.n+v]
-}
-
 // Degree returns the live degree of v. Undefined for eliminated vertices.
 func (e *ElimGraph) Degree(v int) int { return e.deg[v] }
 
@@ -280,6 +264,8 @@ func (e *ElimGraph) SetPrefix(prefix []int) {
 
 // Snapshot returns an independent simple graph equal to the current live
 // filled graph. Vertex ids are preserved; eliminated vertices are isolated.
+//
+// test-only: TestSnapshotProperty; no search copies the filled graph out.
 func (e *ElimGraph) Snapshot() *hypergraph.Graph {
 	g := hypergraph.NewGraph(e.n)
 	for v := 0; v < e.n; v++ {

@@ -290,3 +290,20 @@ func TestSnapshotProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// Stack returns the eliminated vertices in elimination order, the tests'
+// view of the undo stack. The slice is freshly allocated.
+func (e *ElimGraph) Stack() []int {
+	out := make([]int, len(e.undo))
+	for i, s := range e.undo {
+		out[i] = s.v
+	}
+	return out
+}
+
+// HasEdge reports whether {u,v} is an edge of the current (filled) graph,
+// the tests' view of the adjacency matrix. Both endpoints must be live for
+// a true result.
+func (e *ElimGraph) HasEdge(u, v int) bool {
+	return e.matrix[u*e.n+v]
+}

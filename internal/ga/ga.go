@@ -44,12 +44,6 @@ type GHWEvaluator struct {
 	ev *elim.GHWEvaluator
 }
 
-// NewGHWEvaluator builds a greedy-cover ghw evaluator for h (thesis §7.1.2)
-// with its own cover engine.
-func NewGHWEvaluator(h *hypergraph.Hypergraph, rng *rand.Rand) *GHWEvaluator {
-	return &GHWEvaluator{ev: elim.NewGHWEvaluator(h, false, rng)}
-}
-
 // NewGHWEvaluatorWithEngine builds a greedy-cover ghw evaluator on a shared
 // cover engine, so parallel workers and SAIGA islands pool one bag-cover
 // memo cache.
@@ -59,9 +53,6 @@ func NewGHWEvaluatorWithEngine(eng *setcover.Engine, rng *rand.Rand) *GHWEvaluat
 
 // Evaluate implements Evaluator.
 func (g *GHWEvaluator) Evaluate(order []int) int { return g.ev.Width(order) }
-
-// Engine returns the evaluator's cover engine.
-func (g *GHWEvaluator) Engine() *setcover.Engine { return g.ev.Engine() }
 
 // Config holds the control parameters of algorithm GA-tw / GA-ghw
 // (thesis Figure 6.1): population size n, crossover rate p_c, mutation rate

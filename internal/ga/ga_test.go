@@ -138,10 +138,16 @@ func TestSAIGAGHWRuns(t *testing.T) {
 	}
 }
 
+// saigaTreewidth runs SAIGA under the treewidth cost function: the island
+// machinery is evaluator-agnostic, and a treewidth run checks it on graphs.
+func saigaTreewidth(g *hypergraph.Graph, cfg SAIGAConfig) SAIGAResult {
+	return SAIGA(g.N(), func(int, int) Evaluator { return NewTreewidthEvaluator(g) }, cfg)
+}
+
 func TestSAIGATreewidth(t *testing.T) {
 	g := hypergraph.Grid(3)
 	cfg := SAIGAConfig{Islands: 2, IslandPop: 20, TournamentSize: 2, Epochs: 4, EpochLength: 5, Seed: 2}
-	r := SAIGATreewidth(g, cfg)
+	r := saigaTreewidth(g, cfg)
 	if r.BestWidth != 3 {
 		t.Fatalf("SAIGA treewidth on grid3 = %d, want 3", r.BestWidth)
 	}

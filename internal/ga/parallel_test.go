@@ -113,11 +113,11 @@ func TestSAIGAWorkersMatchSerial(t *testing.T) {
 	base.Epochs = 3
 	base.EpochLength = 4
 	base.Seed = 11
-	serial := SAIGATreewidth(g, base)
+	serial := saigaTreewidth(g, base)
 	for _, workers := range []int{2, 4} {
 		cfg := base
 		cfg.Workers = workers
-		par := SAIGATreewidth(g, cfg)
+		par := saigaTreewidth(g, cfg)
 		if par.BestWidth != serial.BestWidth {
 			t.Fatalf("workers=%d: width %d, want %d", workers, par.BestWidth, serial.BestWidth)
 		}

@@ -53,7 +53,6 @@ type SAIGAConfig struct {
 	// every other solver on the same engine (a portfolio race). SAIGAGHW does
 	// not attach cfg.Recorder to an injected engine — its recorder fields are
 	// unsynchronized, so the sharing caller attaches one before fan-out.
-	// Ignored by SAIGATreewidth.
 	Engine *setcover.Engine
 }
 
@@ -215,16 +214,6 @@ func SAIGAGHW(h *hypergraph.Hypergraph, cfg SAIGAConfig) SAIGAResult {
 		cfg.Recorder.Record(ev)
 	}
 	return res
-}
-
-// SAIGATreewidth runs the self-adaptive island GA under the treewidth cost
-// function — an extension beyond the thesis, which only pairs SAIGA with
-// ghw; the island machinery is evaluator-agnostic.
-func SAIGATreewidth(g *hypergraph.Graph, cfg SAIGAConfig) SAIGAResult {
-	if cfg.Label == "" {
-		cfg.Label = "saiga-tw"
-	}
-	return SAIGA(g.N(), func(int, int) Evaluator { return NewTreewidthEvaluator(g) }, cfg)
 }
 
 // SAIGA runs the self-adaptive island GA over orderings of n vertices.

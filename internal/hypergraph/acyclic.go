@@ -1,7 +1,5 @@
 package hypergraph
 
-import "sort"
-
 // JoinTree is a join tree of a hypergraph: one node per hyperedge, with tree
 // edges between nodes, satisfying the connectedness condition (for every
 // vertex, the hyperedges containing it induce a subtree).
@@ -10,17 +8,6 @@ type JoinTree struct {
 	Parent []int
 	// Root is the hyperedge index at the root.
 	Root int
-}
-
-// Children returns, for each node, the list of its children.
-func (t *JoinTree) Children() [][]int {
-	ch := make([][]int, len(t.Parent))
-	for i, p := range t.Parent {
-		if p >= 0 {
-			ch[p] = append(ch[p], i)
-		}
-	}
-	return ch
 }
 
 // IsAcyclic reports whether the hypergraph is α-acyclic, using the
@@ -137,75 +124,4 @@ func subsetOf(a, b map[int]struct{}) bool {
 		}
 	}
 	return true
-}
-
-// VerifyJoinTree checks that t is a valid join tree for h: it is a tree over
-// all hyperedges and satisfies the connectedness condition.
-func VerifyJoinTree(h *Hypergraph, t *JoinTree) bool {
-	m := h.M()
-	if m == 0 {
-		return t.Root == -1 && len(t.Parent) == 0
-	}
-	if len(t.Parent) != m || t.Root < 0 || t.Root >= m || t.Parent[t.Root] != -1 {
-		return false
-	}
-	// Every non-root node has a parent and the structure is acyclic and
-	// connected (i.e., walking parents from any node reaches the root).
-	for i := 0; i < m; i++ {
-		seen := make(map[int]struct{})
-		v := i
-		for v != t.Root {
-			if _, loop := seen[v]; loop {
-				return false
-			}
-			seen[v] = struct{}{}
-			p := t.Parent[v]
-			if p < 0 || p >= m {
-				return false
-			}
-			v = p
-		}
-	}
-	// Connectedness: for each vertex, edges containing it induce a subtree.
-	// Equivalent check: for each vertex v, the set S of nodes containing v is
-	// connected in the tree. We test it by counting nodes of S whose parent is
-	// also in S: a subtree has exactly |S|-1 such nodes.
-	for v := 0; v < h.N(); v++ {
-		inS := make(map[int]struct{})
-		for _, e := range h.IncidentEdges(v) {
-			inS[e] = struct{}{}
-		}
-		if len(inS) == 0 {
-			continue
-		}
-		withParentIn := 0
-		for e := range inS {
-			if p := t.Parent[e]; p >= 0 {
-				if _, ok := inS[p]; ok {
-					withParentIn++
-				}
-			}
-		}
-		if withParentIn != len(inS)-1 {
-			return false
-		}
-	}
-	return true
-}
-
-// SortedVertices returns the union of all hyperedge vertex sets in ascending
-// order.
-func SortedVertices(sets ...[]int) []int {
-	seen := make(map[int]struct{})
-	for _, s := range sets {
-		for _, v := range s {
-			seen[v] = struct{}{}
-		}
-	}
-	out := make([]int, 0, len(seen))
-	for v := range seen {
-		out = append(out, v)
-	}
-	sort.Ints(out)
-	return out
 }

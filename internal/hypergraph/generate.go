@@ -225,17 +225,8 @@ func RandomGeometricGraphM(n, m int, seed int64) *Graph {
 			hi = mid
 		}
 	}
-	g := NewGraph(n)
-	r2 := hi * hi
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			dx, dy := xs[i]-xs[j], ys[i]-ys[j]
-			if dx*dx+dy*dy <= r2 {
-				g.AddEdge(i, j)
-			}
-		}
-	}
-	return g
+	// The same seed draws the same points.
+	return RandomGeometricGraph(n, hi, seed)
 }
 
 // CliqueHypergraph returns the hypergraph whose hyperedges are all 2-element
@@ -260,11 +251,8 @@ func Grid3D(n int) *Hypergraph {
 	return gridKD([]int{n, n, n})
 }
 
-// Grid4D and Grid5D extend the same construction to 4 and 5 dimensions.
+// Grid4D extends the same construction to 4 dimensions.
 func Grid4D(n int) *Hypergraph { return gridKD([]int{n, n, n, n}) }
-
-// Grid5D returns the 5-dimensional checkerboard grid hypergraph.
-func Grid5D(n int) *Hypergraph { return gridKD([]int{n, n, n, n, n}) }
 
 // gridKD builds the checkerboard grid hypergraph over an arbitrary box.
 func gridKD(dims []int) *Hypergraph {
@@ -323,6 +311,8 @@ func gridKD(dims []int) *Hypergraph {
 }
 
 // binomial returns C(n, k), saturating at a large value to avoid overflow.
+//
+// test-only: called by RandomHypergraph only.
 func binomial(n, k int) int {
 	if k < 0 || k > n {
 		return 0
@@ -515,6 +505,9 @@ func RandomCircuit(n, m int, seed int64) *Hypergraph {
 
 // RandomHypergraph returns a seeded hypergraph with n vertices and m edges of
 // arity between minArity and maxArity, each edge a uniform random subset.
+//
+// test-only: the random-instance generator of the hypergraph, bounds, core,
+// elim, htd and search tests.
 func RandomHypergraph(n, m, minArity, maxArity int, seed int64) *Hypergraph {
 	if minArity < 1 || maxArity < minArity || maxArity > n {
 		panic("hypergraph: bad arity bounds")

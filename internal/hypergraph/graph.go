@@ -59,6 +59,8 @@ func (g *Graph) AddEdge(u, v int) bool {
 
 // RemoveEdge deletes the undirected edge {u, v} if present and reports
 // whether an edge was removed.
+//
+// test-only: TestRemoveEdge; no binary removes a graph edge.
 func (g *Graph) RemoveEdge(u, v int) bool {
 	g.check(u)
 	g.check(v)
@@ -72,6 +74,8 @@ func (g *Graph) RemoveEdge(u, v int) bool {
 }
 
 // HasEdge reports whether {u, v} is an edge.
+//
+// test-only: the adjacency check of the hypergraph and elimgraph tests.
 func (g *Graph) HasEdge(u, v int) bool {
 	g.check(u)
 	g.check(v)
@@ -80,6 +84,8 @@ func (g *Graph) HasEdge(u, v int) bool {
 }
 
 // Degree returns the number of neighbors of v.
+//
+// test-only: the degree check of the hypergraph and elimgraph tests.
 func (g *Graph) Degree(v int) int {
 	g.check(v)
 	return len(g.adj[v])
@@ -95,14 +101,6 @@ func (g *Graph) Neighbors(v int) []int {
 	}
 	sort.Ints(out)
 	return out
-}
-
-// EachNeighbor calls fn for every neighbor of v in unspecified order.
-func (g *Graph) EachNeighbor(v int, fn func(u int)) {
-	g.check(v)
-	for u := range g.adj[v] {
-		fn(u)
-	}
 }
 
 // Edges returns all edges as ordered pairs (u < v), sorted lexicographically.
@@ -125,6 +123,8 @@ func (g *Graph) Edges() [][2]int {
 }
 
 // Clone returns a deep copy of the graph.
+//
+// test-only: TestCloneIndependent; no binary clones a graph.
 func (g *Graph) Clone() *Graph {
 	c := NewGraph(g.n)
 	for u := 0; u < g.n; u++ {
@@ -149,24 +149,14 @@ func (g *Graph) SetName(v int, name string) {
 }
 
 // Name returns the display name of v, or its decimal index if unnamed.
+//
+// test-only: TestNames; the binaries read names only through FromGraph.
 func (g *Graph) Name(v int) string {
 	g.check(v)
 	if g.names != nil && g.names[v] != "" {
 		return g.names[v]
 	}
 	return fmt.Sprintf("%d", v)
-}
-
-// IsClique reports whether every pair of the given vertices is adjacent.
-func (g *Graph) IsClique(vs []int) bool {
-	for i := 0; i < len(vs); i++ {
-		for j := i + 1; j < len(vs); j++ {
-			if !g.HasEdge(vs[i], vs[j]) {
-				return false
-			}
-		}
-	}
-	return true
 }
 
 // Complete turns the given vertex set into a clique, adding any missing
@@ -181,59 +171,6 @@ func (g *Graph) Complete(vs []int) int {
 		}
 	}
 	return added
-}
-
-// Connected reports whether the graph is connected. The empty graph and the
-// one-vertex graph are connected.
-func (g *Graph) Connected() bool {
-	if g.n <= 1 {
-		return true
-	}
-	seen := make([]bool, g.n)
-	stack := []int{0}
-	seen[0] = true
-	count := 1
-	for len(stack) > 0 {
-		v := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for u := range g.adj[v] {
-			if !seen[u] {
-				seen[u] = true
-				count++
-				stack = append(stack, u)
-			}
-		}
-	}
-	return count == g.n
-}
-
-// Components returns the connected components as sorted vertex slices,
-// ordered by smallest contained vertex.
-func (g *Graph) Components() [][]int {
-	seen := make([]bool, g.n)
-	var comps [][]int
-	for s := 0; s < g.n; s++ {
-		if seen[s] {
-			continue
-		}
-		var comp []int
-		stack := []int{s}
-		seen[s] = true
-		for len(stack) > 0 {
-			v := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			comp = append(comp, v)
-			for u := range g.adj[v] {
-				if !seen[u] {
-					seen[u] = true
-					stack = append(stack, u)
-				}
-			}
-		}
-		sort.Ints(comp)
-		comps = append(comps, comp)
-	}
-	return comps
 }
 
 func (g *Graph) check(v int) {

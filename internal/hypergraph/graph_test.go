@@ -121,28 +121,6 @@ func TestCliqueAndComplete(t *testing.T) {
 	}
 }
 
-func TestConnectedAndComponents(t *testing.T) {
-	g := NewGraph(6)
-	g.AddEdge(0, 1)
-	g.AddEdge(1, 2)
-	g.AddEdge(3, 4)
-	if g.Connected() {
-		t.Fatal("disconnected graph reported connected")
-	}
-	comps := g.Components()
-	if len(comps) != 3 {
-		t.Fatalf("components = %v, want 3 of them", comps)
-	}
-	if len(comps[0]) != 3 || len(comps[1]) != 2 || len(comps[2]) != 1 {
-		t.Fatalf("components sizes wrong: %v", comps)
-	}
-	g.AddEdge(2, 3)
-	g.AddEdge(4, 5)
-	if !g.Connected() {
-		t.Fatal("connected graph reported disconnected")
-	}
-}
-
 func TestNames(t *testing.T) {
 	g := NewGraph(2)
 	if g.Name(1) != "1" {
@@ -202,4 +180,17 @@ func TestEdgesCanonicalProperty(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// IsClique reports whether every pair of the given vertices is adjacent:
+// the clique check of the Complete and generator tests.
+func (g *Graph) IsClique(vs []int) bool {
+	for i := 0; i < len(vs); i++ {
+		for j := i + 1; j < len(vs); j++ {
+			if !g.HasEdge(vs[i], vs[j]) {
+				return false
+			}
+		}
+	}
+	return true
 }

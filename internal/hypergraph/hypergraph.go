@@ -112,9 +112,6 @@ func (h *Hypergraph) IncidentEdges(v int) []int {
 	return h.incident[v]
 }
 
-// VertexDegree returns the number of hyperedges containing v.
-func (h *Hypergraph) VertexDegree(v int) int { return len(h.IncidentEdges(v)) }
-
 // MaxArity returns the size of the largest hyperedge (0 for no edges).
 func (h *Hypergraph) MaxArity() int {
 	max := 0
@@ -145,6 +142,8 @@ func (h *Hypergraph) PrimalGraph() *Graph {
 
 // DualGraph returns the dual graph: one vertex per hyperedge, with an edge
 // between two hyperedges iff they share at least one vertex.
+//
+// test-only: TestDualGraphExample5; no binary builds the dual graph.
 func (h *Hypergraph) DualGraph() *Graph {
 	g := NewGraph(len(h.edges))
 	for v := 0; v < h.n; v++ {
@@ -159,6 +158,8 @@ func (h *Hypergraph) DualGraph() *Graph {
 }
 
 // Clone returns a deep copy of the hypergraph.
+//
+// test-only: TestCloneHypergraphIndependent; no binary clones a hypergraph.
 func (h *Hypergraph) Clone() *Hypergraph {
 	c := NewHypergraph(h.n)
 	c.edges = make([][]int, len(h.edges))

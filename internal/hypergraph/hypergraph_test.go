@@ -26,11 +26,11 @@ func TestHypergraphBasics(t *testing.T) {
 	if !h.EdgeContains(0, 1) || h.EdgeContains(0, 3) {
 		t.Fatal("EdgeContains wrong")
 	}
-	if got := h.VertexDegree(0); got != 2 {
-		t.Fatalf("VertexDegree(0) = %d, want 2", got)
+	if got := len(h.IncidentEdges(0)); got != 2 {
+		t.Fatalf("IncidentEdges(0) = %d edges, want 2", got)
 	}
-	if got := h.VertexDegree(3); got != 1 {
-		t.Fatalf("VertexDegree(3) = %d, want 1", got)
+	if got := len(h.IncidentEdges(3)); got != 1 {
+		t.Fatalf("IncidentEdges(3) = %d edges, want 1", got)
 	}
 	if !h.CoversAllVertices() {
 		t.Fatal("all vertices are covered")

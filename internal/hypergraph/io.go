@@ -289,6 +289,8 @@ func WriteEdgeList(w io.Writer, h *Hypergraph) error {
 
 // FormatEdge renders an edge's vertex set like "{x1, x2, x3}" using vertex
 // names, primarily for diagnostics and example output.
+//
+// test-only: TestFormatEdge; no binary formats an edge this way.
 func FormatEdge(h *Hypergraph, e int) string {
 	vs := h.Edge(e)
 	parts := make([]string, len(vs))

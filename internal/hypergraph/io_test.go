@@ -83,7 +83,7 @@ c3(x3,x4,x5).
 			x3 = v
 		}
 	}
-	if x3 < 0 || h.VertexDegree(x3) != 2 {
+	if x3 < 0 || len(h.IncidentEdges(x3)) != 2 {
 		t.Fatalf("x3 incident edges wrong")
 	}
 }

@@ -125,6 +125,8 @@ func (l *Ledger) Share(m *Member) float64 {
 }
 
 // Find returns the member row for algo, or nil.
+//
+// test-only: the member lookup of the attr, analyze, core and server tests.
 func (l *Ledger) Find(algo string) *Member {
 	if l == nil {
 		return nil
@@ -141,6 +143,9 @@ func (l *Ledger) Find(algo string) *Member {
 // exactly to TotalNodes, the named winner (if any) has a member row with
 // role winner, and every member's claims are width-decreasing in claim
 // order. It returns nil when the ledger balances.
+//
+// test-only: the ledger-conservation check of the attr, core and server
+// tests.
 func (l *Ledger) Conserved() error {
 	if l == nil {
 		return fmt.Errorf("attr: nil ledger")

@@ -132,18 +132,6 @@ func (h *Histogram) Observe(d time.Duration) {
 	sh.sumNS.Add(int64(d))
 }
 
-// Count returns the total number of observations.
-func (h *Histogram) Count() int64 {
-	if h == nil {
-		return 0
-	}
-	var n int64
-	for i := range h.shards {
-		n += h.shards[i].count.Load()
-	}
-	return n
-}
-
 // Snapshot folds the shards into one immutable bucket vector. Safe to call
 // while observers are live; a nil histogram snapshots empty.
 func (h *Histogram) Snapshot() *Snapshot {
@@ -213,15 +201,6 @@ func (s *Snapshot) Quantile(q float64) time.Duration {
 		cum += c
 	}
 	return s.Bounds[len(s.Bounds)-1]
-}
-
-// Mean returns the arithmetic mean, or 0 for an empty snapshot. Unlike
-// quantiles it is exact: Sum tracks true durations, not bucket midpoints.
-func (s *Snapshot) Mean() time.Duration {
-	if s == nil || s.Count == 0 {
-		return 0
-	}
-	return s.Sum / time.Duration(s.Count)
 }
 
 // Merge adds o's buckets into s. Both snapshots must share the same bucket

@@ -47,23 +47,6 @@ func (c *EventCounters) Record(e Event) {
 	}
 }
 
-// Count returns the total for one kind (0 for kinds outside the taxonomy).
-func (c *EventCounters) Count(k Kind) int64 {
-	if i, ok := kindIndex[k]; ok {
-		return c.counts[i].Load()
-	}
-	return 0
-}
-
-// Total returns the number of events recorded across all kinds.
-func (c *EventCounters) Total() int64 {
-	var t int64
-	for i := range c.counts {
-		t += c.counts[i].Load()
-	}
-	return t + c.unknown.Load()
-}
-
 // CacheHitRatio returns hits/(hits+misses) from the latest cover-cache
 // snapshot, or -1 when no snapshot has been seen.
 func (c *EventCounters) CacheHitRatio() float64 {

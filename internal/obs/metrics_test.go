@@ -21,14 +21,19 @@ func TestEventCountersConcurrent(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if got := c.Count(KindCheckpoint); got != 8000 {
+	counts := c.Counts()
+	if got := counts[string(KindCheckpoint)]; got != 8000 {
 		t.Fatalf("checkpoint count = %d, want 8000", got)
 	}
-	if got := c.Count(KindImprove); got != 8000 {
+	if got := counts[string(KindImprove)]; got != 8000 {
 		t.Fatalf("improve count = %d, want 8000", got)
 	}
-	if got := c.Total(); got != 16000 {
-		t.Fatalf("total = %d, want 16000", got)
+	var total int64
+	for _, n := range counts {
+		total += n
+	}
+	if total != 16000 {
+		t.Fatalf("total = %d, want 16000", total)
 	}
 }
 

@@ -185,6 +185,8 @@ func (s *RunStats) Snapshot() *RunStats {
 // CheckTimeline verifies the anytime-width contract: the timeline is
 // non-empty, non-increasing in width and non-decreasing in time. It returns
 // nil when the contract holds.
+//
+// test-only: the anytime-contract check of the obs and core tests.
 func (s *RunStats) CheckTimeline() error {
 	snap := s.Snapshot()
 	if len(snap.Timeline) == 0 {

@@ -8,23 +8,13 @@ import (
 	"hypertree/internal/elimgraph"
 )
 
-// FindSimplicial returns a live simplicial vertex of e, or -1.
-func FindSimplicial(e *elimgraph.ElimGraph) int {
-	for v := 0; v < e.N(); v++ {
-		if !e.Eliminated(v) && e.IsSimplicial(v) {
-			return v
-		}
-	}
-	return -1
-}
-
 // FindReduction returns a vertex that may be eliminated next without loss of
 // optimality in a treewidth search: a simplicial vertex, or a strongly
 // almost simplicial vertex (almost simplicial with degree not exceeding the
 // given treewidth lower bound, thesis Definition 24). Returns -1 if none
 // exists. Set allowAlmost to false to restrict to simplicial vertices only
 // (used by the ghw searches, where the almost-simplicial rule is not known
-// to be safe).
+// to be safe); the result is then the first live simplicial vertex.
 func FindReduction(e *elimgraph.ElimGraph, lb int, allowAlmost bool) int {
 	almost := -1
 	for v := 0; v < e.N(); v++ {
@@ -48,6 +38,9 @@ func FindReduction(e *elimgraph.ElimGraph, lb int, allowAlmost bool) int {
 // least the maximum elimination degree seen, and some optimal ordering does
 // start with it (thesis §4.4.3). The eliminations are left applied; call
 // e.Reset() to undo.
+//
+// test-only: TestPreprocessChordalEliminatesEverything; the searches apply
+// FindReduction node by node instead.
 func Preprocess(e *elimgraph.ElimGraph, lb int, allowAlmost bool) (prefix []int, widthFloor int) {
 	for {
 		v := FindReduction(e, lb, allowAlmost)

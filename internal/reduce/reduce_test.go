@@ -17,17 +17,17 @@ func TestFindSimplicial(t *testing.T) {
 	p.AddEdge(1, 2)
 	p.AddEdge(2, 3)
 	e := elimgraph.New(p)
-	v := FindSimplicial(e)
+	v := FindReduction(e, 0, false)
 	if v != 0 && v != 3 {
-		t.Fatalf("FindSimplicial = %d, want an endpoint", v)
+		t.Fatalf("FindReduction (simplicial only) = %d, want an endpoint", v)
 	}
 	// C5 has no simplicial vertex.
 	c5 := hypergraph.NewGraph(5)
 	for i := 0; i < 5; i++ {
 		c5.AddEdge(i, (i+1)%5)
 	}
-	if got := FindSimplicial(elimgraph.New(c5)); got != -1 {
-		t.Fatalf("C5 FindSimplicial = %d, want -1", got)
+	if got := FindReduction(elimgraph.New(c5), 0, false); got != -1 {
+		t.Fatalf("C5 FindReduction (simplicial only) = %d, want -1", got)
 	}
 }
 
@@ -76,7 +76,7 @@ func TestSimplicialReductionSafeProperty(t *testing.T) {
 		n := 4 + rng.Intn(4)
 		g := hypergraph.RandomGraph(n, rng.Intn(n*(n-1)/2+1), seed)
 		e := elimgraph.New(g)
-		v := FindSimplicial(e)
+		v := FindReduction(e, 0, false)
 		if v < 0 {
 			return true
 		}

@@ -29,13 +29,6 @@ func BBGHW(h *hypergraph.Hypergraph, opts Options) Result {
 	return bbGHW(h, opts, "bb-ghw", true)
 }
 
-// BBGHWGreedy is BB-ghw with greedy instead of exact set covers: faster,
-// still an upper-bound-producing anytime algorithm, but its "exact" result
-// is only exact with respect to greedy covers.
-func BBGHWGreedy(h *hypergraph.Hypergraph, opts Options) Result {
-	return bbGHW(h, opts, "bb-ghw-greedy", false)
-}
-
 // bbGHW runs the ghw branch and bound, serial or parallel, on one cover
 // engine (Options.Engine, or a fresh one for h) shared by every worker.
 func bbGHW(h *hypergraph.Hypergraph, opts Options, label string, exactCovers bool) Result {

@@ -244,7 +244,7 @@ func TestBBGHWGreedyUpperBoundProperty(t *testing.T) {
 			}
 		}
 		want := elim.ExhaustiveGHW(h)
-		r := BBGHWGreedy(h, Options{Seed: seed})
+		r := bbGHW(h, Options{Seed: seed}, "bb-ghw-greedy", false)
 		return r.Width >= want
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {

@@ -49,8 +49,8 @@ func FuzzQueryCSP(f *testing.F) {
 		if err != nil {
 			t.Fatalf("compile: %v", err)
 		}
-		if got, want := plan.NewCursor().Count(nil), c.CountSolutionsBrute(); got != want {
-			t.Fatalf("the plan counts %d solutions, brute force %d", got, want)
+		if got, _ := plan.NewCursor().CountExact(nil); got != c.CountSolutionsBrute() {
+			t.Fatalf("the plan counts %d solutions, brute force %d", got, c.CountSolutionsBrute())
 		}
 	})
 }

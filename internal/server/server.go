@@ -983,6 +983,9 @@ func (s *Server) count(o Outcome) {
 }
 
 // OutcomeCount returns how many responses carried outcome o.
+//
+// test-only: the outcome tallies of the server tests; /metrics renders
+// the same counters.
 func (s *Server) OutcomeCount(o Outcome) int64 {
 	if i := outcomeIndex(o); i >= 0 {
 		return s.outcomeCount[i].Load()
@@ -991,9 +994,13 @@ func (s *Server) OutcomeCount(o Outcome) int64 {
 }
 
 // Draining reports whether the server has stopped admitting requests.
+//
+// test-only: the drain checks of the server tests.
 func (s *Server) Draining() bool { return s.draining.Load() }
 
 // InFlight returns the number of requests currently holding a worker slot.
+//
+// test-only: the slot checks of the server tests.
 func (s *Server) InFlight() int64 { return s.inflight.Load() }
 
 // DrainReport says how a drain went.

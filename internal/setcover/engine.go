@@ -125,10 +125,6 @@ func (e *Engine) addMiss() {
 // Hypergraph returns the hypergraph the engine covers bags of.
 func (e *Engine) Hypergraph() *hypergraph.Hypergraph { return e.h }
 
-// EdgeBits returns edge ei's vertex set as a bitset. The set is shared and
-// must not be mutated.
-func (e *Engine) EdgeBits(ei int) bitset.Set { return e.edgeBits[ei] }
-
 // CacheStats reports the memo cache's hit/miss counters and current size.
 // A hit is a query answered entirely from the cache; partially useful
 // entries (e.g. a lower bound below the requested cap) count as misses.

@@ -53,8 +53,8 @@ func randomBag(rng *rand.Rand, n int) []int {
 	return bag
 }
 
-// incidentSets replicates what the evaluators used to do: gather the edges
-// incident to the bag as plain slices for the public slice API.
+// incidentSets gathers the edges incident to the bag as plain slices, the
+// input of the slice-based references (greedyRef, exactBBRef).
 func incidentSets(h *hypergraph.Hypergraph, bag []int) (idx []int, sets [][]int) {
 	seen := make([]bool, h.M())
 	for _, v := range bag {
@@ -72,7 +72,8 @@ func incidentSets(h *hypergraph.Hypergraph, bag []int) (idx []int, sets [][]int)
 	return idx, sets
 }
 
-// The engine's cached sizes must match the uncached slice API on random bags.
+// The engine's cached sizes must match the uncached slice-based references
+// on random bags.
 func TestEngineMatchesSliceAPI(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 40; trial++ {
@@ -83,18 +84,16 @@ func TestEngineMatchesSliceAPI(t *testing.T) {
 		for q := 0; q < 30; q++ {
 			bag := randomBag(rng, n)
 			_, sets := incidentSets(h, bag)
-			wantG := GreedySize(bag, sets, nil)
+			wantG := -1
+			if c := greedyRef(bag, sets, nil); c != nil {
+				wantG = len(c)
+			}
 			if gotG := eng.GreedySize(sc, bag, nil); gotG != wantG {
 				t.Fatalf("GreedySize(%v) = %d, want %d", bag, gotG, wantG)
 			}
-			wantE := ExactSize(bag, sets)
+			wantE := refExactSize(bag, sets, 0)
 			cap := 1 + rng.Intn(4)
-			var wantC int
-			if len(bag) == 0 {
-				wantC = 0
-			} else {
-				wantC = ExactSizeCapped(bag, sets, cap)
-			}
+			wantC := refExactSize(bag, sets, cap)
 			if gotC := eng.ExactSizeCapped(sc, bag, cap, nil); gotC != wantC {
 				t.Fatalf("ExactSizeCapped(%v, %d) = %d, want %d", bag, cap, gotC, wantC)
 			}
@@ -141,12 +140,12 @@ func TestEngineCoverValidity(t *testing.T) {
 	}
 }
 
-// The engine's λ-sets must be the slice API's, edge for edge: GreedyCover
-// replays Greedy's tie-breaking on the same rng stream, and ExactCover picks
-// the same minimum cover as Exact, with or without a live budget.
-// Decomposition builders depend on this: a completed exact pass must keep
-// the λ-sets the slice path picked. CoverWithin finds a cover within any k
-// at or above the minimum, and none below it.
+// The engine's λ-sets against the slice-based references: GreedyCover is
+// the reference greedy's cover edge for edge, replaying its tie-breaking on
+// the same rng stream; ExactCover is a minimum cover, with or without a live
+// budget (compared by size, coverability and validity: the two branch and
+// bounds break ties differently). CoverWithin finds a cover within any k at
+// or above the minimum, and none below it.
 func TestEngineCoversMatchSliceAPI(t *testing.T) {
 	rng := rand.New(rand.NewSource(14))
 	live := budget.New(context.Background(), budget.Limits{})
@@ -159,16 +158,17 @@ func TestEngineCoversMatchSliceAPI(t *testing.T) {
 			bag := randomBag(rng, n)
 			idx, sets := incidentSets(h, bag)
 			seed := rng.Int63()
-			want := Greedy(bag, sets, rand.New(rand.NewSource(seed)))
+			want := greedyRef(bag, sets, rand.New(rand.NewSource(seed)))
 			got := eng.GreedyCover(sc, bag, rand.New(rand.NewSource(seed)))
 			if !equalIntSlices(got, mapIdx(idx, want)) {
 				t.Fatalf("GreedyCover(%v) = %v, want %v", bag, got, mapIdx(idx, want))
 			}
-			want = mapIdx(idx, Exact(bag, sets))
+			want, _ = exactBBRef(bag, sets, 0)
 			for _, b := range []*budget.B{nil, live} {
 				got, cut := eng.ExactCover(sc, bag, b)
-				if cut || !equalIntSlices(got, want) {
-					t.Fatalf("ExactCover(%v, budget %v) = %v (cut %v), want %v", bag, b != nil, got, cut, want)
+				if cut || (got == nil) != (want == nil) || len(got) != len(want) ||
+					(got != nil && (!Covers(bag, h.Edges(), got) || !sort.IntsAreSorted(got))) {
+					t.Fatalf("ExactCover(%v, budget %v) = %v (cut %v), want a sorted minimum cover like %v", bag, b != nil, got, cut, mapIdx(idx, want))
 				}
 			}
 			if want == nil {
@@ -187,7 +187,7 @@ func TestEngineCoversMatchSliceAPI(t *testing.T) {
 	}
 }
 
-// mapIdx maps slice-API set indices back to hyperedge ids (nil stays nil).
+// mapIdx maps incidentSets indices back to hyperedge ids (nil stays nil).
 func mapIdx(idx, chosen []int) []int {
 	if chosen == nil {
 		return nil

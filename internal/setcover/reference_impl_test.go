@@ -1,8 +1,8 @@
 // Reference implementations of the cover routines: the original map/slice
 // based greedy and branch-and-bound code, kept verbatim (modulo the restored
 // candidate-priming and string-key bugs documented below) as the ground
-// truth the bitset equivalence tests and benchmarks compare against. Nothing
-// outside the package tests should call these.
+// truth the Engine's equivalence tests compare against. Nothing outside the
+// package tests should call these.
 
 package setcover
 

@@ -34,19 +34,20 @@ func randomInstance(rng *rand.Rand) (universe []int, sets [][]int) {
 	return universe, sets
 }
 
-// The bitset greedy must reproduce the reference exactly — same chosen
-// indices, same rng stream consumption — for nil and seeded rngs.
+// The Engine's greedy cover must reproduce the reference exactly — same
+// chosen indices, same rng stream consumption — for nil and seeded rngs.
 func TestGreedyMatchesReference(t *testing.T) {
 	meta := rand.New(rand.NewSource(21))
 	for trial := 0; trial < 300; trial++ {
 		universe, sets := randomInstance(meta)
-		got := Greedy(universe, sets, nil)
+		eng, sc := coverEngine(universe, sets)
+		got := eng.GreedyCover(sc, universe, nil)
 		want := greedyRef(universe, sets, nil)
 		if !equalIntSlices(got, want) {
 			t.Fatalf("nil-rng mismatch: got %v, want %v (u=%v sets=%v)", got, want, universe, sets)
 		}
 		seed := meta.Int63()
-		got = Greedy(universe, sets, rand.New(rand.NewSource(seed)))
+		got = eng.GreedyCover(sc, universe, rand.New(rand.NewSource(seed)))
 		want = greedyRef(universe, sets, rand.New(rand.NewSource(seed)))
 		if !equalIntSlices(got, want) {
 			t.Fatalf("seeded mismatch: got %v, want %v (u=%v sets=%v)", got, want, universe, sets)
@@ -54,17 +55,18 @@ func TestGreedyMatchesReference(t *testing.T) {
 	}
 }
 
-// The bitset branch and bound must agree with the reference on the optimum
-// size — including coverability and cap censoring. The chosen sets may
-// differ (ties), so sizes and validity are compared, not indices.
+// The Engine's branch and bound must agree with the reference on the
+// optimum size — including coverability and cap censoring. The chosen sets
+// may differ (ties), so sizes and validity are compared, not indices.
 func TestExactMatchesReference(t *testing.T) {
 	meta := rand.New(rand.NewSource(22))
 	for trial := 0; trial < 300; trial++ {
 		universe, sets := randomInstance(meta)
-		got, gotCapped := exactBB(universe, sets, 0)
+		eng, sc := coverEngine(universe, sets)
+		got, cut := eng.ExactCover(sc, universe, nil)
 		want, wantCapped := exactBBRef(universe, sets, 0)
-		if gotCapped || wantCapped {
-			t.Fatalf("uncapped run reported capped (u=%v)", universe)
+		if cut || wantCapped {
+			t.Fatalf("uncapped run reported cut or capped (u=%v)", universe)
 		}
 		if (got == nil) != (want == nil) {
 			t.Fatalf("coverability mismatch: got %v, want %v (u=%v sets=%v)", got, want, universe, sets)
@@ -74,20 +76,28 @@ func TestExactMatchesReference(t *testing.T) {
 				t.Fatalf("optimum mismatch: |got|=%d |want|=%d (u=%v sets=%v)", len(got), len(want), universe, sets)
 			}
 			if !Covers(universe, sets, got) {
-				t.Fatalf("exactBB returned a non-cover %v (u=%v sets=%v)", got, universe, sets)
+				t.Fatalf("ExactCover returned a non-cover %v (u=%v sets=%v)", got, universe, sets)
 			}
 		}
 		cap := 1 + meta.Intn(4)
-		gotC, gotCapped := exactBB(universe, sets, cap)
-		wantC, wantCapped := exactBBRef(universe, sets, cap)
-		if gotCapped != wantCapped || (gotC == nil) != (wantC == nil) {
-			t.Fatalf("cap=%d mismatch: got (%v,%v), want (%v,%v) (u=%v sets=%v)",
-				cap, gotC, gotCapped, wantC, wantCapped, universe, sets)
-		}
-		if gotC != nil && len(gotC) != len(wantC) {
-			t.Fatalf("cap=%d size mismatch: %d vs %d", cap, len(gotC), len(wantC))
+		if gotC, wantC := eng.ExactSizeCapped(sc, universe, cap, nil), refExactSize(universe, sets, cap); gotC != wantC {
+			t.Fatalf("cap=%d mismatch: got %d, want %d (u=%v sets=%v)", cap, gotC, wantC, universe, sets)
 		}
 	}
+}
+
+// refExactSize is the reference's answer in ExactSizeCapped's terms: the
+// minimum cover size, cap when a positive cap censors it, -1 when the
+// universe is uncoverable.
+func refExactSize(universe []int, sets [][]int, cap int) int {
+	chosen, capped := exactBBRef(universe, sets, cap)
+	switch {
+	case capped:
+		return cap
+	case chosen == nil:
+		return -1
+	}
+	return len(chosen)
 }
 
 func equalIntSlices(a, b []int) bool {
@@ -100,60 +110,6 @@ func equalIntSlices(a, b []int) bool {
 		}
 	}
 	return true
-}
-
-// benchInstance is a mid-size cover instance exercising dedup/domination:
-// a 60-element universe with 80 overlapping interval sets, many duplicated.
-func benchInstance() (universe []int, sets [][]int) {
-	for v := 0; v < 60; v++ {
-		universe = append(universe, v)
-	}
-	rng := rand.New(rand.NewSource(5))
-	for i := 0; i < 80; i++ {
-		start := rng.Intn(55)
-		width := 3 + rng.Intn(6)
-		var s []int
-		for v := start; v < start+width && v < 60; v++ {
-			s = append(s, v)
-		}
-		sets = append(sets, s)
-	}
-	return universe, sets
-}
-
-// The headline satellite benchmark: the old exactBB spent most of its setup
-// in fmt.Sprint dedup keys and an unrestricted greedy prime; run with
-// -benchmem to see the allocation drop.
-func BenchmarkExactBB(b *testing.B) {
-	universe, sets := benchInstance()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		exactBB(universe, sets, 0)
-	}
-}
-
-func BenchmarkExactBBReference(b *testing.B) {
-	universe, sets := benchInstance()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		exactBBRef(universe, sets, 0)
-	}
-}
-
-func BenchmarkGreedy(b *testing.B) {
-	universe, sets := benchInstance()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		Greedy(universe, sets, nil)
-	}
-}
-
-func BenchmarkGreedyReference(b *testing.B) {
-	universe, sets := benchInstance()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		greedyRef(universe, sets, nil)
-	}
 }
 
 // Engine hot path: repeated cached and uncached bag queries.

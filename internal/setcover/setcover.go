@@ -10,14 +10,15 @@
 // re-solve the same bags thousands of times across search states and GA
 // generations, the hot paths are word-packed: elements live in
 // bitset.Set values, gains are popcounts, and domination is a subset test.
-// The original map/slice implementations are kept in reference.go as the
-// ground truth for the equivalence tests. The memoizing Engine (engine.go)
-// adds the per-hypergraph bag-cover cache on top.
+// The memoizing Engine (engine.go) is the only entry point: it adds the
+// per-hypergraph bag-cover cache on top of the bitset routines here. The
+// original map/slice implementations live in the package's tests
+// (reference_impl_test.go) as the ground truth the Engine is checked
+// against.
 package setcover
 
 import (
 	"math/rand"
-	"sort"
 
 	"hypertree/internal/bitset"
 	"hypertree/internal/budget"
@@ -33,55 +34,11 @@ type candSet struct {
 	orig  int
 }
 
-// Greedy computes a cover of universe using the given sets, repeatedly
-// picking a set covering the maximum number of still-uncovered elements
-// (thesis Figure 7.2). Ties are broken by rng if non-nil, else by lowest
-// index. It returns the indices of the chosen sets, or nil if the universe
-// is not coverable.
-//
-// Duplicate elements inside a set count once toward its gain (sets are
-// treated as sets); the hyperedges this package covers with are always
-// duplicate-free.
-func Greedy(universe []int, sets [][]int, rng *rand.Rand) []int {
-	if len(universe) == 0 {
-		return []int{}
-	}
-	pos, ne := positionsOf(universe)
-	uncovered := bitset.New(ne)
-	for p := 0; p < ne; p++ {
-		uncovered.Add(p)
-	}
-	// All sets stay candidates (even useless ones) so the tie-breaking and
-	// rng stream match the reference implementation exactly.
-	words := bitset.Words(ne)
-	backing := make([]uint64, words*len(sets))
-	cands := make([]candSet, len(sets))
-	for i, s := range sets {
-		b := bitset.Set(backing[i*words : (i+1)*words])
-		for _, v := range s {
-			if p, ok := pos[v]; ok {
-				b.Add(p)
-			}
-		}
-		cands[i] = candSet{bits: b, orig: i}
-	}
-	chosen := greedyBits(uncovered, cands, rng)
-	if chosen == nil {
-		return nil
-	}
-	out := make([]int, len(chosen))
-	for i, ci := range chosen {
-		out[i] = cands[ci].orig
-	}
-	sort.Ints(out)
-	return out
-}
-
 // greedyBits runs the greedy cover over candidate bitsets, consuming
 // uncovered in place. It returns indices into cands (in pick order), or nil
 // if some element is uncoverable. The candidate iteration order and the
-// reservoir tie-breaking replicate the reference implementation, so a
-// shared rng advances identically on both paths.
+// reservoir tie-breaking replicate the reference implementation (greedyRef
+// in the tests), so a shared rng advances identically on both paths.
 func greedyBits(uncovered bitset.Set, cands []candSet, rng *rand.Rand) []int {
 	var chosen []int
 	used := make([]bool, len(cands))
@@ -114,94 +71,13 @@ func greedyBits(uncovered bitset.Set, cands []candSet, rng *rand.Rand) []int {
 	return chosen
 }
 
-// GreedySize returns len(Greedy(...)), or -1 if the universe is uncoverable.
-func GreedySize(universe []int, sets [][]int, rng *rand.Rand) int {
-	c := Greedy(universe, sets, rng)
-	if c == nil {
-		return -1
-	}
-	return len(c)
-}
-
-// Exact computes a minimum set cover by branch and bound and returns the
-// chosen set indices, or nil if the universe is uncoverable. It substitutes
-// for the IP solver used in the thesis (§2.5.2): the optimum is identical.
-//
-// The search restricts sets to the universe, removes duplicate and dominated
-// candidates, branches on an uncovered element with the fewest candidate
-// sets, bounds with current + ceil(remaining / maxGain), and is primed with
-// a greedy cover of the restricted candidates.
-func Exact(universe []int, sets [][]int) []int {
-	if len(universe) == 0 {
-		return []int{}
-	}
-	chosen, _ := exactBB(universe, sets, 0)
-	return chosen
-}
-
-// ExactSizeCapped returns the minimum cover size when it is smaller than
-// cap, or cap when the minimum is cap or larger (the caller has already
-// decided that covers of size >= cap are useless, so the search can prune
-// aggressively). It returns -1 if the universe is uncoverable. cap must be
-// positive.
-func ExactSizeCapped(universe []int, sets [][]int, cap int) int {
-	if cap <= 0 {
-		panic("setcover: cap must be positive")
-	}
-	if len(universe) == 0 {
-		return 0
-	}
-	chosen, capped := exactBB(universe, sets, cap)
-	if capped {
-		return cap
-	}
-	if chosen == nil {
-		return -1
-	}
-	return len(chosen)
-}
-
-// exactBB restricts the sets to the universe and runs the shared
-// branch-and-bound core. cap <= 0 means uncapped; (nil, true) reports that
-// the optimum is >= cap under a positive cap.
-func exactBB(universe []int, sets [][]int, cap int) (result []int, capped bool) {
-	pos, ne := positionsOf(universe)
-	words := bitset.Words(ne)
-	backing := make([]uint64, 0, words*len(sets))
-	cands := make([]candSet, 0, len(sets))
-	for i, s := range sets {
-		start := len(backing)
-		backing = backing[:start+words]
-		b := bitset.Set(backing[start : start+words])
-		for _, v := range s {
-			if p, ok := pos[v]; ok {
-				b.Add(p)
-			}
-		}
-		if !b.Any() {
-			backing = backing[:start]
-			continue
-		}
-		cands = append(cands, candSet{bits: b, elems: b.AppendTo(nil), orig: i})
-	}
-	uni := bitset.New(ne)
-	for p := 0; p < ne; p++ {
-		uni.Add(p)
-	}
-	chosen, capped, _ := exactCore(uni, ne, cands, cap, 0, nil)
-	if chosen != nil {
-		sort.Ints(chosen)
-	}
-	return chosen, capped
-}
-
 // pollEvery is how many branch-and-bound nodes pass between the budget polls
 // of a budgeted exact search. A node costs well under a microsecond, so a
 // stopped budget cuts the search within a fraction of a millisecond.
 const pollEvery = 256
 
-// exactCore is the branch-and-bound over restricted candidates shared by
-// the slice API and the Engine. universe holds the ne uncovered elements;
+// exactCore is the Engine's branch-and-bound over restricted candidates.
+// universe holds the ne uncovered elements;
 // cands must be non-empty restrictions with elems listing each candidate's
 // element positions in 0..ne-1. It dedups equal candidates by bitset key,
 // drops dominated (strict-subset) candidates, primes the bound with a
@@ -364,30 +240,6 @@ func exactCore(universe bitset.Set, ne int, cands []candSet, cap, enough int, b 
 	return best, false, false
 }
 
-// positionsOf maps the distinct universe elements, in ascending order, to
-// positions 0..ne-1.
-func positionsOf(universe []int) (pos map[int]int, ne int) {
-	sorted := append([]int(nil), universe...)
-	sort.Ints(sorted)
-	pos = make(map[int]int, len(sorted))
-	for _, v := range sorted {
-		if _, dup := pos[v]; !dup {
-			pos[v] = ne
-			ne++
-		}
-	}
-	return pos, ne
-}
-
-// ExactSize returns len(Exact(...)), or -1 if the universe is uncoverable.
-func ExactSize(universe []int, sets [][]int) int {
-	c := Exact(universe, sets)
-	if c == nil {
-		return -1
-	}
-	return len(c)
-}
-
 // KSetCoverLowerBound returns the trivial k-set-cover lower bound: covering
 // q elements with sets of size at most k needs at least ceil(q/k) sets
 // (thesis §8.1.1). It returns 0 for q <= 0 and panics for k < 1.
@@ -399,24 +251,4 @@ func KSetCoverLowerBound(q, k int) int {
 		return 0
 	}
 	return (q + k - 1) / k
-}
-
-// Covers reports whether the union of sets[i] for i in chosen contains every
-// element of universe.
-func Covers(universe []int, sets [][]int, chosen []int) bool {
-	have := make(map[int]struct{})
-	for _, i := range chosen {
-		if i < 0 || i >= len(sets) {
-			return false
-		}
-		for _, v := range sets[i] {
-			have[v] = struct{}{}
-		}
-	}
-	for _, v := range universe {
-		if _, ok := have[v]; !ok {
-			return false
-		}
-	}
-	return true
 }

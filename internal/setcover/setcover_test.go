@@ -4,12 +4,56 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"hypertree/internal/hypergraph"
 )
+
+// Covers reports whether the union of sets[i] for i in chosen contains every
+// element of universe.
+func Covers(universe []int, sets [][]int, chosen []int) bool {
+	have := make(map[int]struct{})
+	for _, i := range chosen {
+		if i < 0 || i >= len(sets) {
+			return false
+		}
+		for _, v := range sets[i] {
+			have[v] = struct{}{}
+		}
+	}
+	for _, v := range universe {
+		if _, ok := have[v]; !ok {
+			return false
+		}
+	}
+	return true
+}
+
+// coverEngine builds an Engine whose hyperedge i is sets[i] (every set must
+// be non-empty), over enough vertices to hold every element of universe
+// and sets, so the Engine's cover of universe names sets by their index.
+func coverEngine(universe []int, sets [][]int) (*Engine, *Scratch) {
+	n := 0
+	for _, v := range universe {
+		n = max(n, v+1)
+	}
+	for _, s := range sets {
+		for _, v := range s {
+			n = max(n, v+1)
+		}
+	}
+	h := hypergraph.NewHypergraph(n)
+	for _, s := range sets {
+		h.AddEdge(s...)
+	}
+	eng := NewEngine(h, -1)
+	return eng, eng.NewScratch()
+}
 
 func TestGreedyBasic(t *testing.T) {
 	universe := []int{1, 2, 3, 4, 5}
 	sets := [][]int{{1, 2, 3}, {2, 4}, {3, 4}, {4, 5}}
-	c := Greedy(universe, sets, nil)
+	eng, sc := coverEngine(universe, sets)
+	c := eng.GreedyCover(sc, universe, nil)
 	if c == nil || !Covers(universe, sets, c) {
 		t.Fatalf("greedy cover %v does not cover", c)
 	}
@@ -19,16 +63,18 @@ func TestGreedyBasic(t *testing.T) {
 }
 
 func TestGreedyUncoverable(t *testing.T) {
-	if Greedy([]int{1, 2}, [][]int{{1}}, nil) != nil {
+	eng, sc := coverEngine([]int{1, 2}, [][]int{{1}})
+	if eng.GreedyCover(sc, []int{1, 2}, nil) != nil {
 		t.Fatal("expected nil for uncoverable universe")
 	}
-	if GreedySize([]int{1, 2}, [][]int{{1}}, nil) != -1 {
+	if eng.GreedySize(sc, []int{1, 2}, nil) != -1 {
 		t.Fatal("expected -1")
 	}
 }
 
 func TestGreedyEmptyUniverse(t *testing.T) {
-	c := Greedy(nil, [][]int{{1}}, nil)
+	eng, sc := coverEngine(nil, [][]int{{1}})
+	c := eng.GreedyCover(sc, nil, nil)
 	if c == nil || len(c) != 0 {
 		t.Fatalf("empty universe should give empty cover, got %v", c)
 	}
@@ -40,8 +86,9 @@ func TestGreedyEmptyUniverse(t *testing.T) {
 func TestExactBeatsGreedy(t *testing.T) {
 	universe := []int{1, 2, 3, 4, 5, 6}
 	sets := [][]int{{1, 2, 3, 4}, {1, 2, 5}, {3, 4, 6}, {5, 6}}
-	g := Greedy(universe, sets, nil)
-	e := Exact(universe, sets)
+	eng, sc := coverEngine(universe, sets)
+	g := eng.GreedyCover(sc, universe, nil)
+	e, _ := eng.ExactCover(sc, universe, nil)
 	if !Covers(universe, sets, e) {
 		t.Fatalf("exact cover %v does not cover", e)
 	}
@@ -54,23 +101,27 @@ func TestExactBeatsGreedy(t *testing.T) {
 }
 
 func TestExactUncoverable(t *testing.T) {
-	if Exact([]int{1, 9}, [][]int{{1}, {2}}) != nil {
+	eng, sc := coverEngine([]int{1, 9}, [][]int{{1}, {2}})
+	if e, _ := eng.ExactCover(sc, []int{1, 9}, nil); e != nil {
 		t.Fatal("expected nil for uncoverable")
 	}
-	if ExactSize([]int{9}, nil) != -1 {
+	eng, sc = coverEngine([]int{9}, nil)
+	if eng.ExactSizeCapped(sc, []int{9}, 0, nil) != -1 {
 		t.Fatal("expected -1")
 	}
 }
 
 func TestExactSingleSet(t *testing.T) {
-	e := Exact([]int{3, 7}, [][]int{{3, 7, 9}})
+	eng, sc := coverEngine([]int{3, 7}, [][]int{{3, 7, 9}})
+	e, _ := eng.ExactCover(sc, []int{3, 7}, nil)
 	if len(e) != 1 || e[0] != 0 {
 		t.Fatalf("got %v", e)
 	}
 }
 
 func TestExactDuplicateUniverseElements(t *testing.T) {
-	e := Exact([]int{1, 1, 2, 2}, [][]int{{1, 2}})
+	eng, sc := coverEngine([]int{1, 2}, [][]int{{1, 2}})
+	e, _ := eng.ExactCover(sc, []int{1, 1, 2, 2}, nil)
 	if len(e) != 1 {
 		t.Fatalf("got %v", e)
 	}
@@ -79,36 +130,33 @@ func TestExactDuplicateUniverseElements(t *testing.T) {
 func TestExactSizeCapped(t *testing.T) {
 	universe := []int{1, 2, 3, 4, 5, 6}
 	sets := [][]int{{1, 2, 3, 4}, {1, 2, 5}, {3, 4, 6}, {5, 6}} // optimum 2
-	if got := ExactSizeCapped(universe, sets, 10); got != 2 {
+	// A fresh engine per query, so no answer comes from the memo cache.
+	capped := func(universe []int, cap int) int {
+		eng, sc := coverEngine(universe, sets)
+		return eng.ExactSizeCapped(sc, universe, cap, nil)
+	}
+	if got := capped(universe, 10); got != 2 {
 		t.Fatalf("cap 10: got %d, want 2", got)
 	}
-	if got := ExactSizeCapped(universe, sets, 3); got != 2 {
+	if got := capped(universe, 3); got != 2 {
 		t.Fatalf("cap 3: got %d, want 2", got)
 	}
-	if got := ExactSizeCapped(universe, sets, 2); got != 2 {
+	if got := capped(universe, 2); got != 2 {
 		t.Fatalf("cap 2: got %d, want 2 (optimum == cap reports cap)", got)
 	}
-	if got := ExactSizeCapped(universe, sets, 1); got != 1 {
+	if got := capped(universe, 1); got != 1 {
 		t.Fatalf("cap 1: got %d, want 1 (capped)", got)
 	}
-	if got := ExactSizeCapped([]int{9}, sets, 3); got != -1 {
+	if got := capped([]int{9}, 3); got != -1 {
 		t.Fatalf("uncoverable: got %d, want -1", got)
 	}
-	if got := ExactSizeCapped(nil, sets, 3); got != 0 {
+	if got := capped(nil, 3); got != 0 {
 		t.Fatalf("empty universe: got %d, want 0", got)
 	}
 }
 
-func TestExactSizeCappedPanicsOnBadCap(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	ExactSizeCapped([]int{1}, [][]int{{1}}, 0)
-}
-
-// Property: capped result equals min(exact, cap) on random instances.
+// Property: the Engine's capped result equals min(exact, cap) on random
+// instances, exact taken from the reference branch and bound.
 func TestExactSizeCappedMatchesProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -129,9 +177,10 @@ func TestExactSizeCappedMatchesProperty(t *testing.T) {
 				sets[i] = append(sets[i], v)
 			}
 		}
-		exact := ExactSize(universe, sets)
+		exact := refExactSize(universe, sets, 0)
 		for cap := 1; cap <= nu+1; cap++ {
-			got := ExactSizeCapped(universe, sets, cap)
+			eng, sc := coverEngine(universe, sets)
+			got := eng.ExactSizeCapped(sc, universe, cap, nil)
 			if exact < 0 {
 				if got != -1 {
 					return false
@@ -178,6 +227,7 @@ func TestKSetCoverLowerBoundPanics(t *testing.T) {
 	KSetCoverLowerBound(3, 0)
 }
 
+// TestCovers checks the cover checker the other tests rely on.
 func TestCovers(t *testing.T) {
 	sets := [][]int{{1, 2}, {3}}
 	if !Covers([]int{1, 3}, sets, []int{0, 1}) {
@@ -210,8 +260,9 @@ func brute(universe []int, sets [][]int) int {
 	return best
 }
 
-// Property: Exact matches brute force on random small instances, and greedy
-// is never better than exact while always covering when coverable.
+// Property: the Engine's exact cover matches brute force on random small
+// instances, and its greedy cover is never better than exact while always
+// covering when coverable.
 func TestExactMatchesBruteForceProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -233,14 +284,15 @@ func TestExactMatchesBruteForceProperty(t *testing.T) {
 			}
 		}
 		want := brute(universe, sets)
-		e := Exact(universe, sets)
+		eng, sc := coverEngine(universe, sets)
+		e, _ := eng.ExactCover(sc, universe, nil)
 		if want < 0 {
 			return e == nil
 		}
 		if e == nil || len(e) != want || !Covers(universe, sets, e) {
 			return false
 		}
-		g := Greedy(universe, sets, rng)
+		g := eng.GreedyCover(sc, universe, rng)
 		return g != nil && Covers(universe, sets, g) && len(g) >= len(e)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
@@ -274,11 +326,11 @@ func TestLowerBoundSoundProperty(t *testing.T) {
 				sets[i] = append(sets[i], v)
 			}
 		}
-		e := Exact(universe, sets)
-		if e == nil {
+		e := brute(universe, sets)
+		if e < 0 {
 			return true
 		}
-		return KSetCoverLowerBound(nu, maxK) <= len(e)
+		return KSetCoverLowerBound(nu, maxK) <= e
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
