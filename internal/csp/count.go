@@ -37,7 +37,7 @@ func CountFromTD(c *CSP, td *decomp.TreeDecomposition) int {
 			for _, ch := range children[node] {
 				sub := 0
 				ct := tables[ch]
-				ai, bi := sharedColumns(t, ct)
+				ai, bi := sharedColumns(t, ct, nil, nil)
 				for cri, crow := range ct.Rows {
 					if compatible(row, crow, ai, bi) {
 						sub, _ = SatAdd(sub, counts[ch][cri])

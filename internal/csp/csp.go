@@ -6,16 +6,20 @@
 // hypertree decompositions (Figure 2.9).
 //
 // The compiled query engine (internal/csp/engine) is the one path that
-// answers CSPs; this package gives it the CSP model and its node tables.
-// TDTables and GHDTables build the node tables of a decomposition, and
-// JoinProject (π_keep(a ⋈ b), built without materializing the join) takes
-// an optional budget (nil = unbounded). The reference solvers here
-// (SolveFromTD, SolveFromGHD, CountFromTD, EnumerateFromTD, with the
-// ReduceBottomUp semijoin pass and the brute-force counter) are test code
-// kept in place: the engine's differential tests compare against them, and
-// each carries a "test-only" marker. They build their tables with the same
-// builders; the engine reduces them with its own sorted row groups, so the
-// hash semijoins here check it independently.
+// answers CSPs; this package gives it the CSP model, its node tables and
+// the one keyed row lookup, RowIndex. TDTables and GHDTables build the
+// node tables of a decomposition; GHDTables folds each λ-set through
+// JoinProject (π_keep(a ⋈ b), built without materializing the join, with
+// an optional budget, nil = unbounded), running the fold through one
+// per-call scratch so a table's rows are views of one flat array. The
+// reference solvers here (SolveFromTD, SolveFromGHD, CountFromTD,
+// EnumerateFromTD, with the ReduceBottomUp semijoin pass and the
+// brute-force counter) are test code kept in place: the engine's
+// differential tests compare against them, and each carries a "test-only"
+// marker. They build their tables with the same builders and semijoin
+// through RowIndex, as the engine's tree edges do; the engine's tests
+// therefore also check its plans against a reference build that groups by
+// sorting and binary search alone and hashes nothing.
 package csp
 
 import (

@@ -50,30 +50,67 @@ func greedyGHD(tb testing.TB, c *csp.CSP) *decomp.GHD {
 	return d.GHD
 }
 
-var benchPlan *Plan
+var (
+	benchPlan   *Plan
+	benchTables []*csp.Table
+)
 
 // BenchmarkCompileCircuitGHD measures the compile layer of a query-cold
 // request in process: 24-signal circuit CSPs, their greedy GHDs, and the
 // daemon's default compile budget (10 s, 50M steps). Decomposition happens
 // in set-up; each op compiles one plan, cycling through the instances.
+// total is a whole compile (CompileGHDBudget); tables is its first layer
+// alone, csp.GHDTables; build is the rest, reduction, grouping, packing
+// and the count DP, on tables made in set-up.
 func BenchmarkCompileCircuitGHD(b *testing.B) {
 	const instances = 32
 	rng := rand.New(rand.NewSource(1))
 	cs := make([]*csp.CSP, instances)
 	gs := make([]*decomp.GHD, instances)
+	tables := make([][]*csp.Table, instances)
 	for i := range cs {
 		cs[i] = circuitCSP(24, 26, rng.Int63())
 		gs[i] = greedyGHD(b, cs[i])
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		k := i % instances
-		bu := budget.New(context.Background(), budget.Limits{Timeout: 10 * time.Second, MaxNodes: 50_000_000})
-		p, err := CompileGHDBudget(cs[k], gs[k], bu)
-		if err != nil {
+		var err error
+		if tables[i], err = csp.GHDTables(cs[i], gs[i], nil); err != nil {
 			b.Fatal(err)
 		}
-		benchPlan = p
 	}
+	newBudget := func() *budget.B {
+		return budget.New(context.Background(), budget.Limits{Timeout: 10 * time.Second, MaxNodes: 50_000_000})
+	}
+	b.Run("total", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			k := i % instances
+			p, err := CompileGHDBudget(cs[k], gs[k], newBudget())
+			if err != nil {
+				b.Fatal(err)
+			}
+			benchPlan = p
+		}
+	})
+	b.Run("tables", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			k := i % instances
+			t, err := csp.GHDTables(cs[k], gs[k], newBudget())
+			if err != nil {
+				b.Fatal(err)
+			}
+			benchTables = t
+		}
+	})
+	b.Run("build", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			k := i % instances
+			g := gs[k]
+			p, err := build(cs[k], tables[k], g.Parent, g.Root, g.Width(), newBudget())
+			if err != nil {
+				b.Fatal(err)
+			}
+			benchPlan = p
+		}
+	})
 }

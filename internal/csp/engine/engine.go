@@ -3,10 +3,12 @@
 // speed. Compilation does all the per-instance work up front: the bag tables
 // of join-tree clustering (thesis §2.4) are materialized and fully
 // Yannakakis-reduced (one bottom-up and one top-down semijoin pass), rows
-// are packed into flat []Value arenas, and every child table stores, for
-// each parent row, the exact group of its rows compatible with it. One
+// are packed into one flat []Value arena, and every child table stores,
+// for each parent row, the exact group of its rows compatible with it. One
 // stable sort per tree edge, of the child's rows on the variables it shares
-// with its parent, serves both semijoin passes and the row groups. The
+// with its parent, numbers the groups, and a csp.RowIndex over each
+// group's first row finds every parent row's group: together they serve
+// both semijoin passes and the row groups. The
 // pin-free count DP runs once at compile time and its per-row subtree
 // counts are kept. A compiled Plan serves Solve, CountExact, and
 // Enumerate(limit) from any number of goroutines with zero
@@ -20,9 +22,12 @@
 // of its rows extends into it, and its counts are the compiled ones.
 //
 // The engine builds its tables with csp.TDTables / csp.GHDTables, the same
-// code the reference solvers run. The reference solvers reduce with hash
-// semijoins (csp.ReduceBottomUp), the engine with its sorted groups, so
-// each checks the other. The engine's answers are pinned by differential
+// code the reference solvers run. The reference solvers reduce with
+// csp.ReduceBottomUp's semijoins, the engine with its grouped tree edges;
+// both look rows up through csp.RowIndex, so the tests also check every
+// plan against a reference build that groups by sorting and binary search
+// alone, under the production row hash and under a constant one. The
+// engine's answers are pinned by differential
 // tests to be *exactly* equal (values and enumeration order) to the
 // reference paths csp.SolveFromTD, csp.CountFromTD, csp.EnumerateFromTD
 // and csp.SolveFromGHD; counts too large for an int saturate at
@@ -83,8 +88,9 @@ func (n *node) rowsFor(prow int32) []int32 {
 // parent's, with one stable sort: the child's rows that survive the
 // bottom-up pass below it are sorted on the variables the two share, so
 // each run of equal values is one group, with row order kept inside it.
-// The groups give the bottom-up semijoin (a parent row survives when its
-// binary search finds a group), the top-down semijoin (a group no
+// A csp.RowIndex over each group's first row then finds every parent
+// row's group. The groups give the bottom-up semijoin (a parent row
+// survives when it finds a group), the top-down semijoin (a group no
 // surviving parent row found is dropped whole) and the plan's row groups.
 // A child that shares no variable with its parent is one group holding all
 // of its rows. Rows are indexes into the csp.Table rows until groupChild
@@ -98,9 +104,45 @@ type edge struct {
 	found         []int32 // per surviving parent row: the group it found
 }
 
+// compiler is one compile's scratch: the index that finds parent rows'
+// groups, the arenas every edge's arrays are cut from, and a buffer for
+// the arrays that live only during one edge's step.
+type compiler struct {
+	ix    csp.RowIndex
+	arena []int32 // every table's row ids, then each edge's arrays (see arenaSize)
+	cols  []int   // two columns per child variable
+	tmp   []int32
+}
+
+// cut returns the next n zeroed elements of *arena, advancing it past them.
+func cut[T any](arena *[]T, n int) []T {
+	s := (*arena)[:n:n]
+	*arena = (*arena)[n:]
+	return s
+}
+
+// arenaSize bounds the int32s the edge from a child table of c rows to a
+// parent table of p rows cuts from the arena: reduceParent's sorted, off,
+// grp and found.
+func arenaSize(c, p int) int {
+	return c + (c + 1) + c + p
+}
+
+// scratch returns n zeroed int32s of cp.tmp, valid until its next call.
+func (cp *compiler) scratch(n int) []int32 {
+	if cap(cp.tmp) < n {
+		cp.tmp = make([]int32, n, max(n, 2*cap(cp.tmp)))
+	}
+	cp.tmp = cp.tmp[:n]
+	clear(cp.tmp)
+	return cp.tmp
+}
+
 // reduceParent groups the child's rows crows and returns the parent's rows
 // prows that find a group, in order: the bottom-up semijoin.
-func (e *edge) reduceParent(crows, prows []int32) []int32 {
+func (e *edge) reduceParent(cp *compiler, crows, prows []int32) []int32 {
+	e.cols = cut(&cp.cols, len(e.child.Vars))[:0]
+	e.pcols = cut(&cp.cols, len(e.child.Vars))[:0]
 	for j, v := range e.child.Vars {
 		if pc := slices.Index(e.parent.Vars, v); pc >= 0 {
 			e.cols = append(e.cols, j)
@@ -108,12 +150,13 @@ func (e *edge) reduceParent(crows, prows []int32) []int32 {
 		}
 	}
 	ct := e.child.Rows
-	e.sorted = slices.Clone(crows)
+	e.sorted = cut(&cp.arena, len(crows))
+	copy(e.sorted, crows)
 	slices.SortStableFunc(e.sorted, func(a, b int32) int {
 		return cmpOn(ct[a], e.cols, ct[b], e.cols)
 	})
-	e.off = []int32{0}
-	e.grp = make([]int32, len(ct))
+	e.off = cut(&cp.arena, len(crows)+1)[:1]
+	e.grp = cut(&cp.arena, len(ct))
 	for i, r := range e.sorted {
 		if i > 0 && cmpOn(ct[e.sorted[i-1]], e.cols, ct[r], e.cols) != 0 {
 			e.off = append(e.off, int32(i))
@@ -122,15 +165,16 @@ func (e *edge) reduceParent(crows, prows []int32) []int32 {
 	}
 	e.off = append(e.off, int32(len(e.sorted)))
 
-	starts := e.off[:len(e.off)-1] // each group's first position
-	e.found = make([]int32, len(e.parent.Rows))
+	firsts := cp.scratch(len(e.off) - 1) // each group's first row
+	for g := range firsts {
+		firsts[g] = e.sorted[e.off[g]]
+	}
+	cp.ix.Reset(ct, firsts, e.cols)
+	e.found = cut(&cp.arena, len(e.parent.Rows))
 	kept := prows[:0]
 	for _, pr := range prows {
-		g, ok := slices.BinarySearchFunc(starts, e.parent.Rows[pr], func(start int32, prow []csp.Value) int {
-			return cmpOn(ct[e.sorted[start]], e.cols, prow, e.pcols)
-		})
-		if ok {
-			e.found[pr] = int32(g)
+		if g := cp.ix.Find(e.parent.Rows[pr], e.pcols); g >= 0 {
+			e.found[pr] = g
 			kept = append(kept, pr)
 		}
 	}
@@ -141,22 +185,27 @@ func (e *edge) reduceParent(crows, prows []int32) []int32 {
 // crows left by the bottom-up pass. It returns the child's final rows (the
 // top-down semijoin) and stores in n the row groups over them, numbering
 // rows and groups as the plan does: by position among the final ones.
-func (e *edge) groupChild(n *node, prows, crows []int32) []int32 {
+func (e *edge) groupChild(cp *compiler, n *node, prows, crows []int32) []int32 {
 	ngroups := len(e.off) - 1
-	newGrp := make([]int32, ngroups) // 0: dropped; else 1 + the final number (1 until numbered)
+	tmp := cp.scratch(ngroups + len(e.child.Rows))
+	newGrp := tmp[:ngroups] // 0: dropped; else 1 + the final number (1 until numbered)
+	keptGroups := 0
 	for _, pr := range prows {
-		newGrp[e.found[pr]] = 1
-	}
-	id := make([]int32, len(e.child.Rows)) // per surviving child row: its final id
-	kept := crows[:0]
-	for _, r := range crows {
-		if newGrp[e.grp[r]] != 0 {
-			id[r] = int32(len(kept))
-			kept = append(kept, r)
+		if g := e.found[pr]; newGrp[g] == 0 {
+			newGrp[g] = 1
+			keptGroups++
 		}
 	}
-	n.grpRows = make([]int32, 0, len(kept))
-	n.grpOff = []int32{0}
+	n.grpOff = make([]int32, 1, keptGroups+1)
+	id := tmp[ngroups:] // per surviving child row: its final id
+	final := crows[:0]
+	for _, r := range crows {
+		if newGrp[e.grp[r]] != 0 {
+			id[r] = int32(len(final))
+			final = append(final, r)
+		}
+	}
+	n.grpRows = make([]int32, 0, len(final))
 	for g := 0; g < ngroups; g++ {
 		if newGrp[g] == 0 {
 			continue
@@ -171,7 +220,7 @@ func (e *edge) groupChild(n *node, prows, crows []int32) []int32 {
 	for i, pr := range prows {
 		n.group[i] = newGrp[e.found[pr]] - 1
 	}
-	return kept
+	return final
 }
 
 // cmpOn compares row a at columns ac with row b at the parallel columns bc,
@@ -282,15 +331,17 @@ func CompileGHDBudget(c *csp.CSP, g *decomp.GHD, bu *budget.B) (*Plan, error) {
 }
 
 // build runs the shared compile pipeline: full Yannakakis reduction with
-// row grouping (one stable sort per tree edge, see edge), arena packing,
-// then one pin-free run of the cursor's count DP and solve walk for the
-// plan's cached answers. The count DP ticks bu per compatible child row it
-// visits (its only superlinear-in-rows phase); reduction and grouping cost
-// O(rows log rows) over rows already paid for during materialization.
+// row grouping (one stable sort and one index probe per parent row per
+// tree edge, see edge), arena packing, then one pin-free run of the
+// cursor's count DP and solve walk for the plan's cached answers. The
+// count DP ticks bu per compatible child row it visits (its only
+// superlinear-in-rows phase); reduction and grouping cost O(rows log rows)
+// over rows already paid for during materialization.
 func build(c *csp.CSP, tables []*csp.Table, parentOf []int, root, width int, bu *budget.B) (*Plan, error) {
 	p := newPlan(c, tables, width)
 	order := csp.TopDownOrder(parentOf, root)
-	rows, edges := reduceBottomUp(tables, parentOf, order)
+	var cp compiler
+	rows, edges := reduceBottomUp(&cp, tables, parentOf, order)
 	if rows == nil {
 		// Unsatisfiable for every query (pins only shrink the solution
 		// space): compile the O(1) empty plan. total stays 0.
@@ -308,6 +359,10 @@ func build(c *csp.CSP, tables []*csp.Table, parentOf []int, root, width int, bu 
 	}
 	p.nodes = make([]node, len(order))
 	p.rowOff = make([]int32, len(order)+1)
+	// BFS lists each node's children consecutively, so every children
+	// list is a stretch of kids, where node k is kids[k-1].
+	kids := make([]int32, len(order)-1)
+	values := 0
 	for k, orig := range order {
 		n := &p.nodes[k]
 		if orig == root {
@@ -315,18 +370,27 @@ func build(c *csp.CSP, tables []*csp.Table, parentOf []int, root, width int, bu 
 		} else {
 			pk := pos[parentOf[orig]]
 			n.parent = pk
-			rows[orig] = edges[orig].groupChild(n, rows[parentOf[orig]], rows[orig])
-			p.nodes[pk].children = append(p.nodes[pk].children, int32(k))
+			rows[orig] = edges[orig].groupChild(&cp, n, rows[parentOf[orig]], rows[orig])
+			pn := &p.nodes[pk]
+			kids[k-1] = int32(k)
+			pn.children = kids[k-1-len(pn.children) : k : k]
 		}
-		t := tables[orig]
-		n.vars = append([]int(nil), t.Vars...)
-		n.width = len(t.Vars)
+		// The tables are this compile's own, so their columns need no copy.
+		n.vars = tables[orig].Vars
+		n.width = len(n.vars)
 		n.nrows = int32(len(rows[orig]))
-		n.arena = make([]csp.Value, 0, len(rows[orig])*n.width)
-		for _, r := range rows[orig] {
-			n.arena = append(n.arena, t.Rows[r]...)
-		}
+		values += len(rows[orig]) * n.width
 		p.rowOff[k+1] = p.rowOff[k] + n.nrows
+	}
+	// One array holds every node's rows.
+	arena := make([]csp.Value, 0, values)
+	for k, orig := range order {
+		n, t := &p.nodes[k], tables[orig]
+		start := len(arena)
+		for _, r := range rows[orig] {
+			arena = append(arena, t.Rows[r]...)
+		}
+		n.arena = arena[start:len(arena):len(arena)]
 	}
 	p.rowsTot = int(p.rowOff[len(order)])
 	if err := p.cacheAnswers(bu); err != nil {
@@ -342,13 +406,23 @@ func build(c *csp.CSP, tables []*csp.Table, parentOf []int, root, width int, bu 
 // into its node's whole subtree. It returns each node's surviving rows and
 // the grouped edges (indexed by child), or nil rows as soon as a table is
 // or becomes empty: then there are no solutions.
-func reduceBottomUp(tables []*csp.Table, parentOf, order []int) ([][]int32, []edge) {
-	rows := make([][]int32, len(tables))
+func reduceBottomUp(cp *compiler, tables []*csp.Table, parentOf, order []int) ([][]int32, []edge) {
+	size, ncols := 0, 0
 	for i, t := range tables {
 		if len(t.Rows) == 0 {
 			return nil, nil
 		}
-		rows[i] = make([]int32, len(t.Rows))
+		size += len(t.Rows)
+		if parentOf[i] >= 0 {
+			size += arenaSize(len(t.Rows), len(tables[parentOf[i]].Rows))
+			ncols += 2 * len(t.Vars)
+		}
+	}
+	cp.arena = make([]int32, size)
+	cp.cols = make([]int, ncols)
+	rows := make([][]int32, len(tables))
+	for i, t := range tables {
+		rows[i] = cut(&cp.arena, len(t.Rows))
 		for r := range rows[i] {
 			rows[i][r] = int32(r)
 		}
@@ -358,7 +432,7 @@ func reduceBottomUp(tables []*csp.Table, parentOf, order []int) ([][]int32, []ed
 		ch, pa := order[i], parentOf[order[i]]
 		e := &edges[ch]
 		e.child, e.parent = tables[ch], tables[pa]
-		if rows[pa] = e.reduceParent(rows[ch], rows[pa]); len(rows[pa]) == 0 {
+		if rows[pa] = e.reduceParent(cp, rows[ch], rows[pa]); len(rows[pa]) == 0 {
 			return nil, nil
 		}
 	}
@@ -370,8 +444,14 @@ func reduceBottomUp(tables []*csp.Table, parentOf, order []int) ([][]int32, []ed
 func newPlan(c *csp.CSP, tables []*csp.Table, width int) *Plan {
 	p := &Plan{numVars: c.NumVars, width: width}
 	p.domains = make([][]csp.Value, c.NumVars)
-	for v := range p.domains {
-		p.domains[v] = append([]csp.Value(nil), c.Domains[v]...)
+	size := 0
+	for _, d := range c.Domains {
+		size += len(d)
+	}
+	vals := make([]csp.Value, 0, size) // one array holds every domain
+	for v, d := range c.Domains {
+		vals = append(vals, d...)
+		p.domains[v] = vals[len(vals)-len(d) : len(vals) : len(vals)]
 	}
 	inBag := make([]bool, c.NumVars)
 	for _, t := range tables {

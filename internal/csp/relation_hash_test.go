@@ -123,29 +123,41 @@ func TestStringKeyNegativeAndEmptyCols(t *testing.T) {
 }
 
 // Adversarial forced-collision test: index rows with a constant hash so
-// every row lands in one bucket, and check probes still return exactly the
+// every row lands in one bucket, and check lookups still return exactly the
 // value-equal rows — the exact-comparison fallback, not the hash, decides
-// membership.
+// membership. An index over a subset of the rows (ids) numbers its entries
+// by position in ids.
 func TestRowIndexForcedCollisions(t *testing.T) {
+	defer SetRowHash(func([]Value, []int) uint64 { return 42 })()
 	rows := [][]Value{{1, 2}, {3, 4}, {1, 2}, {-1, 2}, {1, -2}}
-	constant := func([]Value, []int) uint64 { return 42 }
-	ix := newRowIndexFunc(rows, []int{0, 1}, constant)
-	var got []int32
-	ix.probe([]Value{1, 2}, []int{0, 1}, func(ri int32) bool {
-		got = append(got, ri)
-		return true
-	})
-	if !reflect.DeepEqual(got, []int32{0, 2}) {
-		t.Fatalf("probe under forced collisions returned %v, want [0 2]", got)
+	cols := []int{0, 1}
+	var ix RowIndex
+	ix.Reset(rows, nil, cols)
+	all := func(probe []Value) []int32 {
+		var got []int32
+		for e := ix.Find(probe, cols); e >= 0; e = ix.Next(e, probe, cols) {
+			got = append(got, e)
+		}
+		return got
 	}
-	if ix.contains([]Value{3, 4}, []int{0, 1}) != true {
-		t.Fatal("contains missed a genuine match under forced collisions")
+	if got := all([]Value{1, 2}); !reflect.DeepEqual(got, []int32{0, 2}) {
+		t.Fatalf("lookup under forced collisions returned %v, want [0 2]", got)
 	}
-	if ix.contains([]Value{2, 1}, []int{0, 1}) {
-		t.Fatal("contains reported a phantom match under forced collisions")
+	if ix.Find([]Value{3, 4}, cols) != 1 {
+		t.Fatal("Find missed a genuine match under forced collisions")
 	}
-	if ix.contains([]Value{-1, -2}, []int{0, 1}) {
-		t.Fatal("contains conflated negative-value rows under forced collisions")
+	if ix.Find([]Value{2, 1}, cols) >= 0 {
+		t.Fatal("Find reported a phantom match under forced collisions")
+	}
+	if ix.Find([]Value{-1, -2}, cols) >= 0 {
+		t.Fatal("Find conflated negative-value rows under forced collisions")
+	}
+	ix.Reset(rows, []int32{4, 2, 0}, cols)
+	if got := all([]Value{1, 2}); !reflect.DeepEqual(got, []int32{1, 2}) {
+		t.Fatalf("lookup over ids [4 2 0] returned %v, want [1 2]", got)
+	}
+	if ix.Find([]Value{3, 4}, cols) >= 0 {
+		t.Fatal("Find matched a row outside ids")
 	}
 }
 
@@ -153,9 +165,7 @@ func TestRowIndexForcedCollisions(t *testing.T) {
 // hash collides (all-bucket scans, every row a dedup candidate): correctness
 // never depends on hash quality.
 func TestHashOpsUnderForcedCollisions(t *testing.T) {
-	old := hashRowHook
-	hashRowHook = func([]Value, []int) uint64 { return 0 }
-	defer func() { hashRowHook = old }()
+	defer SetRowHash(func([]Value, []int) uint64 { return 0 })()
 	rng := rand.New(rand.NewSource(7))
 	for i := 0; i < 50; i++ {
 		a, b := randomTable(rng), randomTable(rng)

@@ -28,7 +28,7 @@ func key(row []Value, cols []int) string {
 
 // joinRef is the reference natural join a ⋈ b.
 func joinRef(a, b *Table) *Table {
-	ai, bi := sharedColumns(a, b)
+	ai, bi := sharedColumns(a, b, nil, nil)
 	sharedB := make(map[int]bool, len(bi))
 	for _, j := range bi {
 		sharedB[j] = true
@@ -64,7 +64,7 @@ func joinRef(a, b *Table) *Table {
 // ownership fix (the no-shared-vars nonempty branch returns a defensive
 // copy, never the input table aliased).
 func semijoinRef(a, b *Table) *Table {
-	ai, bi := sharedColumns(a, b)
+	ai, bi := sharedColumns(a, b, nil, nil)
 	if len(ai) == 0 {
 		if len(b.Rows) == 0 {
 			return &Table{Vars: a.Vars}

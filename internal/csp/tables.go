@@ -42,8 +42,11 @@ func TDTables(c *CSP, td *decomp.TreeDecomposition, bu *budget.B) ([]*Table, err
 // folded through JoinProject, keeping at each step only the bag's
 // variables and those a relation still to be joined needs; since
 // JoinProject keeps first occurrences, every table equals joining the
-// whole λ-set and then projecting, rows and row order included. bu (nil =
-// unbounded) is ticked per probing and per joined row; see JoinProject.
+// whole λ-set and then projecting, rows and row order included. The whole
+// fold runs through one scratch, its intermediate tables alternating
+// between two buffers, and only each node's final table is copied out, at
+// exact size. bu (nil = unbounded) is ticked per probing and per joined
+// row; see JoinProject.
 func GHDTables(c *CSP, g *decomp.GHD, bu *budget.B) ([]*Table, error) {
 	h := c.Hypergraph()
 	if err := g.Validate(h); err != nil {
@@ -52,35 +55,43 @@ func GHDTables(c *CSP, g *decomp.GHD, bu *budget.B) ([]*Table, error) {
 	if !g.IsComplete(h) {
 		return nil, errors.New("csp: GHD must be complete (call Complete first)")
 	}
+	var s joinScratch
+	identity := &Table{Rows: [][]Value{{}}}    // the nullary identity, one empty tuple
 	rels := make([]*Table, len(c.Constraints)) // domain tables, built on first use
+	out := make([]Table, len(g.Bags))
 	tables := make([]*Table, len(g.Bags))
 	for i, bag := range g.Bags {
+		tables[i] = &out[i]
 		if len(bag) == 0 {
-			// The empty bag's relation is the nullary identity (one empty
-			// tuple), not the empty relation.
-			tables[i] = &Table{Rows: [][]Value{{}}}
+			// The empty bag's relation is the nullary identity, not the
+			// empty relation.
+			out[i].Rows = [][]Value{{}}
 			continue
 		}
 		// Validate guarantees a nonempty bag has a nonempty λ-set. The fold
 		// starts from the nullary identity.
-		t := &Table{Rows: [][]Value{{}}}
+		t := identity
 		lambda := g.Lambdas[i]
 		for k, e := range lambda {
 			if rels[e] == nil {
 				rels[e] = domainTable(c, &c.Constraints[e])
 			}
-			// The clipped bag is copied by the first append, never
-			// overwritten.
-			keep := slices.Clip(bag)
+			s.keep = append(s.keep[:0], bag...)
 			for _, later := range lambda[k+1:] {
-				keep = append(keep, c.Constraints[later].Scope...)
+				s.keep = append(s.keep, c.Constraints[later].Scope...)
 			}
-			var err error
-			if t, err = JoinProject(t, rels[e], keep, bu); err != nil {
+			buf := &s.bufs[k%2]
+			if err := s.joinProject(t, rels[e], s.keep, buf, bu); err != nil {
 				return nil, err
 			}
+			t = &buf.Table
 		}
-		tables[i] = t
+		vals := make([]Value, 0, len(t.Rows)*len(t.Vars))
+		for _, r := range t.Rows {
+			vals = append(vals, r...)
+		}
+		out[i].Vars = slices.Clone(t.Vars)
+		out[i].Rows = rowViews(nil, vals, len(t.Rows), len(t.Vars))
 	}
 	return tables, nil
 }
@@ -105,28 +116,38 @@ func placeConstraints(c *CSP, bags [][]int) [][]int {
 
 // bagTable enumerates all assignments of the bag consistent with the given
 // constraints (whose scopes lie inside the bag), ticking bu once per
-// candidate value placed.
+// candidate value placed. The rows are views of one flat array.
 func bagTable(c *CSP, bag []int, constraints []int, bu *budget.B) (*Table, error) {
-	t := &Table{Vars: append([]int(nil), bag...)}
-	row := make([]Value, len(bag))
-	pos := make(map[int]int, len(bag))
-	for i, v := range bag {
-		pos[v] = i
+	// cols[k] lists the bag column of each variable of constraints[k]'s
+	// scope; a check gathers the row's values there into vals.
+	cols := make([][]int, len(constraints))
+	arity := 0
+	for k, ci := range constraints {
+		scope := c.Constraints[ci].Scope
+		cols[k] = make([]int, len(scope))
+		for j, v := range scope {
+			cols[k][j] = slices.Index(bag, v)
+		}
+		arity = max(arity, len(scope))
 	}
+	vals := make([]Value, arity)
+	row := make([]Value, len(bag))
+	flat := make([]Value, 0, len(bag))
+	n := 0                   // rows in flat
 	var rec func(i int) bool // false once bu trips
 	rec = func(i int) bool {
 		if i == len(bag) {
-			for _, ci := range constraints {
-				con := &c.Constraints[ci]
-				vals := make([]Value, len(con.Scope))
-				for k, v := range con.Scope {
-					vals[k] = row[pos[v]]
+			for k, ci := range constraints {
+				v := vals[:len(cols[k])]
+				for j, col := range cols[k] {
+					v[j] = row[col]
 				}
-				if !con.Allows(vals) {
+				if !c.Constraints[ci].Allows(v) {
 					return true
 				}
 			}
-			t.Rows = append(t.Rows, append([]Value(nil), row...))
+			flat = append(grow(flat, len(row)), row...)
+			n++
 			return true
 		}
 		for _, v := range c.Domains[bag[i]] {
@@ -143,15 +164,33 @@ func bagTable(c *CSP, bag []int, constraints []int, bu *budget.B) (*Table, error
 	if !rec(0) {
 		return nil, Interrupted(bu)
 	}
-	return t, nil
+	return &Table{Vars: append([]int(nil), bag...), Rows: rowViews(nil, flat, n, len(bag))}, nil
 }
 
-// domainTable materializes a constraint as a table, dropping tuples with
-// values outside the variables' domains (domains act as implicit unary
+// rowViews returns n rows of w values each as views of vals, row r being
+// its r-th stretch of w values, in rows' array when it is big enough. No
+// rows give nil Rows; a nullary row is an empty, not a nil, tuple.
+func rowViews(rows [][]Value, vals []Value, n, w int) [][]Value {
+	if n == 0 {
+		return nil
+	}
+	if vals == nil {
+		vals = []Value{}
+	}
+	rows = resize(rows, n)
+	for r := range rows {
+		rows[r] = vals[r*w : (r+1)*w : (r+1)*w]
+	}
+	return rows
+}
+
+// domainTable returns a constraint as a table, dropping tuples with values
+// outside the variables' domains (domains act as implicit unary
 // constraints; brute force and bag enumeration respect them, so the
-// relational solvers must too).
+// relational solvers must too). Its rows are the constraint's own tuples,
+// not copies: callers only read them.
 func domainTable(c *CSP, con *Constraint) *Table {
-	t := &Table{Vars: append([]int(nil), con.Scope...)}
+	t := &Table{Vars: con.Scope, Rows: make([][]Value, 0, len(con.Tuples))}
 	for _, row := range con.Tuples {
 		ok := true
 		for i, v := range con.Scope {
@@ -161,7 +200,7 @@ func domainTable(c *CSP, con *Constraint) *Table {
 			}
 		}
 		if ok {
-			t.Rows = append(t.Rows, append([]Value(nil), row...))
+			t.Rows = append(t.Rows, row)
 		}
 	}
 	return t

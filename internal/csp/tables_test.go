@@ -149,9 +149,7 @@ func TestGHDTablesEqualJoinThenProject(t *testing.T) {
 	}
 	t.Run("hash", run)
 	t.Run("constant hash", func(t *testing.T) {
-		old := hashRowHook
-		hashRowHook = func([]Value, []int) uint64 { return 0 }
-		defer func() { hashRowHook = old }()
+		defer SetRowHash(func([]Value, []int) uint64 { return 0 })()
 		run(t)
 	})
 }

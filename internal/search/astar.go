@@ -31,7 +31,7 @@ func AStarGHW(h *hypergraph.Hypergraph, opts Options) Result {
 	if eng == nil {
 		eng = setcover.NewEngine(h, setcover.DefaultCacheCapacity)
 	}
-	return runAStar(newGHWModel(eng, opts.Seed, true, opts.Budget), opts, "astar-ghw")
+	return runAStar(newGHWModel(eng, opts.Seed, opts.Budget), opts, "astar-ghw")
 }
 
 // state is an A* search node. Prefixes are reconstructed by following

@@ -26,22 +26,18 @@ func BBTreewidth(g *hypergraph.Graph, opts Options) Result {
 // covers for bag costs, the tw-ksc-width lower bound at interior nodes,
 // simplicial reductions and the non-adjacent case of PR2.
 func BBGHW(h *hypergraph.Hypergraph, opts Options) Result {
-	return bbGHW(h, opts, "bb-ghw", true)
-}
-
-// bbGHW runs the ghw branch and bound, serial or parallel, on one cover
-// engine (Options.Engine, or a fresh one for h) shared by every worker.
-func bbGHW(h *hypergraph.Hypergraph, opts Options, label string, exactCovers bool) Result {
 	opts.Budget = opts.budgetFor()
+	// One cover engine (Options.Engine, or a fresh one for h) is shared by
+	// every worker.
 	eng := opts.Engine
 	if eng == nil {
 		eng = setcover.NewEngine(h, setcover.DefaultCacheCapacity)
 	}
-	newModel := func() model { return newGHWModel(eng, opts.Seed, exactCovers, opts.Budget) }
+	newModel := func() model { return newGHWModel(eng, opts.Seed, opts.Budget) }
 	if opts.Workers > 1 {
-		return runBBParallel(opts, label, newModel)
+		return runBBParallel(opts, "bb-ghw", newModel)
 	}
-	return runBB(newModel(), opts, label)
+	return runBB(newModel(), opts, "bb-ghw")
 }
 
 type bbSearch struct {

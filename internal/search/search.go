@@ -276,10 +276,10 @@ type ghwModel struct {
 // solved by any worker is a memo hit for all of them. b bounds the exact
 // cover searches: one the budget cuts prices the bag at the cost cap, and
 // the search stops on that budget anyway.
-func newGHWModel(eng *setcover.Engine, seed int64, exactCovers bool, b *budget.B) *ghwModel {
+func newGHWModel(eng *setcover.Engine, seed int64, b *budget.B) *ghwModel {
 	rng := rand.New(rand.NewSource(seed))
 	h := eng.Hypergraph()
-	ev := elim.NewGHWEvaluatorWithEngine(eng, exactCovers, rng)
+	ev := elim.NewGHWEvaluatorWithEngine(eng, true, rng)
 	ev.Budget = b
 	return &ghwModel{
 		h:        h,

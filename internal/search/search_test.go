@@ -224,30 +224,3 @@ func TestGHWMatchesExhaustiveProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-// Property: greedy-cover BB-ghw is an upper bound on exact ghw.
-func TestBBGHWGreedyUpperBoundProperty(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := 4 + rng.Intn(3)
-		m := 3 + rng.Intn(4)
-		h := hypergraph.RandomHypergraph(n, m, 1, 3, seed)
-		covered := make([]bool, n)
-		for _, e := range h.Edges() {
-			for _, v := range e {
-				covered[v] = true
-			}
-		}
-		for v, c := range covered {
-			if !c {
-				h.AddEdge(v)
-			}
-		}
-		want := elim.ExhaustiveGHW(h)
-		r := bbGHW(h, Options{Seed: seed}, "bb-ghw-greedy", false)
-		return r.Width >= want
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
-		t.Fatal(err)
-	}
-}

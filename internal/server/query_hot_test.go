@@ -14,16 +14,17 @@ import (
 	"hypertree/internal/hypergraph"
 )
 
-// hotCSPs returns the serving benchmark's sixteen query-hot CSPs in wire
-// form, built as it builds them: 24-signal random circuits drawn from seed
-// 2007, binary domains, one constraint per gate allowing at most one 1 in
-// its scope, and a circuit whose wire form was already drawn drawn again.
-func hotCSPs(tb testing.TB) [][]byte {
+// circuitCSPs returns n distinct CSPs in wire form, built as the serving
+// benchmark builds its query workloads' CSPs: 24-signal random circuits
+// drawn from seed, binary domains, one constraint per gate allowing at most
+// one 1 in its scope, and a circuit whose wire form was already drawn
+// drawn again.
+func circuitCSPs(tb testing.TB, seed int64, n int) [][]byte {
 	tb.Helper()
-	fixed := rand.New(rand.NewSource(2007))
+	fixed := rand.New(rand.NewSource(seed))
 	seen := make(map[string]bool)
 	var out [][]byte
-	for len(out) < 16 {
+	for len(out) < n {
 		h := hypergraph.RandomCircuit(24, 26, fixed.Int63())
 		spec := cspSpec{NumVars: h.N(), Domain: []int{0, 1}}
 		for e := 0; e < h.M(); e++ {
@@ -48,27 +49,53 @@ func hotCSPs(tb testing.TB) [][]byte {
 	return out
 }
 
-// hotBody is the /query body of one query-hot batch against cspJSON: 8
-// queries (3 solve, 3 count, 2 enumerate with limit 2), each pinning 1 or
-// 2 of the 24 variables by index.
-func hotBody(tb testing.TB, rng *rand.Rand, cspJSON []byte) []byte {
-	tb.Helper()
-	ops := [...]string{"solve", "count", "enumerate", "solve", "count", "enumerate", "solve", "count"}
-	qs := make([]querySpec, len(ops))
-	for i, op := range ops {
-		qs[i] = querySpec{Op: op, Assign: make(map[string]int, 2)}
-		for k := 1 + rng.Intn(2); k > 0; k-- {
-			qs[i].Assign[strconv.Itoa(rng.Intn(24))] = rng.Intn(2)
-		}
-		if op == "enumerate" {
-			qs[i].Limit = 2
-		}
+// hotCSPs returns the serving benchmark's sixteen query-hot CSPs, drawn
+// from seed 2007.
+func hotCSPs(tb testing.TB) [][]byte { return circuitCSPs(tb, 2007, 16) }
+
+// pins draws 1 or 2 pins of the 24 variables, by index.
+func pins(rng *rand.Rand) map[string]int {
+	m := make(map[string]int, 2)
+	for k := 1 + rng.Intn(2); k > 0; k-- {
+		m[strconv.Itoa(rng.Intn(24))] = rng.Intn(2)
 	}
+	return m
+}
+
+// batchBody is the /query body asking qs of cspJSON.
+func batchBody(tb testing.TB, cspJSON []byte, qs []querySpec) []byte {
+	tb.Helper()
 	js, err := json.Marshal(qs)
 	if err != nil {
 		tb.Fatal(err)
 	}
 	return []byte(`{"csp":` + string(cspJSON) + `,"queries":` + string(js) + `}`)
+}
+
+// hotBody is the /query body of one query-hot batch against cspJSON: 8
+// queries (3 solve, 3 count, 2 enumerate with limit 2), each with pins.
+func hotBody(tb testing.TB, rng *rand.Rand, cspJSON []byte) []byte {
+	tb.Helper()
+	ops := [...]string{"solve", "count", "enumerate", "solve", "count", "enumerate", "solve", "count"}
+	qs := make([]querySpec, len(ops))
+	for i, op := range ops {
+		qs[i] = querySpec{Op: op, Assign: pins(rng)}
+		if op == "enumerate" {
+			qs[i].Limit = 2
+		}
+	}
+	return batchBody(tb, cspJSON, qs)
+}
+
+// coldBody is the /query body of one query-cold batch against cspJSON: a
+// count, a solve and an enumerate with limit 3, each with pins.
+func coldBody(tb testing.TB, rng *rand.Rand, cspJSON []byte) []byte {
+	tb.Helper()
+	return batchBody(tb, cspJSON, []querySpec{
+		{Op: "count", Assign: pins(rng)},
+		{Op: "solve", Assign: pins(rng)},
+		{Op: "enumerate", Assign: pins(rng), Limit: 3},
+	})
 }
 
 // serveHot answers body on s as query-hot sends it.
@@ -162,6 +189,31 @@ func BenchmarkQueryHit(b *testing.B) {
 	for _, body := range bodies[:2*len(csps)] {
 		serveHot(b, s, body) // the first round compiles, the second hits
 	}
+	w := &discardResponse{header: make(http.Header)}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		clear(w.header)
+		s.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/query?algo=greedy", bytes.NewReader(bodies[i%len(bodies)])))
+		if w.status != http.StatusOK {
+			b.Fatalf("status %d", w.status)
+		}
+	}
+}
+
+// BenchmarkQueryMiss measures a query-cold request in process: 4,096
+// distinct CSPs (see circuitCSPs), each with query-cold's batch, sent
+// through ServeHTTP in turn. The plan cache keeps 128 plans and evicts the
+// oldest, so every op misses: it parses the CSP, decomposes it with
+// greedy, compiles the plan and answers the batch.
+func BenchmarkQueryMiss(b *testing.B) {
+	csps := circuitCSPs(b, 1, 4096)
+	rng := rand.New(rand.NewSource(1))
+	bodies := make([][]byte, len(csps))
+	for i, c := range csps {
+		bodies[i] = coldBody(b, rng, c)
+	}
+	s := New(Config{})
 	w := &discardResponse{header: make(http.Header)}
 	b.ReportAllocs()
 	b.ResetTimer()
