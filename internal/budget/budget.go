@@ -215,12 +215,21 @@ func (b *B) Check() bool {
 		default:
 		}
 	}
-	if !b.deadline.IsZero() && time.Now().After(b.deadline) {
-		b.Stop(StopDeadline)
-		return false
+	// One clock read serves the deadline and the observers' pacing: the
+	// ghw searches poll once per child evaluation.
+	el := time.Duration(-1)
+	if !b.deadline.IsZero() {
+		now := time.Now()
+		if now.After(b.deadline) {
+			b.Stop(StopDeadline)
+			return false
+		}
+		el = now.Sub(b.start)
 	}
 	if obs := b.onCheck.Load(); obs != nil {
-		el := time.Since(b.start)
+		if el < 0 {
+			el = time.Since(b.start)
+		}
 		if last := b.lastObs.Load(); el-time.Duration(last) >= observeGap &&
 			b.lastObs.CompareAndSwap(last, int64(el)) {
 			n := b.nodes.Load()

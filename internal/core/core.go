@@ -198,6 +198,9 @@ type Decomposition struct {
 // the hypergraph's primal graph is decomposed (Lemma 1) and GHD is nil; for
 // the ghw algorithms a validated GHD is returned, its bags covered exactly
 // while the budget lasts and never wider than the width the run scored.
+// Under AlgPortfolio only members with an ordering of their own build a
+// decomposition, and the narrowest is checked once (one GHD.Validate, which
+// covers its tree decomposition) before it is returned.
 //
 // The run is governed by one shared budget built from Ctx, Timeout and
 // MaxNodes. When any limit trips, the algorithm stops cooperatively and
@@ -416,24 +419,56 @@ func decompose(h *hypergraph.Hypergraph, opts Options, b *budget.B) (*Decomposit
 		return nil, fmt.Errorf("core: unknown algorithm %q", opts.Algorithm)
 	}
 
+	// A portfolio member without an ordering of its own cannot win: its
+	// width is another member's claim, and that member returns the
+	// decomposition (its exit keeps a width within its claim). So it reports
+	// width, bounds and stop and builds nothing. A serial run always returns
+	// a decomposition.
+	if d.Ordering != nil || opts.shared == nil {
+		if err := exit(h, opts, b, d); err != nil {
+			return nil, err
+		}
+	}
+	// A width that meets a proven lower bound is optimal, however the run
+	// ended (Decompose then reports it as completed).
+	d.Exact = d.Exact || d.Width <= d.LowerBound
+	d.Elapsed = b.Elapsed()
+	if pendingStop != "" {
+		recordPost(d, opts, obs.Event{Kind: obs.KindStop, T: b.Elapsed(), Algo: pendingStop,
+			Width: d.Width, LowerBound: d.LowerBound, Exact: d.Exact,
+			Nodes: b.Nodes(), Stop: string(b.Reason())})
+	}
+	return d, nil
+}
+
+// exit hands a run's result off as a decomposition: the tree decomposition
+// of its ordering and, for the ghw algorithms, the GHD exitGHD covers on it.
+// A run that never materialized an ordering falls back to min-fill, so a
+// serial run always returns a decomposition. The work done after the budget
+// stopped is counted into the run's stats.
+func exit(h *hypergraph.Hypergraph, opts Options, b *budget.B, d *Decomposition) error {
 	fellBack := d.Ordering == nil
 	if fellBack {
-		// Budgeted run that never materialized an ordering: fall back to
-		// min-fill so the caller always gets a decomposition. The budget is
+		// Budgeted run that never materialized an ordering. The budget is
 		// already stopped here, so the greedy scorer inside degrades to a
 		// cheap index ordering rather than spending more time.
 		d.Ordering = elim.MinFillOrderingBudget(h.PrimalGraph(), rand.New(rand.NewSource(opts.Seed)), b)
 	}
 	d.TD = elim.TDFromOrdering(h, d.Ordering)
-	if ghw {
+	var elims, covers int
+	if b.Stopped() {
+		elims = len(d.Ordering)
+	}
+	if !opts.Algorithm.IsTreewidth() {
 		claim := d.Width
 		if fellBack {
 			claim = 0 // never scored: greedy covers only
 		}
-		g, err := exitGHD(opts.engine, d.TD, claim, b, rand.New(rand.NewSource(opts.Seed)))
+		g, late, err := exitGHD(opts.engine, d.TD, claim, b, rand.New(rand.NewSource(opts.Seed)))
 		if err != nil {
-			return nil, fmt.Errorf("core: covering decomposition: %w", err)
+			return fmt.Errorf("core: covering decomposition: %w", err)
 		}
+		covers = late
 		d.GHD = g
 		if g.Width() < d.Width {
 			// Exact covers can beat the width the run scored.
@@ -447,16 +482,10 @@ func decompose(h *hypergraph.Hypergraph, opts Options, b *budget.B) (*Decomposit
 			d.Exact = false
 		}
 	}
-	// A width that meets a proven lower bound is optimal, however the run
-	// ended (Decompose then reports it as completed).
-	d.Exact = d.Exact || d.Width <= d.LowerBound
-	d.Elapsed = b.Elapsed()
-	if pendingStop != "" {
-		recordPost(d, opts, obs.Event{Kind: obs.KindStop, T: b.Elapsed(), Algo: pendingStop,
-			Width: d.Width, LowerBound: d.LowerBound, Exact: d.Exact,
-			Nodes: b.Nodes(), Stop: string(b.Reason())})
+	if d.Stats != nil {
+		d.Stats.AddPostStop(int64(elims), int64(covers))
 	}
-	return d, nil
+	return nil
 }
 
 // coreInstrument sets up instrumentation for the algorithms that run at the

@@ -9,9 +9,12 @@ import (
 	"hypertree/internal/setcover"
 )
 
-// exitGHD is the exit routine of every ghw run and every portfolio member:
-// it covers the bags of td, the vertex-elimination decomposition of the
-// run's ordering, through the run's own cover engine eng.
+// exitGHD is the exit routine of every ghw run and of every portfolio
+// member with an ordering of its own (a member without one returns no
+// decomposition; see decompose): it covers the bags of td, the
+// vertex-elimination decomposition of the run's ordering, through the run's
+// own cover engine eng. The GHD is built on td's own tree and bags, so the
+// portfolio's one GHD.Validate of the winner checks both.
 //
 // Every bag first gets a greedy cover. claim is the width the run scored
 // this ordering at; 0 marks a fallback ordering the run never scored, which
@@ -26,10 +29,20 @@ import (
 //     proved one exists when it scored the claim, and CoverWithin stops at
 //     the first it meets, so this costs no more than that proof did, also
 //     after the deadline. The returned width is therefore never above claim.
-func exitGHD(eng *setcover.Engine, td *decomp.TreeDecomposition, claim int, b *budget.B, rng *rand.Rand) (*decomp.GHD, error) {
-	g, err := decomp.FromTreeDecompositionWithEngine(eng, td, decomp.CoverGreedy, rng)
-	if err != nil || claim <= 0 {
-		return g, err
+//
+// After the stop a bag is therefore covered at most twice: greedily, then
+// within the claim. late counts the λ-sets computed after b stopped; the
+// greedy pass counts whole when it ends after the stop.
+func exitGHD(eng *setcover.Engine, td *decomp.TreeDecomposition, claim int, b *budget.B, rng *rand.Rand) (g *decomp.GHD, late int, err error) {
+	g, err = decomp.FromTreeDecompositionWithEngine(eng, td, decomp.CoverGreedy, rng)
+	if err != nil {
+		return nil, 0, err
+	}
+	if b.Stopped() {
+		late = len(g.Lambdas)
+	}
+	if claim <= 0 {
+		return g, late, nil
 	}
 	sc := eng.NewScratch()
 	widest := make([]int, len(g.Lambdas))
@@ -49,10 +62,13 @@ func exitGHD(eng *setcover.Engine, td *decomp.TreeDecomposition, claim int, b *b
 	}
 	for i, l := range g.Lambdas {
 		if len(l) > claim {
+			if b.Stopped() {
+				late++
+			}
 			if c := eng.CoverWithin(sc, g.Bags[i], claim); c != nil {
 				g.Lambdas[i] = c
 			}
 		}
 	}
-	return g, nil
+	return g, late, nil
 }

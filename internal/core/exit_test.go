@@ -92,9 +92,12 @@ func TestExitKeepsClaim(t *testing.T) {
 		td := elim.TDFromOrdering(h, order)
 		sc := eng.NewScratch()
 		for seed := int64(0); seed < 8; seed++ {
-			g, err := exitGHD(eng, td, claim, stopped, rand.New(rand.NewSource(seed)))
+			g, late, err := exitGHD(eng, td, claim, stopped, rand.New(rand.NewSource(seed)))
 			if err != nil {
 				t.Fatal(err)
+			}
+			if late < len(td.Bags) || late > 2*len(td.Bags) {
+				t.Fatalf("%s: stopped exit counted %d late covers for %d bags, want one or two per bag", name, late, len(td.Bags))
 			}
 			if err := g.Validate(h); err != nil {
 				t.Fatalf("%s: invalid exit GHD: %v", name, err)
@@ -102,9 +105,12 @@ func TestExitKeepsClaim(t *testing.T) {
 			if g.Width() > claim {
 				t.Fatalf("%s seed %d: exit width %d above the scored claim %d", name, seed, g.Width(), claim)
 			}
-			fb, err := exitGHD(eng, td, 0, stopped, rand.New(rand.NewSource(seed)))
+			fb, late, err := exitGHD(eng, td, 0, stopped, rand.New(rand.NewSource(seed)))
 			if err != nil {
 				t.Fatal(err)
+			}
+			if late != len(td.Bags) {
+				t.Fatalf("%s: stopped fallback exit counted %d late covers for %d bags", name, late, len(td.Bags))
 			}
 			greedy := rand.New(rand.NewSource(seed))
 			for i, bag := range td.Bags {

@@ -27,6 +27,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sort"
 	"sync"
 	"time"
 
@@ -207,6 +208,116 @@ func decomposePortfolio(h *hypergraph.Hypergraph, opts Options) (*Decomposition,
 		seen[a] = true
 	}
 
+	rc := race(h, opts, members)
+	b, pf, results := rc.b, rc.pf, rc.results
+
+	var firstErr error
+	for _, r := range results {
+		if r.err == nil {
+			continue
+		}
+		var pe *budget.PanicError
+		if errors.As(r.err, &pe) {
+			// A member panic fails the whole run, results or not: the
+			// containment contract turns one exploding solver into a
+			// diagnosable error, never a silently degraded answer.
+			return nil, pe
+		}
+		if firstErr == nil {
+			firstErr = fmt.Errorf("core: portfolio member %s: %w", r.alg, r.err)
+		}
+	}
+	if firstErr != nil {
+		return nil, firstErr
+	}
+
+	won, err := pickWinner(h, results)
+	if err != nil {
+		return nil, err
+	}
+	winner, winnerAlg := won.d, won.alg
+
+	lbFinal := pf.lowerBound()
+	reason := b.Reason()
+	if reason == budget.StopPortfolioWin {
+		reason = budget.StopNone
+	}
+	exact := winner.Width <= lbFinal
+	if exact {
+		// The proof stands whichever limit latched first: the winner realizes
+		// the proven lower bound, so the race completed in every sense that
+		// matters to the caller.
+		reason = budget.StopNone
+	}
+	var evals int64
+	for _, r := range results {
+		if r.d != nil {
+			evals += r.d.Evaluations
+			if st := r.d.Stats; st != nil {
+				st := st.Snapshot()
+				pf.stats.AddPostStop(st.PostStopEliminations, st.PostStopCovers)
+			}
+		}
+	}
+	// All members have joined, so the global counter is final: read it once
+	// and use it for both the result and the ledger, keeping the
+	// conservation check (member views sum to TotalNodes) exact.
+	total := b.Nodes()
+	led := &attr.Ledger{Portfolio: true, Winner: string(winnerAlg), TotalNodes: total}
+	for i, alg := range members {
+		m := pf.col.Member(string(alg))
+		m.Nodes = rc.children[i].Nodes()
+		m.CPU = results[i].wall
+		st := rc.engines[i].CacheStats()
+		m.CacheHits, m.CacheMisses = st.Hits, st.Misses
+		m.Role = attr.Role(alg == winnerAlg, m.Stop)
+		led.Members = append(led.Members, m)
+	}
+	d := &Decomposition{
+		TD:          winner.TD,
+		GHD:         winner.GHD,
+		Width:       winner.Width,
+		LowerBound:  lbFinal,
+		Exact:       exact,
+		Ordering:    winner.Ordering,
+		Nodes:       total,
+		Evaluations: evals,
+		Elapsed:     b.Elapsed(),
+		Stop:        reason,
+		Interrupted: reason != budget.StopNone,
+		Stats:       pf.stats,
+		Ledger:      led,
+	}
+	if st := rc.eng.CacheStats(); st.Hits+st.Misses > 0 {
+		pf.rec.Record(obs.Event{Kind: obs.KindCoverCache, T: b.Elapsed(),
+			Algo: string(AlgPortfolio), CacheHits: st.Hits, CacheMisses: st.Misses,
+			CacheEvictions: st.Evictions, CacheSize: st.Size})
+	}
+	pf.rec.Record(obs.Event{Kind: obs.KindStop, T: b.Elapsed(),
+		Algo: string(AlgPortfolio), Width: d.Width, LowerBound: d.LowerBound,
+		Exact: d.Exact, Nodes: d.Nodes, Evaluations: evals, Stop: string(reason)})
+	// The terminal attr events: one per member, after the portfolio's
+	// algo_stop, each carrying that member's ledger row into the trace.
+	for _, ev := range led.Events(b.Elapsed()) {
+		pf.rec.Record(ev)
+	}
+	return d, nil
+}
+
+// raceRun is a finished race: its budget and shared state, each member's
+// budget and cover-engine views, and each member's result.
+type raceRun struct {
+	b        *budget.B
+	pf       *portfolio
+	eng      *setcover.Engine
+	children []*budget.B
+	engines  []*setcover.Engine
+	results  []memberResult
+}
+
+// race runs the members concurrently on one budget, one cover engine and
+// one incumbent, and returns once every member has joined.
+func race(h *hypergraph.Hypergraph, opts Options, members []Algorithm) *raceRun {
 	b := budget.New(opts.Ctx, budget.Limits{
 		Timeout:    opts.Timeout,
 		MaxNodes:   opts.MaxNodes,
@@ -269,118 +380,27 @@ func decomposePortfolio(h *hypergraph.Hypergraph, opts Options) (*Decomposition,
 		}()
 	}
 	wg.Wait()
-
-	var firstErr error
-	for _, r := range results {
-		if r.err == nil {
-			continue
-		}
-		var pe *budget.PanicError
-		if errors.As(r.err, &pe) {
-			// A member panic fails the whole run, results or not: the
-			// containment contract turns one exploding solver into a
-			// diagnosable error, never a silently degraded answer.
-			return nil, pe
-		}
-		if firstErr == nil {
-			firstErr = fmt.Errorf("core: portfolio member %s: %w", r.alg, r.err)
-		}
-	}
-	if firstErr != nil {
-		return nil, firstErr
-	}
-
-	won, err := pickWinner(h, results)
-	if err != nil {
-		return nil, err
-	}
-	winner, winnerAlg := won.d, won.alg
-
-	lbFinal := pf.lowerBound()
-	reason := b.Reason()
-	if reason == budget.StopPortfolioWin {
-		reason = budget.StopNone
-	}
-	exact := winner.Width <= lbFinal
-	if exact {
-		// The proof stands whichever limit latched first: the winner realizes
-		// the proven lower bound, so the race completed in every sense that
-		// matters to the caller.
-		reason = budget.StopNone
-	}
-	var evals int64
-	for _, r := range results {
-		if r.d != nil {
-			evals += r.d.Evaluations
-		}
-	}
-	// All members have joined, so the global counter is final: read it once
-	// and use it for both the result and the ledger, keeping the
-	// conservation check (member views sum to TotalNodes) exact.
-	total := b.Nodes()
-	led := &attr.Ledger{Portfolio: true, Winner: string(winnerAlg), TotalNodes: total}
-	for i, alg := range members {
-		m := pf.col.Member(string(alg))
-		m.Nodes = children[i].Nodes()
-		m.CPU = results[i].wall
-		st := engines[i].CacheStats()
-		m.CacheHits, m.CacheMisses = st.Hits, st.Misses
-		m.Role = attr.Role(alg == winnerAlg, m.Stop)
-		led.Members = append(led.Members, m)
-	}
-	d := &Decomposition{
-		TD:          winner.TD,
-		GHD:         winner.GHD,
-		Width:       winner.Width,
-		LowerBound:  lbFinal,
-		Exact:       exact,
-		Ordering:    winner.Ordering,
-		Nodes:       total,
-		Evaluations: evals,
-		Elapsed:     b.Elapsed(),
-		Stop:        reason,
-		Interrupted: reason != budget.StopNone,
-		Stats:       pf.stats,
-		Ledger:      led,
-	}
-	if st := eng.CacheStats(); st.Hits+st.Misses > 0 {
-		pf.rec.Record(obs.Event{Kind: obs.KindCoverCache, T: b.Elapsed(),
-			Algo: string(AlgPortfolio), CacheHits: st.Hits, CacheMisses: st.Misses,
-			CacheEvictions: st.Evictions, CacheSize: st.Size})
-	}
-	pf.rec.Record(obs.Event{Kind: obs.KindStop, T: b.Elapsed(),
-		Algo: string(AlgPortfolio), Width: d.Width, LowerBound: d.LowerBound,
-		Exact: d.Exact, Nodes: d.Nodes, Evaluations: evals, Stop: string(reason)})
-	// The terminal attr events: one per member, after the portfolio's
-	// algo_stop, each carrying that member's ledger row into the trace.
-	for _, ev := range led.Events(b.Elapsed()) {
-		pf.rec.Record(ev)
-	}
-	return d, nil
+	return &raceRun{b: b, pf: pf, eng: eng, children: children, engines: engines, results: results}
 }
 
 // pickWinner chooses the race's answer: the narrowest member result whose
-// tree decomposition and GHD both validate against h, member order breaking
-// ties. Validation is the expensive step, so a result no narrower than the
-// current winner is skipped unvalidated. Results without a decomposition
-// are not candidates.
+// GHD validates against h, member order breaking ties. Each GHD is built
+// on its tree decomposition's own tree and bags (exitGHD), so one
+// GHD.Validate checks everything the result exposes. Only the narrowest
+// candidate is checked, and the next one only if it fails. Members without
+// a decomposition (no ordering of their own) are not candidates.
 func pickWinner(h *hypergraph.Hypergraph, results []memberResult) (memberResult, error) {
-	var won memberResult
+	var cands []memberResult
 	for _, r := range results {
-		d := r.d
-		if d == nil || d.TD == nil || d.GHD == nil {
-			continue
+		if r.d != nil && r.d.TD != nil && r.d.GHD != nil {
+			cands = append(cands, r)
 		}
-		if won.d != nil && d.Width >= won.d.Width {
-			continue // cannot win
-		}
-		if d.TD.Validate(h) != nil || d.GHD.Validate(h) != nil {
-			continue
-		}
-		won = r
 	}
-	if won.d == nil {
-		return memberResult{}, fmt.Errorf("core: portfolio produced no valid decomposition")
+	sort.SliceStable(cands, func(i, j int) bool { return cands[i].d.Width < cands[j].d.Width })
+	for _, r := range cands {
+		if r.d.GHD.Validate(h) == nil {
+			return r, nil
+		}
 	}
-	return won, nil
+	return memberResult{}, fmt.Errorf("core: portfolio produced no valid decomposition")
 }

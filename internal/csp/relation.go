@@ -38,11 +38,16 @@ func sharedColumns(a, b *Table, ai, bi []int) ([]int, []int) {
 // hashRow mixes the values of row at the given columns into a uint64. The
 // hash is only a bucket discriminator: every lookup re-verifies candidate
 // rows value by value, so a collision costs a comparison, never a wrong
-// answer.
+// answer. Each value is mixed (a multiply and a fold of its high half)
+// before it is folded into FNV-1a: XORed in whole, a negative value flips
+// its sign-extended high bits, which the multiplies only carry upward and
+// out, so short tuples of small negative values collided in all 64 bits
+// ((−2, −2, 0) with (−2, 0, −2)).
 func hashRow(row []Value, cols []int) uint64 {
 	h := uint64(14695981039346656037)
 	for _, c := range cols {
-		h ^= uint64(row[c])
+		x := uint64(row[c]) * 0x9e3779b97f4a7c15
+		h ^= x ^ x>>32
 		h *= 1099511628211
 	}
 	// Final avalanche so low-entropy value sets still spread over buckets.

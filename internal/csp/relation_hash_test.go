@@ -181,3 +181,52 @@ func TestHashOpsUnderForcedCollisions(t *testing.T) {
 		}
 	}
 }
+
+// tupleHashes hashes every tuple of the given width over values, with
+// hashRow over all of its columns, and returns how many distinct hashes
+// they take and how many tuples there are.
+func tupleHashes(values []Value, width int) (distinct, tuples int) {
+	cols := make([]int, width)
+	for i := range cols {
+		cols[i] = i
+	}
+	row := make([]Value, width)
+	seen := make(map[uint64]bool)
+	var rec func(i int)
+	rec = func(i int) {
+		if i == width {
+			seen[hashRow(row, cols)] = true
+			tuples++
+			return
+		}
+		for _, v := range values {
+			row[i] = v
+			rec(i + 1)
+		}
+	}
+	rec(0)
+	return len(seen), tuples
+}
+
+// hashRow must not collide, in all 64 bits, on short tuples of small
+// values: negative ones (whole values XORed into FNV-1a once gave the 125
+// tuples of {−2..2}³ only 83 hashes), 0/1 tuples up to width 14, and
+// {0..7}³.
+func TestHashRowDistinctOnSmallTuples(t *testing.T) {
+	cases := []struct {
+		name   string
+		values []Value
+		widths []int
+	}{
+		{"{-2..2}^3", []Value{-2, -1, 0, 1, 2}, []int{3}},
+		{"{0,1}^w, w<=14", []Value{0, 1}, []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14}},
+		{"{0..7}^3", []Value{0, 1, 2, 3, 4, 5, 6, 7}, []int{3}},
+	}
+	for _, c := range cases {
+		for _, w := range c.widths {
+			if distinct, tuples := tupleHashes(c.values, w); distinct != tuples {
+				t.Errorf("%s, width %d: %d tuples take only %d distinct hashes", c.name, w, tuples, distinct)
+			}
+		}
+	}
+}

@@ -12,7 +12,7 @@ package elim
 import (
 	"fmt"
 	"math/rand"
-	"sort"
+	"slices"
 
 	"hypertree/internal/budget"
 	"hypertree/internal/budget/faultinject"
@@ -173,6 +173,10 @@ func (ev *GHWEvaluator) coverSize(bag []int) int {
 // {v} ∪ N_live(v) at v's elimination, and node(v)'s parent is the node of
 // the first-eliminated live neighbor. Nodes with no live neighbors chain to
 // the next node in elimination order so that the result is a single tree.
+// The elimination graph is built straight from h's hyperedges and every
+// bag is cut from one array; Parent and Bags have no spare capacity, so a
+// GHD that appends nodes to them (decomp.GHD.Complete) reallocates instead
+// of writing into this decomposition.
 func TDFromOrdering(h *hypergraph.Hypergraph, order []int) *decomp.TreeDecomposition {
 	if err := Validate(order, h.N()); err != nil {
 		panic(err)
@@ -182,22 +186,28 @@ func TDFromOrdering(h *hypergraph.Hypergraph, order []int) *decomp.TreeDecomposi
 		panic("elim: empty hypergraph")
 	}
 	e := elimgraph.FromHypergraph(h)
-	defer e.Reset()
 	pos := make([]int, n) // pos[v] = elimination position
 	for i, v := range order {
 		pos[v] = i
 	}
-	bags := make([][]int, n)
+	// The bags are appended to flat and sliced off once it stops growing,
+	// since an append may move it. Each primal edge lands in the bag of its
+	// first-eliminated end, so n plus the total degree is a fair first size.
+	size := n
+	for v := 0; v < n; v++ {
+		size += e.Degree(v)
+	}
+	flat := make([]int, 0, size)
+	ends := make([]int, n)
 	parent := make([]int, n)
 	var buf []int
 	for i, v := range order {
 		ns := e.Neighbors(v, buf)
 		buf = ns
-		bag := make([]int, 0, len(ns)+1)
-		bag = append(bag, ns...)
-		bag = append(bag, v)
-		sort.Ints(bag)
-		bags[i] = bag
+		start := len(flat)
+		flat = append(append(flat, ns...), v)
+		slices.Sort(flat[start:])
+		ends[i] = len(flat)
 		// Parent: earliest-eliminated live neighbor.
 		next := -1
 		for _, u := range ns {
@@ -214,6 +224,12 @@ func TDFromOrdering(h *hypergraph.Hypergraph, order []int) *decomp.TreeDecomposi
 		}
 		parent[i] = next
 		e.Eliminate(v)
+	}
+	bags := make([][]int, n)
+	start := 0
+	for i, end := range ends {
+		bags[i] = flat[start:end:end]
+		start = end
 	}
 	return &decomp.TreeDecomposition{
 		Tree: decomp.Tree{Parent: parent, Root: n - 1},

@@ -407,3 +407,18 @@ func BucketElimination(h *hypergraph.Hypergraph, order []int) *decomp.TreeDecomp
 		Bags: bags,
 	}
 }
+
+// BenchmarkTDFromOrdering builds the tree decomposition of a 60-signal
+// circuit's min-fill ordering, the hand-off a portfolio winner's exit makes
+// on the serving benchmark's decompose requests.
+func BenchmarkTDFromOrdering(b *testing.B) {
+	h := hypergraph.RandomCircuit(60, 62, 1)
+	order := MinFillOrdering(h.PrimalGraph(), rand.New(rand.NewSource(1)))
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		tdSink = TDFromOrdering(h, order)
+	}
+}
+
+// tdSink keeps BenchmarkTDFromOrdering's result live.
+var tdSink *decomp.TreeDecomposition

@@ -16,6 +16,7 @@ package elimgraph
 
 import (
 	"fmt"
+	"slices"
 
 	"hypertree/internal/hypergraph"
 )
@@ -29,6 +30,15 @@ type ElimGraph struct {
 	deg        []int // live degree, maintained incrementally
 	live       int
 	undo       []step
+	// nbrs and fills are the arenas the undo steps' slices are cut from,
+	// pushed by Eliminate and popped by Restore.
+	nbrs  []int
+	fills [][2]int
+	// nbuf and miss are FillCount's and IsAlmostSimplicial's scratch: a
+	// neighbour buffer and per-vertex missing-pair counters (zero between
+	// calls). Like the rest of the graph they are single-goroutine state.
+	nbuf []int
+	miss []int
 }
 
 type step struct {
@@ -59,9 +69,52 @@ func New(g *hypergraph.Graph) *ElimGraph {
 	return e
 }
 
-// FromHypergraph builds the elimination graph of a hypergraph's primal graph.
+// FromHypergraph builds the elimination graph of a hypergraph's primal
+// graph straight from its hyperedges, without the map-based
+// hypergraph.Graph: the matrix row of v is filled from the edges incident
+// to v (each entry set once doubles as the duplicate check), and v's
+// adjacency list is the ascending list of its row, cut from one shared
+// array with as much room again for fill edges. The result equals
+// New(h.PrimalGraph()): the same matrix and the same adjacency order, so
+// every elimination, bag and ordering built on it is identical.
 func FromHypergraph(h *hypergraph.Hypergraph) *ElimGraph {
-	return New(h.PrimalGraph())
+	n := h.N()
+	e := &ElimGraph{
+		n:          n,
+		adj:        make([][]int, n),
+		matrix:     make([]bool, n*n),
+		eliminated: make([]bool, n),
+		deg:        make([]int, n),
+		live:       n,
+		undo:       make([]step, 0, n),
+	}
+	// Σ_e |e|(|e|-1) bounds the total degree, so the shared array, twice
+	// that, never grows and the lists can be cut as they are filled.
+	bound := 0
+	for i := 0; i < h.M(); i++ {
+		k := len(h.Edge(i))
+		bound += k * (k - 1)
+	}
+	flat := make([]int, 0, 2*bound)
+	for v := 0; v < n; v++ {
+		start := len(flat)
+		row := v * n
+		for _, ei := range h.IncidentEdges(v) {
+			for _, u := range h.Edge(ei) {
+				if u != v && !e.matrix[row+u] {
+					e.matrix[row+u] = true
+					flat = append(flat, u)
+				}
+			}
+		}
+		k := len(flat) - start
+		flat = flat[:start+2*k]
+		ns := flat[start : start+k : start+2*k]
+		slices.Sort(ns)
+		e.adj[v] = ns
+		e.deg[v] = k
+	}
+	return e
 }
 
 // N returns the total number of vertices (live + eliminated).
@@ -82,7 +135,11 @@ func (e *ElimGraph) Degree(v int) int { return e.deg[v] }
 // Neighbors appends the live neighbors of v to buf and returns it. Pass a
 // reusable buffer to avoid allocation in hot loops.
 func (e *ElimGraph) Neighbors(v int, buf []int) []int {
-	buf = buf[:0]
+	return e.appendNeighbors(buf[:0], v)
+}
+
+// appendNeighbors appends the live neighbors of v to buf.
+func (e *ElimGraph) appendNeighbors(buf []int, v int) []int {
 	row := v * e.n
 	for _, u := range e.adj[v] {
 		if !e.eliminated[u] && e.matrix[row+u] {
@@ -107,7 +164,8 @@ func (e *ElimGraph) LiveVertices(buf []int) []int {
 // missing adjacencies among v's live neighbors. Used by the min-fill
 // heuristic.
 func (e *ElimGraph) FillCount(v int) int {
-	ns := e.Neighbors(v, nil)
+	ns := e.Neighbors(v, e.nbuf)
+	e.nbuf = ns
 	fill := 0
 	for i := 0; i < len(ns); i++ {
 		row := ns[i] * e.n
@@ -129,33 +187,35 @@ func (e *ElimGraph) IsSimplicial(v int) bool {
 // clique, i.e. there is a neighbor u whose removal makes N(v) a clique.
 // A simplicial vertex is not reported as almost simplicial.
 func (e *ElimGraph) IsAlmostSimplicial(v int) bool {
-	ns := e.Neighbors(v, nil)
+	ns := e.Neighbors(v, e.nbuf)
+	e.nbuf = ns
 	if len(ns) < 2 {
 		return false
+	}
+	if e.miss == nil {
+		e.miss = make([]int, e.n)
 	}
 	// Count missing pairs per neighbor. v is almost simplicial via u iff u is
 	// an endpoint of every missing pair.
 	missTotal := 0
-	missCount := make(map[int]int)
 	for i := 0; i < len(ns); i++ {
 		row := ns[i] * e.n
 		for j := i + 1; j < len(ns); j++ {
 			if !e.matrix[row+ns[j]] {
 				missTotal++
-				missCount[ns[i]]++
-				missCount[ns[j]]++
+				e.miss[ns[i]]++
+				e.miss[ns[j]]++
 			}
 		}
 	}
-	if missTotal == 0 {
-		return false // simplicial, not almost simplicial
-	}
-	for _, c := range missCount {
-		if c == missTotal {
-			return true
+	almost := false
+	for _, u := range ns {
+		if missTotal > 0 && e.miss[u] == missTotal {
+			almost = true
 		}
+		e.miss[u] = 0
 	}
-	return false
+	return almost // a simplicial v (missTotal == 0) is not almost simplicial
 }
 
 // Eliminate removes v from the live graph after pairwise-connecting its live
@@ -165,8 +225,14 @@ func (e *ElimGraph) Eliminate(v int) int {
 	if e.eliminated[v] {
 		panic(fmt.Sprintf("elimgraph: vertex %d already eliminated", v))
 	}
-	ns := e.Neighbors(v, nil)
-	st := step{v: v, neighbors: ns}
+	// The step's neighbours and fills are pushed onto the graph's LIFO
+	// arenas and popped by Restore, so a search moving up and down its tree
+	// stops allocating here once warm. An arena that grows moves, but the
+	// steps below keep the old array, which no later step writes.
+	nOff := len(e.nbrs)
+	e.nbrs = e.appendNeighbors(e.nbrs, v)
+	ns := e.nbrs[nOff:len(e.nbrs):len(e.nbrs)]
+	fOff := len(e.fills)
 	// Add fill edges.
 	for i := 0; i < len(ns); i++ {
 		a := ns[i]
@@ -180,10 +246,11 @@ func (e *ElimGraph) Eliminate(v int) int {
 				e.adj[b] = append(e.adj[b], a)
 				e.deg[a]++
 				e.deg[b]++
-				st.fills = append(st.fills, [2]int{a, b})
+				e.fills = append(e.fills, [2]int{a, b})
 			}
 		}
 	}
+	st := step{v: v, neighbors: ns, fills: e.fills[fOff:len(e.fills):len(e.fills)]}
 	// Detach v.
 	for _, u := range ns {
 		e.matrix[v*e.n+u] = false
@@ -204,6 +271,8 @@ func (e *ElimGraph) Restore() int {
 	}
 	st := e.undo[len(e.undo)-1]
 	e.undo = e.undo[:len(e.undo)-1]
+	e.nbrs = e.nbrs[:len(e.nbrs)-len(st.neighbors)]
+	e.fills = e.fills[:len(e.fills)-len(st.fills)]
 	// Remove fill edges in reverse order so adjacency-list tails pop cleanly.
 	for i := len(st.fills) - 1; i >= 0; i-- {
 		a, b := st.fills[i][0], st.fills[i][1]
@@ -260,24 +329,4 @@ func (e *ElimGraph) SetPrefix(prefix []int) {
 	for i := common; i < len(prefix); i++ {
 		e.Eliminate(prefix[i])
 	}
-}
-
-// Snapshot returns an independent simple graph equal to the current live
-// filled graph. Vertex ids are preserved; eliminated vertices are isolated.
-//
-// test-only: TestSnapshotProperty; no search copies the filled graph out.
-func (e *ElimGraph) Snapshot() *hypergraph.Graph {
-	g := hypergraph.NewGraph(e.n)
-	for v := 0; v < e.n; v++ {
-		if e.eliminated[v] {
-			continue
-		}
-		row := v * e.n
-		for u := v + 1; u < e.n; u++ {
-			if !e.eliminated[u] && e.matrix[row+u] {
-				g.AddEdge(v, u)
-			}
-		}
-	}
-	return g
 }

@@ -2,6 +2,7 @@ package elimgraph
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -265,29 +266,69 @@ func TestEliminationCreatesCliqueProperty(t *testing.T) {
 	}
 }
 
-// Property: Snapshot agrees with HasEdge on every pair.
-func TestSnapshotProperty(t *testing.T) {
+// Property: FromHypergraph builds the same matrix and the same adjacency
+// lists, in the same order, as New on the map-based primal graph, and the
+// two stay identical through a random elimination sequence (Neighbors
+// follows adjacency order, so fills and bags depend on it).
+func TestFromHypergraphMatchesPrimalGraph(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		n := 5 + rng.Intn(8)
-		g := hypergraph.RandomGraph(n, n+2, seed)
-		e := New(g)
-		for _, v := range rng.Perm(n)[:n/2] {
-			e.Eliminate(v)
+		var h *hypergraph.Hypergraph
+		if seed%2 == 0 {
+			n := 8 + rng.Intn(50)
+			h = hypergraph.RandomCircuit(n, n+2+rng.Intn(8), seed)
+		} else {
+			n := 3 + rng.Intn(12)
+			h = hypergraph.NewHypergraph(n)
+			for k := rng.Intn(2 * n); k > 0; k-- {
+				h.AddEdge(rng.Perm(n)[:1+rng.Intn(min(n, 4))]...)
+			}
 		}
-		snap := e.Snapshot()
-		for u := 0; u < n; u++ {
-			for v := u + 1; v < n; v++ {
-				live := !e.Eliminated(u) && !e.Eliminated(v)
-				if snap.HasEdge(u, v) != (live && e.HasEdge(u, v)) {
+		a, b := FromHypergraph(h), New(h.PrimalGraph())
+		same := func() bool {
+			if !slices.Equal(a.matrix, b.matrix) || !slices.Equal(a.deg, b.deg) {
+				return false
+			}
+			for v := 0; v < h.N(); v++ {
+				if !slices.Equal(a.adj[v], b.adj[v]) ||
+					!slices.Equal(a.Neighbors(v, nil), b.Neighbors(v, nil)) {
 					return false
 				}
+			}
+			return true
+		}
+		if !same() {
+			return false
+		}
+		for _, v := range rng.Perm(h.N()) {
+			a.Eliminate(v)
+			b.Eliminate(v)
+			if !same() {
+				return false
 			}
 		}
 		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// FillCount and IsAlmostSimplicial run on the graph's own scratch: warm,
+// they allocate nothing.
+func TestFillCountAllocsNothing(t *testing.T) {
+	e := FromHypergraph(hypergraph.RandomCircuit(40, 44, 3))
+	for v := 0; v < e.N(); v++ {
+		e.FillCount(v)
+		e.IsAlmostSimplicial(v)
+	}
+	if a := testing.AllocsPerRun(20, func() {
+		for v := 0; v < e.N(); v++ {
+			e.FillCount(v)
+			e.IsAlmostSimplicial(v)
+		}
+	}); a != 0 {
+		t.Fatalf("FillCount and IsAlmostSimplicial allocated %v times per sweep", a)
 	}
 }
 

@@ -57,22 +57,6 @@ func (g *Graph) AddEdge(u, v int) bool {
 	return true
 }
 
-// RemoveEdge deletes the undirected edge {u, v} if present and reports
-// whether an edge was removed.
-//
-// test-only: TestRemoveEdge; no binary removes a graph edge.
-func (g *Graph) RemoveEdge(u, v int) bool {
-	g.check(u)
-	g.check(v)
-	if _, ok := g.adj[u][v]; !ok {
-		return false
-	}
-	delete(g.adj[u], v)
-	delete(g.adj[v], u)
-	g.edges--
-	return true
-}
-
 // HasEdge reports whether {u, v} is an edge.
 //
 // test-only: the adjacency check of the hypergraph and elimgraph tests.
@@ -122,23 +106,6 @@ func (g *Graph) Edges() [][2]int {
 	return out
 }
 
-// Clone returns a deep copy of the graph.
-//
-// test-only: TestCloneIndependent; no binary clones a graph.
-func (g *Graph) Clone() *Graph {
-	c := NewGraph(g.n)
-	for u := 0; u < g.n; u++ {
-		for v := range g.adj[u] {
-			c.adj[u][v] = struct{}{}
-		}
-	}
-	c.edges = g.edges
-	if g.names != nil {
-		c.names = append([]string(nil), g.names...)
-	}
-	return c
-}
-
 // SetName attaches a display name to vertex v.
 func (g *Graph) SetName(v int, name string) {
 	g.check(v)
@@ -146,17 +113,6 @@ func (g *Graph) SetName(v int, name string) {
 		g.names = make([]string, g.n)
 	}
 	g.names[v] = name
-}
-
-// Name returns the display name of v, or its decimal index if unnamed.
-//
-// test-only: TestNames; the binaries read names only through FromGraph.
-func (g *Graph) Name(v int) string {
-	g.check(v)
-	if g.names != nil && g.names[v] != "" {
-		return g.names[v]
-	}
-	return fmt.Sprintf("%d", v)
 }
 
 // Complete turns the given vertex set into a clique, adding any missing

@@ -37,21 +37,6 @@ func TestAddEdgeIdempotentAndSymmetric(t *testing.T) {
 	}
 }
 
-func TestRemoveEdge(t *testing.T) {
-	g := NewGraph(3)
-	g.AddEdge(0, 1)
-	g.AddEdge(1, 2)
-	if !g.RemoveEdge(1, 0) {
-		t.Fatal("RemoveEdge existing returned false")
-	}
-	if g.RemoveEdge(0, 1) {
-		t.Fatal("RemoveEdge missing returned true")
-	}
-	if g.M() != 1 || g.HasEdge(0, 1) {
-		t.Fatal("edge not removed")
-	}
-}
-
 func TestNeighborsSorted(t *testing.T) {
 	g := NewGraph(5)
 	g.AddEdge(2, 4)
@@ -86,19 +71,6 @@ func TestEdgesSortedPairs(t *testing.T) {
 	}
 }
 
-func TestCloneIndependent(t *testing.T) {
-	g := NewGraph(3)
-	g.AddEdge(0, 1)
-	c := g.Clone()
-	c.AddEdge(1, 2)
-	if g.HasEdge(1, 2) {
-		t.Fatal("mutating clone affected original")
-	}
-	if !c.HasEdge(0, 1) {
-		t.Fatal("clone lost edge")
-	}
-}
-
 func TestCliqueAndComplete(t *testing.T) {
 	g := NewGraph(4)
 	vs := []int{0, 1, 3}
@@ -118,17 +90,6 @@ func TestCliqueAndComplete(t *testing.T) {
 	// Singleton and empty sets are trivially cliques.
 	if !g.IsClique(nil) || !g.IsClique([]int{2}) {
 		t.Fatal("trivial sets not cliques")
-	}
-}
-
-func TestNames(t *testing.T) {
-	g := NewGraph(2)
-	if g.Name(1) != "1" {
-		t.Fatalf("default name = %q", g.Name(1))
-	}
-	g.SetName(1, "WA")
-	if g.Name(1) != "WA" {
-		t.Fatalf("name = %q, want WA", g.Name(1))
 	}
 }
 

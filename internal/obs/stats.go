@@ -68,6 +68,12 @@ type RunStats struct {
 	CacheSize                              int
 	// Attempts counts det-k-decomp width attempts.
 	Attempts int
+	// PostStopEliminations and PostStopCovers count the work a run's exit
+	// did after its budget stopped: vertices eliminated to build the
+	// returned tree decomposition, and λ-sets computed to cover its bags. A
+	// portfolio's stats sum its members'. They come from the exit, not from
+	// events (see AddPostStop).
+	PostStopEliminations, PostStopCovers int64
 	// FinalWidth, FinalLowerBound, Exact, Stop and Elapsed mirror the
 	// algo_stop event.
 	FinalWidth      int
@@ -157,6 +163,14 @@ func (s *RunStats) Record(e Event) {
 	}
 }
 
+// AddPostStop adds an exit's post-stop work to the counters.
+func (s *RunStats) AddPostStop(eliminations, covers int64) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.PostStopEliminations += eliminations
+	s.PostStopCovers += covers
+}
+
 // Snapshot returns a copy of the statistics safe to read while the run is
 // still recording.
 func (s *RunStats) Snapshot() *RunStats {
@@ -175,6 +189,7 @@ func (s *RunStats) Snapshot() *RunStats {
 		CacheEvictions: s.CacheEvictions, CacheSize: s.CacheSize,
 		Attempts:   s.Attempts,
 		FinalWidth: s.FinalWidth, FinalLowerBound: s.FinalLowerBound,
+		PostStopEliminations: s.PostStopEliminations, PostStopCovers: s.PostStopCovers,
 		Exact: s.Exact, Stop: s.Stop, Elapsed: s.Elapsed,
 	}
 	cp.Timeline = append([]WidthPoint(nil), s.Timeline...)

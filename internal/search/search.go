@@ -290,7 +290,21 @@ func newGHWModel(eng *setcover.Engine, seed int64, b *budget.B) *ghwModel {
 }
 
 func (m *ghwModel) graph() *elimgraph.ElimGraph { return m.ev.E }
-func (m *ghwModel) stepCost(v int) int          { return m.ev.BagCost(v) }
+
+// stepCost polls the budget before every bag cover, not only on the
+// budget's 256-tick cadence: a ghw child evaluation (a cover through the
+// engine plus the tw-ksc remainder bound) costs ~10 µs, so 256 ticks are
+// ~2.5 ms, while a poll (time.Now and, once per millisecond, the checkpoint
+// observers) costs ~0.1 µs. A stopped budget prices the child at the cap,
+// which prunes it; the search then stops at its next Tick. Tick accounting
+// is unchanged.
+func (m *ghwModel) stepCost(v int) int {
+	if !m.ev.Budget.Check() {
+		return m.ev.Cap
+	}
+	return m.ev.BagCost(v)
+}
+
 func (m *ghwModel) remainderLB() int {
 	return bounds.TwKscWidthFrom(bounds.MinorMinWidthElim(m.ev.E, m.rng), m.maxArity)
 }
