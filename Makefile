@@ -179,7 +179,7 @@ tracestat-smoke: trace-smoke
 	rm -f trace.smoke.jsonl
 
 # fuzz runs each fuzz target for 30 s: the three parser fuzzers, the /query
-# CSP, batch, envelope-reader and request-parameter fuzzers; extend
+# CSP, batch, envelope-reader, csp-reader and request-parameter fuzzers; extend
 # -fuzztime for real campaigns. fuzz-smoke, part of check, runs the same
 # targets for 5 s each. Both cap the minimization of each new interesting
 # input at 2 s: Go's default of 60 s let a 30 s run spend most of its time
@@ -191,6 +191,7 @@ fuzz:
 	$(GO) test -run=^$$ -fuzz=FuzzQueryCSP      -fuzztime=30s -fuzzminimizetime=2s ./internal/server/
 	$(GO) test -run=^$$ -fuzz=FuzzQueryBatch    -fuzztime=30s -fuzzminimizetime=2s ./internal/server/
 	$(GO) test -run=^$$ -fuzz=FuzzQueryEnvelope -fuzztime=30s -fuzzminimizetime=2s ./internal/server/
+	$(GO) test -run=^$$ -fuzz=FuzzCSPSpec       -fuzztime=30s -fuzzminimizetime=2s ./internal/server/
 	$(GO) test -run=^$$ -fuzz=FuzzRequestParams -fuzztime=30s -fuzzminimizetime=2s ./internal/server/
 
 fuzz-smoke:
@@ -200,6 +201,7 @@ fuzz-smoke:
 	$(GO) test -run=^$$ -fuzz=FuzzQueryCSP      -fuzztime=5s -fuzzminimizetime=2s ./internal/server/
 	$(GO) test -run=^$$ -fuzz=FuzzQueryBatch    -fuzztime=5s -fuzzminimizetime=2s ./internal/server/
 	$(GO) test -run=^$$ -fuzz=FuzzQueryEnvelope -fuzztime=5s -fuzzminimizetime=2s ./internal/server/
+	$(GO) test -run=^$$ -fuzz=FuzzCSPSpec       -fuzztime=5s -fuzzminimizetime=2s ./internal/server/
 	$(GO) test -run=^$$ -fuzz=FuzzRequestParams -fuzztime=5s -fuzzminimizetime=2s ./internal/server/
 
 clean:

@@ -155,9 +155,13 @@ func ClampWorkers(n int) int {
 // Decomposition is the unified result: a validated decomposition plus the
 // bounds and effort statistics of the run.
 type Decomposition struct {
-	// TD is the tree decomposition induced by Ordering.
+	// TD is the tree decomposition induced by Ordering, with every tree edge
+	// between nested bags contracted (decomp.TreeDecomposition.Compact), so
+	// it holds only the ordering's maximal bags; hw-detk's is its own
+	// decomposition's tree.
 	TD *decomp.TreeDecomposition
-	// GHD is the covered decomposition; nil for the treewidth algorithms.
+	// GHD is the covered decomposition, on TD's own tree and bags; nil for
+	// the treewidth algorithms.
 	GHD *decomp.GHD
 	// Width is the achieved width (treewidth-style for tw algorithms,
 	// λ-width for ghw algorithms).
@@ -442,10 +446,14 @@ func decompose(h *hypergraph.Hypergraph, opts Options, b *budget.B) (*Decomposit
 }
 
 // exit hands a run's result off as a decomposition: the tree decomposition
-// of its ordering and, for the ghw algorithms, the GHD exitGHD covers on it.
-// A run that never materialized an ordering falls back to min-fill, so a
-// serial run always returns a decomposition. The work done after the budget
-// stopped is counted into the run's stats.
+// of its ordering, compacted to its maximal bags, and, for the ghw
+// algorithms, the GHD exitGHD covers on it. A bag nested in a neighbour's
+// never sets the width (a minimum cover of a subset is no larger), yet would
+// cost a cover here and a table and a semijoin in every plan compiled from
+// the result, so no layer after this one sees it. A run that never
+// materialized an ordering falls back to min-fill, so a serial run always
+// returns a decomposition. The work done after the budget stopped is
+// counted into the run's stats.
 func exit(h *hypergraph.Hypergraph, opts Options, b *budget.B, d *Decomposition) error {
 	fellBack := d.Ordering == nil
 	if fellBack {
@@ -454,7 +462,7 @@ func exit(h *hypergraph.Hypergraph, opts Options, b *budget.B, d *Decomposition)
 		// cheap index ordering rather than spending more time.
 		d.Ordering = elim.MinFillOrderingBudget(h.PrimalGraph(), rand.New(rand.NewSource(opts.Seed)), b)
 	}
-	d.TD = elim.TDFromOrdering(h, d.Ordering)
+	d.TD = elim.TDFromOrdering(h, d.Ordering).Compact()
 	var elims, covers int
 	if b.Stopped() {
 		elims = len(d.Ordering)

@@ -12,9 +12,10 @@ import (
 // exitGHD is the exit routine of every ghw run and of every portfolio
 // member with an ordering of its own (a member without one returns no
 // decomposition; see decompose): it covers the bags of td, the
-// vertex-elimination decomposition of the run's ordering, through the run's
-// own cover engine eng. The GHD is built on td's own tree and bags, so the
-// portfolio's one GHD.Validate of the winner checks both.
+// vertex-elimination decomposition of the run's ordering with its nested
+// bags contracted (see exit), through the run's own cover engine eng. The
+// GHD is built on td's own tree and bags, so the portfolio's one
+// GHD.Validate of the winner checks both.
 //
 // Every bag first gets a greedy cover. claim is the width the run scored
 // this ordering at; 0 marks a fallback ordering the run never scored, which
@@ -24,7 +25,9 @@ import (
 //     Each search polls b, and a bag whose search is cut keeps its cover;
 //     the cut has latched b's stop reason, so the run reports it. A pass
 //     that completes leaves every bag with its minimum cover — exactly the
-//     λ-sets elim.GHDFromOrdering(…, exact=true) picks.
+//     λ-set elim.GHDFromOrdering(…, exact=true) picks for that bag, at the
+//     width its uncontracted tree gets: a contracted bag lies inside a
+//     kept one, and minimum covers are monotone under ⊆.
 //   - Any bag still covered wider than claim gets a cover within it. The run
 //     proved one exists when it scored the claim, and CoverWithin stops at
 //     the first it meets, so this costs no more than that proof did, also

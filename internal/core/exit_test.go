@@ -5,11 +5,13 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
 	"hypertree/internal/budget"
+	"hypertree/internal/decomp"
 	"hypertree/internal/elim"
 	"hypertree/internal/hypergraph"
 	"hypertree/internal/setcover"
@@ -39,12 +41,14 @@ func exitInstances() map[string]*hypergraph.Hypergraph {
 }
 
 // TestExitKeepsExactLambdas pins the completed exit: when the run's budget
-// outlives the exact pass, every bag ends with the λ-set
-// elim.GHDFromOrdering(…, exact=true) picks for the returned ordering, so
+// outlives the exact pass, the tree is the returned ordering's elimination
+// decomposition with its nested bags contracted, and every kept bag ends
+// with the λ-set elim.GHDFromOrdering(…, exact=true) picks for that bag, so
 // completed runs (serial greedy, the query workloads' decompose path, a
-// closed bb-ghw) return the covers they did before the pass was budgeted.
-// bb-ghw runs on the random hypergraphs only: closing the circuits takes it
-// up to seconds each.
+// closed bb-ghw) return the covers they did before the pass was budgeted,
+// at the width the uncontracted tree's exact covers give. bb-ghw runs on
+// the random hypergraphs only: closing the circuits takes it up to seconds
+// each.
 func TestExitKeepsExactLambdas(t *testing.T) {
 	for name, h := range exitInstances() {
 		algs := []Algorithm{AlgGreedy}
@@ -63,17 +67,86 @@ func TestExitKeepsExactLambdas(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !reflect.DeepEqual(d.GHD.Bags, want.Bags) || !reflect.DeepEqual(d.GHD.Parent, want.Parent) {
-				t.Fatalf("%s/%s: exit tree differs from the ordering's elimination tree", name, alg)
+			ref := elim.TDFromOrdering(h, d.Ordering).Compact()
+			if !reflect.DeepEqual(d.GHD.Bags, ref.Bags) || !reflect.DeepEqual(d.GHD.Parent, ref.Parent) || d.GHD.Root != ref.Root {
+				t.Fatalf("%s/%s: exit tree differs from the ordering's compacted elimination tree", name, alg)
 			}
-			if !reflect.DeepEqual(d.GHD.Lambdas, want.Lambdas) {
-				t.Fatalf("%s/%s: exit λ-sets %v, want GHDFromOrdering's %v", name, alg, d.GHD.Lambdas, want.Lambdas)
+			for i, bag := range d.GHD.Bags {
+				j := slices.IndexFunc(want.Bags, func(b []int) bool { return slices.Equal(b, bag) })
+				if j < 0 {
+					t.Fatalf("%s/%s: kept bag %v is no bag of the elimination tree", name, alg, bag)
+				}
+				if !slices.Equal(d.GHD.Lambdas[i], want.Lambdas[j]) {
+					t.Fatalf("%s/%s: bag %v has λ-set %v, want GHDFromOrdering's %v", name, alg, bag, d.GHD.Lambdas[i], want.Lambdas[j])
+				}
 			}
 			if d.Width != want.Width() {
 				t.Fatalf("%s/%s: width %d, exact covers give %d", name, alg, d.Width, want.Width())
 			}
 		}
 	}
+}
+
+// nestedEdges counts the tree edges of td whose one bag contains the
+// other.
+func nestedEdges(td *decomp.TreeDecomposition) int {
+	within := func(a, b []int) bool {
+		for _, v := range a {
+			if _, ok := slices.BinarySearch(b, v); !ok {
+				return false
+			}
+		}
+		return true
+	}
+	n := 0
+	for i, p := range td.Parent {
+		if p >= 0 && (within(td.Bags[i], td.Bags[p]) || within(td.Bags[p], td.Bags[i])) {
+			n++
+		}
+	}
+	return n
+}
+
+// TestExitKeepsOnlyMaximalBags is the count gate on the exit's contraction:
+// serial greedy on 64 query-cold-shaped circuits (24 signals) and the
+// default portfolio at a 20 ms deadline on 40 decompose-deadline-shaped
+// ones (60 signals) hand off trees without a single edge between nested
+// bags, so no cover, table or semijoin after the exit is spent on a bag
+// that cannot set the width. The elimination trees they come from hold
+// such edges: about half the nodes of a 24-signal circuit's.
+func TestExitKeepsOnlyMaximalBags(t *testing.T) {
+	type input struct {
+		alg Algorithm
+		h   *hypergraph.Hypergraph
+	}
+	var inputs []input
+	for seed := int64(1); seed <= 64; seed++ {
+		inputs = append(inputs, input{AlgGreedy, hypergraph.RandomCircuit(24, 26, seed)})
+	}
+	for seed := int64(1); seed <= 40; seed++ {
+		inputs = append(inputs, input{AlgPortfolio, hypergraph.RandomCircuit(60, 62, seed)})
+	}
+	nested, kept, elimBags := 0, 0, 0
+	for _, in := range inputs {
+		opts := Options{Algorithm: in.alg, Seed: 1, Timeout: time.Minute}
+		if in.alg == AlgPortfolio {
+			opts.Timeout = 20 * time.Millisecond
+		}
+		d, err := Decompose(in.h, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if &d.GHD.Bags[0][0] != &d.TD.Bags[0][0] || len(d.GHD.Bags) != len(d.TD.Bags) {
+			t.Fatalf("%s: the GHD is not built on the returned tree decomposition", in.alg)
+		}
+		nested += nestedEdges(d.TD)
+		kept += len(d.TD.Bags)
+		elimBags += len(elim.TDFromOrdering(in.h, d.Ordering).Bags)
+	}
+	if nested != 0 {
+		t.Fatalf("the exits handed off %d tree edges between nested bags; want none", nested)
+	}
+	t.Logf("%d runs kept %d of their orderings' %d elimination bags", len(inputs), kept, elimBags)
 }
 
 // TestExitKeepsClaim is the stopped exit: after the deadline the routine

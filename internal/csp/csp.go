@@ -24,6 +24,7 @@ package csp
 
 import (
 	"fmt"
+	"strconv"
 
 	"hypertree/internal/hypergraph"
 )
@@ -111,7 +112,7 @@ func (c *CSP) Hypergraph() *hypergraph.Hypergraph {
 	h := hypergraph.NewHypergraph(c.NumVars)
 	for i, con := range c.Constraints {
 		e := h.AddEdge(con.Scope...)
-		h.SetEdgeName(e, fmt.Sprintf("c%d", i+1))
+		h.SetEdgeName(e, "c"+strconv.Itoa(i+1))
 	}
 	for v := 0; v < c.NumVars; v++ {
 		if c.VarNames != nil && c.VarNames[v] != "" {

@@ -12,6 +12,7 @@ import (
 	"hypertree/internal/csp"
 	"hypertree/internal/decomp"
 	"hypertree/internal/elim"
+	"hypertree/internal/setcover"
 )
 
 // randomCSP mirrors the generator of the csp package tests: small random
@@ -333,6 +334,81 @@ func TestPinnedQueriesOnGHDPlans(t *testing.T) {
 		c := circuitCSP(24, 26, rng.Int63())
 		g := greedyGHD(t, c)
 		checkPinnedSequence(t, c, g, sequence(c), func(rc *csp.CSP) int { return csp.CountFromTD(rc, &g.TreeDecomposition) })
+	}
+}
+
+// Property: a plan compiled from an ordering's GHD with its nested bags
+// contracted (decomp.TreeDecomposition.Compact, as core's exit hands it
+// off) answers as the plan from the same ordering's uncontracted GHD does:
+// equal plan facts, and under mixed pins equal sat bits, counts and
+// enumeration sizes, with every solution valid for the CSP and the pins.
+// The CSPs are random ones and 24-signal circuits; the covers are greedy
+// under one seed on both sides.
+func TestCompactedGHDPlansAgree(t *testing.T) {
+	rng := rand.New(rand.NewSource(25))
+	fewer := 0
+	for i := 0; i < 160; i++ {
+		c := randomCSP(rng)
+		if i%40 == 0 {
+			c = circuitCSP(24, 26, rng.Int63())
+		}
+		h := c.Hypergraph()
+		order := rng.Perm(c.NumVars)
+		seed := rng.Int63()
+		full, err := elim.GHDFromOrdering(h, order, false, rand.New(rand.NewSource(seed)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		td := elim.TDFromOrdering(h, order).Compact()
+		compact, err := decomp.FromTreeDecompositionWithEngine(setcover.NewEngine(h, 0), td, decomp.CoverGreedy, rand.New(rand.NewSource(seed)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(compact.Bags) < len(full.Bags) {
+			fewer++
+		}
+		full.Complete(h)
+		compact.Complete(h)
+		fp, err := CompileGHDBudget(c, full, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cp, err := CompileGHDBudget(c, compact, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fs, cs := fp.Stats(), cp.Stats()
+		if fs.Satisfiable != cs.Satisfiable || fs.Solutions != cs.Solutions || fs.SolutionsOverflow != cs.SolutionsOverflow {
+			t.Fatalf("#%d: compacted plan sat %v, %d solutions; uncompacted sat %v, %d", i, cs.Satisfiable, cs.Solutions, fs.Satisfiable, fs.Solutions)
+		}
+		fc, cc := fp.NewCursor(), cp.NewCursor()
+		for q := 0; q < 12; q++ {
+			pins := mixedPins(c, rng)
+			fsol, fok := fc.Solve(pins)
+			csol, cok := cc.Solve(pins)
+			if fok != cok {
+				t.Fatalf("#%d: Solve(%v) sat %v on the compacted plan, %v on the uncompacted", i, pins, cok, fok)
+			}
+			if cok {
+				checkPinnedSolution(t, c, pins, fsol)
+				checkPinnedSolution(t, c, pins, csol)
+			}
+			fn, fexact := fc.CountExact(pins)
+			cn, cexact := cc.CountExact(pins)
+			if fn != cn || fexact != cexact {
+				t.Fatalf("#%d: CountExact(%v) = (%d, %v) on the compacted plan, (%d, %v) on the uncompacted", i, pins, cn, cexact, fn, fexact)
+			}
+			rows := cc.Enumerate(3, pins)
+			if len(rows) != len(fc.Enumerate(3, pins)) {
+				t.Fatalf("#%d: Enumerate(3, %v) sizes differ", i, pins)
+			}
+			for _, row := range rows {
+				checkPinnedSolution(t, c, pins, row)
+			}
+		}
+	}
+	if fewer == 0 {
+		t.Fatal("no compacted GHD had fewer nodes; the property compared equal trees only")
 	}
 }
 

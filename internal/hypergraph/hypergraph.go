@@ -2,6 +2,7 @@ package hypergraph
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -41,25 +42,19 @@ func (h *Hypergraph) N() int { return h.n }
 func (h *Hypergraph) M() int { return len(h.edges) }
 
 // AddEdge appends a hyperedge over the given vertices and returns its index.
-// The vertex set is copied, deduplicated and sorted. Empty edges are allowed
+// The vertex set is copied, then sorted and deduplicated in place. Empty edges are allowed
 // by the representation but rejected here because no thesis algorithm is
 // defined over them.
 func (h *Hypergraph) AddEdge(vs ...int) int {
 	if len(vs) == 0 {
 		panic("hypergraph: empty hyperedge")
 	}
-	seen := make(map[int]struct{}, len(vs))
-	edge := make([]int, 0, len(vs))
 	for _, v := range vs {
 		h.check(v)
-		if _, dup := seen[v]; dup {
-			continue
-		}
-		seen[v] = struct{}{}
-		edge = append(edge, v)
 	}
-	sort.Ints(edge)
-	h.edges = append(h.edges, edge)
+	edge := slices.Clone(vs)
+	slices.Sort(edge)
+	h.edges = append(h.edges, slices.Compact(edge))
 	h.incidentOK.Store(false)
 	return len(h.edges) - 1
 }
@@ -138,41 +133,6 @@ func (h *Hypergraph) PrimalGraph() *Graph {
 		}
 	}
 	return g
-}
-
-// DualGraph returns the dual graph: one vertex per hyperedge, with an edge
-// between two hyperedges iff they share at least one vertex.
-//
-// test-only: TestDualGraphExample5; no binary builds the dual graph.
-func (h *Hypergraph) DualGraph() *Graph {
-	g := NewGraph(len(h.edges))
-	for v := 0; v < h.n; v++ {
-		inc := h.IncidentEdges(v)
-		for i := 0; i < len(inc); i++ {
-			for j := i + 1; j < len(inc); j++ {
-				g.AddEdge(inc[i], inc[j])
-			}
-		}
-	}
-	return g
-}
-
-// Clone returns a deep copy of the hypergraph.
-//
-// test-only: TestCloneHypergraphIndependent; no binary clones a hypergraph.
-func (h *Hypergraph) Clone() *Hypergraph {
-	c := NewHypergraph(h.n)
-	c.edges = make([][]int, len(h.edges))
-	for i, e := range h.edges {
-		c.edges[i] = append([]int(nil), e...)
-	}
-	if h.vnames != nil {
-		c.vnames = append([]string(nil), h.vnames...)
-	}
-	if h.enames != nil {
-		c.enames = append([]string(nil), h.enames...)
-	}
-	return c
 }
 
 // SetVertexName attaches a display name to vertex v.

@@ -82,14 +82,6 @@ func TestPrimalGraphExample5(t *testing.T) {
 	}
 }
 
-func TestDualGraphExample5(t *testing.T) {
-	d := exampleHypergraph().DualGraph()
-	// e0={x1,x2,x3}, e1={x1,x5,x6}, e2={x3,x4,x5}: every pair shares a vertex.
-	if d.N() != 3 || d.M() != 3 {
-		t.Fatalf("dual n=%d m=%d, want 3, 3", d.N(), d.M())
-	}
-}
-
 func TestFromGraphRoundTrip(t *testing.T) {
 	g := Grid(3)
 	h := FromGraph(g)
@@ -118,15 +110,6 @@ func TestHypergraphNames(t *testing.T) {
 	h.SetEdgeName(e, "c1")
 	if h.VertexName(0) != "x1" || h.EdgeName(e) != "c1" {
 		t.Fatal("names not stored")
-	}
-}
-
-func TestCloneHypergraphIndependent(t *testing.T) {
-	h := exampleHypergraph()
-	c := h.Clone()
-	c.AddEdge(1, 3)
-	if h.M() != 3 || c.M() != 4 {
-		t.Fatal("clone not independent")
 	}
 }
 

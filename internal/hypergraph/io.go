@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"fmt"
 	"io"
-	"sort"
 	"strconv"
 	"strings"
 )
@@ -285,18 +284,4 @@ func WriteEdgeList(w io.Writer, h *Hypergraph) error {
 		fmt.Fprintln(bw, strings.Join(parts, " "))
 	}
 	return bw.Flush()
-}
-
-// FormatEdge renders an edge's vertex set like "{x1, x2, x3}" using vertex
-// names, primarily for diagnostics and example output.
-//
-// test-only: TestFormatEdge; no binary formats an edge this way.
-func FormatEdge(h *Hypergraph, e int) string {
-	vs := h.Edge(e)
-	parts := make([]string, len(vs))
-	for i, v := range vs {
-		parts[i] = h.VertexName(v)
-	}
-	sort.Strings(parts)
-	return "{" + strings.Join(parts, ", ") + "}"
 }

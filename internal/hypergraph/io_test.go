@@ -145,13 +145,3 @@ func TestEdgeListRoundTrip(t *testing.T) {
 		t.Fatalf("round trip changed size")
 	}
 }
-
-func TestFormatEdge(t *testing.T) {
-	h := NewHypergraph(3)
-	h.SetVertexName(0, "a")
-	h.SetVertexName(1, "b")
-	e := h.AddEdge(1, 0)
-	if got := FormatEdge(h, e); got != "{a, b}" {
-		t.Fatalf("FormatEdge = %q", got)
-	}
-}

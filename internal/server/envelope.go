@@ -1,6 +1,9 @@
 package server
 
-import "encoding/json"
+import (
+	"bytes"
+	"encoding/json"
+)
 
 // readQueryEnvelope decodes a /query body exactly as json.Unmarshal into a
 // queryEnvelope does: the same envelope on success, the same error text on
@@ -143,6 +146,166 @@ func readAssign(b []byte, i int) (map[string]int, int) {
 		return end
 	})
 	return m, i
+}
+
+// readCSPSpec decodes a csp value exactly as json.Unmarshal into a cspSpec
+// does: the same spec on success, the same error text on failure. A csp of
+// the common shape is read in one pass: an object of the plain ASCII keys
+// num_vars (an integer of at most 18 digits), domain and domains (arrays
+// of such integers, or of arrays of them), constraints (objects of scope
+// and tuples, each at most once) and var_names (plain strings), each key
+// at most once. Every integer it reads lands in one flat array, and every
+// domain, scope and tuple is a capacity-clipped view of it; every tuple
+// row header lands in a second. Every other csp goes to json.Unmarshal,
+// which then decides: nulls, escaped or non-ASCII strings, keys that match
+// a field only case-insensitively, unknown or repeated keys, longer or
+// non-integer numbers, and every syntax error.
+func readCSPSpec(b []byte) (cspSpec, error) {
+	if spec, ok := fastCSPSpec(b); ok {
+		return spec, nil
+	}
+	var spec cspSpec
+	err := json.Unmarshal(b, &spec)
+	return spec, err
+}
+
+// cspReader holds the one-pass csp reader's flat arrays. Views into them
+// stay valid if an append moves them, so the sizes from fastCSPSpec's
+// bracket and comma counts are a saving, not a requirement.
+type cspReader struct {
+	b    []byte
+	vals []int
+	rows [][]int
+}
+
+// fastCSPSpec reads the whole csp; ok is false for anything outside the
+// shape readCSPSpec describes.
+func fastCSPSpec(b []byte) (spec cspSpec, ok bool) {
+	i := jsonSpace(b, 0)
+	if i == len(b) || b[i] != '{' {
+		return spec, false
+	}
+	// No JSON text holds more integers than commas plus arrays, nor more
+	// arrays (so rows) than '[' bytes, nor more constraints than '{'. The
+	// counts size the arrays up to fixed caps (~200 KB in all), so a body
+	// of brackets inside a string cannot make the reader allocate in
+	// proportion before it declines; a larger csp grows them by append.
+	arrays := bytes.Count(b, []byte{'['})
+	r := cspReader{
+		b:    b,
+		vals: make([]int, 0, min(bytes.Count(b, []byte{','})+arrays, 1<<13)),
+		rows: make([][]int, 0, min(arrays, 1<<12)),
+	}
+	var seen [5]bool
+	first := func(k int) bool {
+		was := seen[k]
+		seen[k] = true
+		return !was
+	}
+	i = jsonMembers(b, i+1, func(key []byte, i int) int {
+		switch k := string(key); {
+		case k == "num_vars" && first(0):
+			spec.NumVars, i = readInt(b, i)
+		case k == "domain" && first(1):
+			spec.Domain, i = r.ints(i)
+		case k == "domains" && first(2):
+			spec.Domains, i = r.lists(i)
+		case k == "constraints" && first(3):
+			spec.Constraints, i = r.constraints(i, min(bytes.Count(b, []byte{'{'}), 1<<10))
+		case k == "var_names" && first(4):
+			spec.VarNames, i = readNames(b, i)
+		default:
+			return -1
+		}
+		return i
+	})
+	return spec, i >= 0 && jsonSpace(b, i) == len(b)
+}
+
+// ints reads an array of integers into vals and returns its view.
+func (r *cspReader) ints(i int) ([]int, int) {
+	if i == len(r.b) || r.b[i] != '[' {
+		return nil, -1
+	}
+	start := len(r.vals)
+	i = jsonElements(r.b, i+1, func(i int) int {
+		v, end := readInt(r.b, i)
+		r.vals = append(r.vals, v)
+		return end
+	})
+	end := len(r.vals)
+	return r.vals[start:end:end], i
+}
+
+// lists reads an array of integer arrays into rows and returns its view.
+func (r *cspReader) lists(i int) ([][]int, int) {
+	if i == len(r.b) || r.b[i] != '[' {
+		return nil, -1
+	}
+	start := len(r.rows)
+	i = jsonElements(r.b, i+1, func(i int) int {
+		row, end := r.ints(i)
+		r.rows = append(r.rows, row)
+		return end
+	})
+	end := len(r.rows)
+	return r.rows[start:end:end], i
+}
+
+// constraints reads the constraints array; every element must be an object
+// of scope and tuples, each at most once. size is the result's first
+// capacity.
+func (r *cspReader) constraints(i, size int) ([]constraintSpec, int) {
+	if i == len(r.b) || r.b[i] != '[' {
+		return nil, -1
+	}
+	cons := make([]constraintSpec, 0, size)
+	i = jsonElements(r.b, i+1, func(i int) int {
+		if i == len(r.b) || r.b[i] != '{' {
+			return -1
+		}
+		var con constraintSpec
+		var sawScope, sawTuples bool
+		end := jsonMembers(r.b, i+1, func(key []byte, i int) int {
+			switch string(key) {
+			case "scope":
+				if sawScope {
+					return -1
+				}
+				sawScope = true
+				con.Scope, i = r.ints(i)
+				return i
+			case "tuples":
+				if sawTuples {
+					return -1
+				}
+				sawTuples = true
+				con.Tuples, i = r.lists(i)
+				return i
+			}
+			return -1
+		})
+		cons = append(cons, con)
+		return end
+	})
+	return cons, i
+}
+
+// readNames reads an array of plain strings.
+func readNames(b []byte, i int) ([]string, int) {
+	if i == len(b) || b[i] != '[' {
+		return nil, -1
+	}
+	names := make([]string, 0, 8)
+	i = jsonElements(b, i+1, func(i int) int {
+		name, plain, end := jsonString(b, i)
+		if !plain {
+			return -1
+		}
+		names = append(names, string(name))
+		return end
+	})
+	return names, i
 }
 
 // jsonMembers reads the members of an object from just past its '{'

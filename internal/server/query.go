@@ -478,11 +478,13 @@ func resolvePins(entry *cachedPlan, assign map[string]int) ([]engine.Pin, error)
 	return pins, nil
 }
 
-// parseCSP validates and builds the CSP from its wire form. Everything
-// csp.AddConstraint would panic on is rejected here with a message instead.
+// parseCSP validates and builds the CSP from its wire form, decoded by
+// readCSPSpec. Everything csp.AddConstraint would panic on is rejected here
+// with a message instead, so the decoded scopes and tuples become the
+// CSP's constraints as they are, without AddConstraint's copy.
 func parseCSP(raw json.RawMessage) (*csp.CSP, error) {
-	var spec cspSpec
-	if err := json.Unmarshal(raw, &spec); err != nil {
+	spec, err := readCSPSpec(raw)
+	if err != nil {
 		return nil, err
 	}
 	if spec.NumVars <= 0 {
@@ -496,24 +498,34 @@ func parseCSP(raw json.RawMessage) (*csp.CSP, error) {
 	}
 	// A domain is a set: a repeated value would make the bag enumeration
 	// of the tree-decomposition solvers emit every assignment once per copy.
+	st := stampSet{mark: make([]int32, spec.NumVars)}
 	c := &csp.CSP{NumVars: spec.NumVars, Domains: make([][]csp.Value, spec.NumVars)}
+	total := spec.NumVars * len(spec.Domain)
 	if spec.Domains != nil {
 		if len(spec.Domains) != spec.NumVars {
 			return nil, fmt.Errorf("domains has %d entries for %d variables", len(spec.Domains), spec.NumVars)
 		}
-		for v := range c.Domains {
-			if x, ok := repeatedValue(spec.Domains[v]); ok {
+		total = 0
+		for v, dom := range spec.Domains {
+			if x, ok := repeatedValue(dom, &st); ok {
 				return nil, fmt.Errorf("domains[%d]: value %d repeats", v, x)
 			}
-			c.Domains[v] = append([]csp.Value(nil), spec.Domains[v]...)
+			total += len(dom)
 		}
-	} else {
-		if x, ok := repeatedValue(spec.Domain); ok {
-			return nil, fmt.Errorf("domain: value %d repeats", x)
+	} else if x, ok := repeatedValue(spec.Domain, &st); ok {
+		return nil, fmt.Errorf("domain: value %d repeats", x)
+	}
+	// A compiled plan keeps the domains, so each variable's is copied into
+	// one array of their own: a cached plan holds no view of the request's
+	// decoded values.
+	all := make([]csp.Value, 0, total)
+	for v := range c.Domains {
+		dom := spec.Domain
+		if spec.Domains != nil {
+			dom = spec.Domains[v]
 		}
-		for v := range c.Domains {
-			c.Domains[v] = append([]csp.Value(nil), spec.Domain...)
-		}
+		all = append(all, dom...)
+		c.Domains[v] = all[len(all)-len(dom) : len(all) : len(all)]
 	}
 	if spec.VarNames != nil {
 		if len(spec.VarNames) != spec.NumVars {
@@ -533,32 +545,76 @@ func parseCSP(raw json.RawMessage) (*csp.CSP, error) {
 		}
 		c.VarNames = spec.VarNames
 	}
+	c.Constraints = make([]csp.Constraint, len(spec.Constraints))
 	for i, con := range spec.Constraints {
 		if len(con.Scope) == 0 {
 			return nil, fmt.Errorf("constraint %d has an empty scope", i)
 		}
-		seen := make(map[int]bool, len(con.Scope))
+		st.next(spec.NumVars)
 		for _, v := range con.Scope {
 			if v < 0 || v >= spec.NumVars {
 				return nil, fmt.Errorf("constraint %d: variable %d out of range", i, v)
 			}
-			if seen[v] {
+			if st.add(v) {
 				return nil, fmt.Errorf("constraint %d: variable %d repeats in scope", i, v)
 			}
-			seen[v] = true
 		}
 		for j, t := range con.Tuples {
 			if len(t) != len(con.Scope) {
 				return nil, fmt.Errorf("constraint %d: tuple %d has arity %d, scope has %d", i, j, len(t), len(con.Scope))
 			}
 		}
-		c.AddConstraint(con.Scope, con.Tuples)
+		c.Constraints[i] = csp.Constraint{Scope: con.Scope, Tuples: con.Tuples}
 	}
 	return c, nil
 }
 
-// repeatedValue returns a value that occurs twice in vals, if any.
-func repeatedValue(vals []int) (int, bool) {
+// stampSet is parseCSP's one marking array: a set over [0, n) drawn with
+// a fresh token, so the repeat checks of every scope and domain share one
+// allocation.
+type stampSet struct {
+	mark []int32
+	tok  int32
+}
+
+// next starts an empty set over [0, n).
+func (s *stampSet) next(n int) {
+	if n > len(s.mark) {
+		s.mark = make([]int32, max(n, 2*len(s.mark)))
+		s.tok = 0
+	}
+	s.tok++
+}
+
+// add puts x in the set and reports whether it was there already.
+func (s *stampSet) add(x int) bool {
+	if s.mark[x] == s.tok {
+		return true
+	}
+	s.mark[x] = s.tok
+	return false
+}
+
+// repeatedValue returns the first value of vals that repeats an earlier
+// one, if any. Values within a span of four per value are marked in st,
+// offset by the least; a sparser set is checked with a map.
+func repeatedValue(vals []int, st *stampSet) (int, bool) {
+	if len(vals) < 2 {
+		return 0, false
+	}
+	lo, hi := vals[0], vals[0]
+	for _, x := range vals {
+		lo, hi = min(lo, x), max(hi, x)
+	}
+	if span := uint64(hi) - uint64(lo); span < uint64(4*len(vals)) {
+		st.next(int(span) + 1)
+		for _, x := range vals {
+			if st.add(int(uint64(x) - uint64(lo))) {
+				return x, true
+			}
+		}
+		return 0, false
+	}
 	seen := make(map[int]bool, len(vals))
 	for _, x := range vals {
 		if seen[x] {
