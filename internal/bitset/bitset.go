@@ -38,6 +38,9 @@ func (s Set) Clear() {
 func (s Set) CopyFrom(o Set) { copy(s, o) }
 
 // Clone returns an independent copy of s.
+//
+// test-only: the setcover tests' reference exactCore and
+// TestAgainstMapModel.
 func (s Set) Clone() Set { return append(Set(nil), s...) }
 
 // Any reports whether the set is non-empty.

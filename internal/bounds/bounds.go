@@ -1,14 +1,13 @@
 // Package bounds implements the lower- and upper-bound heuristics of the
 // thesis: the treewidth lower bounds minor-min-width (Figure 4.7, Gogate &
 // Dechter's QuickBB bound, a.k.a. MMD+(least-c)) and minor-γR (Figure 4.8),
-// the degeneracy bound MMD, the min-fill upper bound (§4.4.2), and the
-// generalized-hypertree-width lower bound tw-ksc-width (Figure 8.1), which
-// combines a treewidth lower bound with a k-set-cover lower bound.
+// the min-fill upper bound (§4.4.2), and the generalized-hypertree-width
+// lower bound tw-ksc-width (Figure 8.1), which combines a treewidth lower
+// bound with a k-set-cover lower bound.
 package bounds
 
 import (
 	"math/rand"
-	"sort"
 
 	"hypertree/internal/elim"
 	"hypertree/internal/elimgraph"
@@ -52,19 +51,32 @@ func minorMinWidthOn(c *contractGraph, rng *rand.Rand) int {
 // predecessors; its degree is a lower bound. If every vertex is adjacent to
 // all predecessors the graph is complete and n-1 is returned for that round.
 func MinorGammaR(g *hypergraph.Graph, rng *rand.Rand) int {
-	c := newContractGraph(g)
+	return minorGammaROn(newContractGraph(g), rng)
+}
+
+func minorGammaROn(c *contractGraph, rng *rand.Rand) int {
 	lb := 0
 	live := make([]int, 0, c.n)
+	start := make([]int, c.n+1)
 	for c.live > 0 {
-		live = live[:0]
+		// The live vertices by degree, ascending, and by index within a
+		// degree: a stable counting sort (a degree is at most n-1).
+		clear(start)
 		for u := 0; u < c.n; u++ {
 			if c.alive[u] {
-				live = append(live, u)
+				start[c.deg[u]+1]++
 			}
 		}
-		sort.SliceStable(live, func(i, j int) bool {
-			return c.degree(live[i]) < c.degree(live[j])
-		})
+		for d := 1; d <= c.n; d++ {
+			start[d] += start[d-1]
+		}
+		live = live[:c.live]
+		for u := 0; u < c.n; u++ {
+			if c.alive[u] {
+				live[start[c.deg[u]]] = u
+				start[c.deg[u]]++
+			}
+		}
 		v := -1
 		for i, u := range live {
 			adjacentToAll := true
@@ -99,34 +111,11 @@ func MinorGammaR(g *hypergraph.Graph, rng *rand.Rand) int {
 	return lb
 }
 
-// Degeneracy computes the MMD (maximum minimum degree) lower bound: the
-// graph's degeneracy, obtained by repeatedly deleting a minimum-degree
-// vertex.
-//
-// test-only: TestDegeneracyKnown and TestBoundsSoundProperty; no solver uses
-// the MMD bound.
-func Degeneracy(g *hypergraph.Graph) int {
-	c := newContractGraph(g)
-	lb := 0
-	for c.live > 0 {
-		v, vd := c.minDegreeVertex(nil)
-		if vd > lb {
-			lb = vd
-		}
-		c.remove(v)
-	}
-	return lb
-}
-
 // TreewidthLowerBound returns the strongest of the implemented treewidth
 // lower bounds, as used by A*-tw (thesis §5.1: maximum of minor-min-width
 // and minor-γR).
 func TreewidthLowerBound(g *hypergraph.Graph, rng *rand.Rand) int {
-	lb := MinorMinWidth(g, rng)
-	if v := MinorGammaR(g, rng); v > lb {
-		lb = v
-	}
-	return lb
+	return max(MinorMinWidth(g, rng), MinorGammaR(g, rng))
 }
 
 // MinFillUpperBound returns the width of the min-fill greedy ordering, the
@@ -140,11 +129,14 @@ func MinFillUpperBound(g *hypergraph.Graph, rng *rand.Rand) int {
 // some bag has at least lbtw+1 vertices, where lbtw is any treewidth lower
 // bound for the primal graph; covering that bag with hyperedges of size at
 // most k = max arity needs at least ceil((lbtw+1)/k) of them.
+//
+// The bound is TreewidthLowerBound's on the primal graph, for the same rng,
+// but its contraction graphs are built straight from the hyperedges.
 func TwKscWidth(h *hypergraph.Hypergraph, rng *rand.Rand) int {
 	if h.M() == 0 {
 		return 0
 	}
-	lbtw := TreewidthLowerBound(h.PrimalGraph(), rng)
+	lbtw := max(minorMinWidthOn(newContractGraphOf(h), rng), minorGammaROn(newContractGraphOf(h), rng))
 	return setcover.KSetCoverLowerBound(lbtw+1, h.MaxArity())
 }
 
@@ -162,6 +154,6 @@ func TwKscWidthFrom(lbtw, maxArity int) int {
 // the cheap upper bound used to prime BB-ghw and A*-ghw (McMahan's Bucket
 // Elimination approach, thesis §2.5.2).
 func GreedyGHWUpperBound(h *hypergraph.Hypergraph, rng *rand.Rand) int {
-	order := elim.MinFillOrdering(h.PrimalGraph(), rng)
+	order := elim.MinFillOrderingBudget(h, rng, nil)
 	return elim.NewGHWEvaluator(h, false, rng).Width(order)
 }

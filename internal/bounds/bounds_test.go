@@ -45,16 +45,6 @@ func TestMinorGammaRKnown(t *testing.T) {
 	}
 }
 
-func TestDegeneracyKnown(t *testing.T) {
-	// Grid graphs have degeneracy 2.
-	if got := Degeneracy(hypergraph.Grid(4)); got != 2 {
-		t.Errorf("grid4 degeneracy = %d, want 2", got)
-	}
-	if got := Degeneracy(hypergraph.CliqueGraph(7)); got != 6 {
-		t.Errorf("K7 degeneracy = %d, want 6", got)
-	}
-}
-
 func TestMinFillUpperBoundGrid(t *testing.T) {
 	// min-fill on the n×n grid achieves the exact treewidth n for small n.
 	for n := 2; n <= 5; n++ {
@@ -105,9 +95,6 @@ func TestBoundsSoundProperty(t *testing.T) {
 			return false
 		}
 		if MinorGammaR(g, rng) > tw {
-			return false
-		}
-		if Degeneracy(g) > tw {
 			return false
 		}
 		if TreewidthLowerBound(g, rng) > tw {
@@ -177,4 +164,27 @@ func minInt(a, b int) int {
 		return a
 	}
 	return b
+}
+
+// TestTwKscWidthMatchesPrimalGraph: tw-ksc-width on contraction graphs built
+// from the hyperedges is the bound TreewidthLowerBound gives on the
+// map-based primal graph, draw for draw of the same rng, on random
+// hypergraphs and on circuits.
+func TestTwKscWidthMatchesPrimalGraph(t *testing.T) {
+	for seed := int64(1); seed <= 40; seed++ {
+		for _, h := range []*hypergraph.Hypergraph{
+			hypergraph.RandomHypergraph(8+int(seed), 6+int(seed), 1, 5, seed),
+			hypergraph.RandomCircuit(20+int(seed), 22+int(seed), seed),
+		} {
+			r1, r2 := rand.New(rand.NewSource(seed)), rand.New(rand.NewSource(seed))
+			got := TwKscWidth(h, r1)
+			want := TwKscWidthFrom(TreewidthLowerBound(h.PrimalGraph(), r2), h.MaxArity())
+			if got != want {
+				t.Fatalf("seed %d: tw-ksc-width %d, from the primal graph %d", seed, got, want)
+			}
+			if a, b := r1.Int63(), r2.Int63(); a != b {
+				t.Fatalf("seed %d: the two bounds left the rng in different states", seed)
+			}
+		}
+	}
 }

@@ -44,6 +44,25 @@ func newContractGraph(g *hypergraph.Graph) *contractGraph {
 	return c
 }
 
+// newContractGraphOf builds the contractGraph of h's primal graph straight
+// from its hyperedges; it equals newContractGraph(h.PrimalGraph()).
+func newContractGraphOf(h *hypergraph.Hypergraph) *contractGraph {
+	c := newContractGraphSized(h.N())
+	for v := range c.alive {
+		c.alive[v] = true
+	}
+	c.live = h.N()
+	for i := 0; i < h.M(); i++ {
+		e := h.Edge(i)
+		for j, u := range e {
+			for _, v := range e[j+1:] {
+				c.setEdge(u, v)
+			}
+		}
+	}
+	return c
+}
+
 // newContractGraphFromElim builds a contractGraph over the live subgraph of
 // an elimination graph, so lower bounds can be evaluated at interior search
 // states without materializing a snapshot graph.

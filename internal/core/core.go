@@ -365,17 +365,16 @@ func decompose(h *hypergraph.Hypergraph, opts Options, b *budget.B) (*Decomposit
 	case AlgGreedy:
 		stats, rec := coreInstrument(opts, b, "greedy", h)
 		rng := rand.New(rand.NewSource(opts.Seed))
-		order := elim.MinFillOrderingBudget(h.PrimalGraph(), rng, b)
-		w := elim.NewGHWEvaluatorWithEngine(opts.engine, false, rng).Width(order)
-		rec.Record(obs.Event{Kind: obs.KindImprove, T: b.Elapsed(), Width: w, Nodes: b.Nodes()})
-		lb := bounds.TwKscWidth(h, rng)
-		rec.Record(obs.Event{Kind: obs.KindLowerBound, T: b.Elapsed(), LowerBound: lb, Nodes: b.Nodes()})
-		d = &Decomposition{
-			Width:      w,
-			LowerBound: lb,
-			Ordering:   order,
-			Stats:      stats,
+		d = &Decomposition{Ordering: elim.MinFillOrderingBudget(h, rng, b), Stats: stats}
+		// Greedy scores its ordering on the greedy GHD it hands off, so the
+		// kept bags are covered greedily once; exit then tightens that GHD.
+		if err := handOff(h, opts, b, d); err != nil {
+			return nil, err
 		}
+		d.Width = d.GHD.Width()
+		rec.Record(obs.Event{Kind: obs.KindImprove, T: b.Elapsed(), Width: d.Width, Nodes: b.Nodes()})
+		d.LowerBound = bounds.TwKscWidth(h, rng)
+		rec.Record(obs.Event{Kind: obs.KindLowerBound, T: b.Elapsed(), LowerBound: d.LowerBound, Nodes: b.Nodes()})
 		pendingStop = "greedy"
 	case AlgHW:
 		stats, rec := coreInstrument(opts, b, "hw-detk", h)
@@ -445,49 +444,73 @@ func decompose(h *hypergraph.Hypergraph, opts Options, b *budget.B) (*Decomposit
 	return d, nil
 }
 
-// exit hands a run's result off as a decomposition: the tree decomposition
-// of its ordering, compacted to its maximal bags, and, for the ghw
-// algorithms, the GHD exitGHD covers on it. A bag nested in a neighbour's
-// never sets the width (a minimum cover of a subset is no larger), yet would
-// cost a cover here and a table and a semijoin in every plan compiled from
-// the result, so no layer after this one sees it. A run that never
-// materialized an ordering falls back to min-fill, so a serial run always
-// returns a decomposition. The work done after the budget stopped is
-// counted into the run's stats.
+// exit hands a run's result off as a decomposition (handOff, unless the
+// run already did, as greedy does) and, for the ghw algorithms, tightens
+// its GHD's covers (tighten). A run that never materialized an ordering
+// falls back to min-fill, so a serial run always returns a decomposition.
 func exit(h *hypergraph.Hypergraph, opts Options, b *budget.B, d *Decomposition) error {
 	fellBack := d.Ordering == nil
 	if fellBack {
 		// Budgeted run that never materialized an ordering. The budget is
-		// already stopped here, so the greedy scorer inside degrades to a
-		// cheap index ordering rather than spending more time.
-		d.Ordering = elim.MinFillOrderingBudget(h.PrimalGraph(), rand.New(rand.NewSource(opts.Seed)), b)
+		// already stopped here, so min-fill degrades to a cheap index
+		// ordering rather than spending more time.
+		d.Ordering = elim.MinFillOrderingBudget(h, rand.New(rand.NewSource(opts.Seed)), b)
 	}
+	if d.TD == nil {
+		if err := handOff(h, opts, b, d); err != nil {
+			return err
+		}
+	}
+	g := d.GHD
+	if g == nil {
+		return nil // a treewidth run: nothing to cover
+	}
+	claim := d.Width
+	if fellBack {
+		claim = 0 // never scored: greedy covers only
+	}
+	if late := tighten(opts.engine, g, claim, b); late > 0 && d.Stats != nil {
+		d.Stats.AddPostStop(0, int64(late))
+	}
+	if g.Width() < d.Width {
+		// Exact covers can beat the width the run scored.
+		d.Width = g.Width()
+		recordPost(d, opts, obs.Event{Kind: obs.KindImprove, T: b.Elapsed(),
+			Width: d.Width, Nodes: b.Nodes()})
+	} else if g.Width() > d.Width {
+		// Only a fallback ordering lands here: report what the returned
+		// decomposition actually achieves.
+		d.Width = g.Width()
+		d.Exact = false
+	}
+	return nil
+}
+
+// handOff builds a run's decomposition from d.Ordering: the tree
+// decomposition of the ordering, compacted to its maximal bags, and, for
+// the ghw algorithms, a GHD on that tree's own tree and bags (so the
+// portfolio's one GHD.Validate of the winner checks both), each bag covered
+// greedily through the run's cover engine with ties broken by a fresh
+// rng(Seed). A bag nested in a neighbour's never sets the width (a minimum
+// cover of a subset is no larger), yet would cost a cover here and a table
+// and a semijoin in every plan compiled from the result, so no layer after
+// this one sees it. The eliminations and covers done after the budget
+// stopped are counted into the run's stats; the cover pass counts whole
+// when it ends after the stop.
+func handOff(h *hypergraph.Hypergraph, opts Options, b *budget.B, d *Decomposition) error {
 	d.TD = elim.TDFromOrdering(h, d.Ordering).Compact()
 	var elims, covers int
 	if b.Stopped() {
 		elims = len(d.Ordering)
 	}
 	if !opts.Algorithm.IsTreewidth() {
-		claim := d.Width
-		if fellBack {
-			claim = 0 // never scored: greedy covers only
-		}
-		g, late, err := exitGHD(opts.engine, d.TD, claim, b, rand.New(rand.NewSource(opts.Seed)))
+		g, err := decomp.FromTreeDecompositionWithEngine(opts.engine, d.TD, decomp.CoverGreedy, rand.New(rand.NewSource(opts.Seed)))
 		if err != nil {
 			return fmt.Errorf("core: covering decomposition: %w", err)
 		}
-		covers = late
 		d.GHD = g
-		if g.Width() < d.Width {
-			// Exact covers can beat the width the run scored.
-			d.Width = g.Width()
-			recordPost(d, opts, obs.Event{Kind: obs.KindImprove, T: b.Elapsed(),
-				Width: d.Width, Nodes: b.Nodes()})
-		} else if g.Width() > d.Width {
-			// Only a fallback ordering lands here: report what the returned
-			// decomposition actually achieves.
-			d.Width = g.Width()
-			d.Exact = false
+		if b.Stopped() {
+			covers = len(g.Lambdas)
 		}
 	}
 	if d.Stats != nil {

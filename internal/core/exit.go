@@ -1,7 +1,6 @@
 package core
 
 import (
-	"math/rand"
 	"sort"
 
 	"hypertree/internal/budget"
@@ -9,21 +8,16 @@ import (
 	"hypertree/internal/setcover"
 )
 
-// exitGHD is the exit routine of every ghw run and of every portfolio
-// member with an ordering of its own (a member without one returns no
-// decomposition; see decompose): it covers the bags of td, the
-// vertex-elimination decomposition of the run's ordering with its nested
-// bags contracted (see exit), through the run's own cover engine eng. The
-// GHD is built on td's own tree and bags, so the portfolio's one
-// GHD.Validate of the winner checks both.
-//
-// Every bag first gets a greedy cover. claim is the width the run scored
-// this ordering at; 0 marks a fallback ordering the run never scored, which
-// keeps its greedy covers. With a claim, two passes follow:
+// tighten is the exit routine's second half, on g, the greedy GHD a run
+// handed off (see handOff), through the run's own cover engine eng. claim
+// is the width the run scored its ordering at; 0 marks a fallback ordering
+// the run never scored, which keeps its greedy covers. With a claim, two
+// passes follow:
 //
 //   - While b is live, covers are tightened exactly, widest bags first.
-//     Each search polls b, and a bag whose search is cut keeps its cover;
-//     the cut has latched b's stop reason, so the run reports it. A pass
+//     Each search polls b. A search it cuts hands back the best cover it
+//     met, which the bag keeps when it is narrower; the cut has latched b's
+//     stop reason, so the run reports it, and the pass ends there. A pass
 //     that completes leaves every bag with its minimum cover — exactly the
 //     λ-set elim.GHDFromOrdering(…, exact=true) picks for that bag, at the
 //     width its uncontracted tree gets: a contracted bag lies inside a
@@ -34,18 +28,11 @@ import (
 //     after the deadline. The returned width is therefore never above claim.
 //
 // After the stop a bag is therefore covered at most twice: greedily, then
-// within the claim. late counts the λ-sets computed after b stopped; the
-// greedy pass counts whole when it ends after the stop.
-func exitGHD(eng *setcover.Engine, td *decomp.TreeDecomposition, claim int, b *budget.B, rng *rand.Rand) (g *decomp.GHD, late int, err error) {
-	g, err = decomp.FromTreeDecompositionWithEngine(eng, td, decomp.CoverGreedy, rng)
-	if err != nil {
-		return nil, 0, err
-	}
-	if b.Stopped() {
-		late = len(g.Lambdas)
-	}
+// within the claim. late counts the λ-sets the second pass computed after b
+// stopped.
+func tighten(eng *setcover.Engine, g *decomp.GHD, claim int, b *budget.B) (late int) {
 	if claim <= 0 {
-		return g, late, nil
+		return 0
 	}
 	sc := eng.NewScratch()
 	widest := make([]int, len(g.Lambdas))
@@ -59,6 +46,9 @@ func exitGHD(eng *setcover.Engine, td *decomp.TreeDecomposition, claim int, b *b
 		}
 		c, cut := eng.ExactCover(sc, g.Bags[i], b)
 		if cut {
+			if len(c) < len(g.Lambdas[i]) {
+				g.Lambdas[i] = c
+			}
 			break
 		}
 		g.Lambdas[i] = c
@@ -73,5 +63,5 @@ func exitGHD(eng *setcover.Engine, td *decomp.TreeDecomposition, claim int, b *b
 			}
 		}
 	}
-	return g, late, nil
+	return late
 }

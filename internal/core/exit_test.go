@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"hypertree/internal/budget"
+	"hypertree/internal/budget/faultinject"
 	"hypertree/internal/decomp"
 	"hypertree/internal/elim"
 	"hypertree/internal/hypergraph"
@@ -149,11 +150,12 @@ func TestExitKeepsOnlyMaximalBags(t *testing.T) {
 	t.Logf("%d runs kept %d of their orderings' %d elimination bags", len(inputs), kept, elimBags)
 }
 
-// TestExitKeepsClaim is the stopped exit: after the deadline the routine
-// runs no tightening pass, yet never returns wider than the width the run
-// scored, whatever tie-breaking its greedy covers take. An ordering scored
-// through a greedy evaluator under one rng is covered under many others; a
-// fallback ordering (claim 0) keeps the greedy covers as they are.
+// TestExitKeepsClaim is the stopped exit: after the deadline tighten runs
+// no exact pass, yet never leaves a GHD wider than the width the run
+// scored, whatever tie-breaking its greedy covers took. An ordering scored
+// through a greedy evaluator under one rng is covered under many others,
+// and each bag wider than the claim is covered once more, late; a fallback
+// ordering (claim 0) keeps the greedy covers as they are.
 func TestExitKeepsClaim(t *testing.T) {
 	stopped := budget.New(context.Background(), budget.Limits{})
 	stopped.Stop(budget.StopDeadline)
@@ -165,12 +167,18 @@ func TestExitKeepsClaim(t *testing.T) {
 		td := elim.TDFromOrdering(h, order)
 		sc := eng.NewScratch()
 		for seed := int64(0); seed < 8; seed++ {
-			g, late, err := exitGHD(eng, td, claim, stopped, rand.New(rand.NewSource(seed)))
+			g, err := decomp.FromTreeDecompositionWithEngine(eng, td, decomp.CoverGreedy, rand.New(rand.NewSource(seed)))
 			if err != nil {
 				t.Fatal(err)
 			}
-			if late < len(td.Bags) || late > 2*len(td.Bags) {
-				t.Fatalf("%s: stopped exit counted %d late covers for %d bags, want one or two per bag", name, late, len(td.Bags))
+			wider := 0
+			for _, l := range g.Lambdas {
+				if len(l) > claim {
+					wider++
+				}
+			}
+			if late := tighten(eng, g, claim, stopped); late != wider {
+				t.Fatalf("%s: stopped exit counted %d late covers for %d bags wider than the claim", name, late, wider)
 			}
 			if err := g.Validate(h); err != nil {
 				t.Fatalf("%s: invalid exit GHD: %v", name, err)
@@ -178,12 +186,12 @@ func TestExitKeepsClaim(t *testing.T) {
 			if g.Width() > claim {
 				t.Fatalf("%s seed %d: exit width %d above the scored claim %d", name, seed, g.Width(), claim)
 			}
-			fb, late, err := exitGHD(eng, td, 0, stopped, rand.New(rand.NewSource(seed)))
+			fb, err := decomp.FromTreeDecompositionWithEngine(eng, td, decomp.CoverGreedy, rand.New(rand.NewSource(seed)))
 			if err != nil {
 				t.Fatal(err)
 			}
-			if late != len(td.Bags) {
-				t.Fatalf("%s: stopped fallback exit counted %d late covers for %d bags", name, late, len(td.Bags))
+			if late := tighten(eng, fb, 0, stopped); late != 0 {
+				t.Fatalf("%s: stopped fallback exit counted %d late covers; it has no claim to repair", name, late)
 			}
 			greedy := rand.New(rand.NewSource(seed))
 			for i, bag := range td.Bags {
@@ -191,6 +199,46 @@ func TestExitKeepsClaim(t *testing.T) {
 					t.Fatalf("%s: fallback bag %d covered %v, want the greedy %v", name, i, fb.Lambdas[i], want)
 				}
 			}
+		}
+	}
+}
+
+// TestGreedyCoversOnce is the count gate on greedy's scoring: a serial
+// greedy run scores its ordering on the greedy GHD it hands off, so over 32
+// query-cold-shaped circuits it makes exactly two cover calls per kept bag,
+// one greedy λ-set and one exact, and issues no memoized size query
+// (GreedySize, ExactSizeCapped) at all. It fails when greedy scores the
+// ordering through a GHWEvaluator first, which sizes all n elimination
+// bags through the memo cache.
+func TestGreedyCoversOnce(t *testing.T) {
+	defer faultinject.Reset()
+	// run decomposes h serially with greedy, on an engine the test reads,
+	// and reports whether the run made at least k cover calls.
+	run := func(h *hypergraph.Hypergraph, k int64) (d *Decomposition, reached bool, st setcover.CacheStats) {
+		faultinject.Arm(faultinject.SiteCover, k, func() { reached = true })
+		defer faultinject.Reset()
+		eng := setcover.NewEngine(h, setcover.DefaultCacheCapacity)
+		d, err := Decompose(h, Options{Algorithm: AlgGreedy, Seed: 1, Timeout: time.Minute, engine: eng})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return d, reached, eng.CacheStats()
+	}
+	for seed := int64(1); seed <= 32; seed++ {
+		h := hypergraph.RandomCircuit(24, 26, seed)
+		d, _, st := run(h, 1<<40)
+		if d.Interrupted {
+			t.Fatalf("seed %d: interrupted (%s)", seed, d.Stop)
+		}
+		if st.Hits+st.Misses != 0 {
+			t.Fatalf("seed %d: greedy issued %d memoized size queries; it scores its hand-off", seed, st.Hits+st.Misses)
+		}
+		want := int64(2 * len(d.GHD.Bags))
+		if _, reached, _ := run(h, want); !reached {
+			t.Fatalf("seed %d: fewer than %d cover calls for %d kept bags", seed, want, len(d.GHD.Bags))
+		}
+		if _, reached, _ := run(h, want+1); reached {
+			t.Fatalf("seed %d: more than %d cover calls for %d kept bags", seed, want, len(d.GHD.Bags))
 		}
 	}
 }

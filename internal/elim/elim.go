@@ -15,7 +15,6 @@ import (
 	"slices"
 
 	"hypertree/internal/budget"
-	"hypertree/internal/budget/faultinject"
 	"hypertree/internal/decomp"
 	"hypertree/internal/elimgraph"
 	"hypertree/internal/hypergraph"
@@ -156,7 +155,6 @@ func (ev *GHWEvaluator) BagCost(v int) int {
 // (which restricts candidates to edges incident to the bag and memoizes by
 // bag) and returns the cover size, or -1 if uncoverable.
 func (ev *GHWEvaluator) coverSize(bag []int) int {
-	faultinject.Hit(faultinject.SiteCover)
 	if ev.Exact {
 		if ev.Cap > 0 {
 			return ev.eng.ExactSizeCapped(ev.sc, bag, ev.Cap, ev.Budget)

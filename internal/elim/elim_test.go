@@ -2,6 +2,7 @@ package elim
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -422,3 +423,26 @@ func BenchmarkTDFromOrdering(b *testing.B) {
 
 // tdSink keeps BenchmarkTDFromOrdering's result live.
 var tdSink *decomp.TreeDecomposition
+
+// TestMinFillOrderingBudgetMatchesPrimalGraph: min-fill on the elimination
+// graph built from the hyperedges picks the ordering it picks on the
+// map-based primal graph, draw for draw of the same rng, on random
+// hypergraphs and on circuits.
+func TestMinFillOrderingBudgetMatchesPrimalGraph(t *testing.T) {
+	for seed := int64(1); seed <= 40; seed++ {
+		for _, h := range []*hypergraph.Hypergraph{
+			hypergraph.RandomHypergraph(8+int(seed), 6+int(seed), 1, 5, seed),
+			hypergraph.RandomCircuit(20+int(seed), 22+int(seed), seed),
+		} {
+			r1, r2 := rand.New(rand.NewSource(seed)), rand.New(rand.NewSource(seed))
+			got := MinFillOrderingBudget(h, r1, nil)
+			want := MinFillOrdering(h.PrimalGraph(), r2)
+			if !slices.Equal(got, want) {
+				t.Fatalf("seed %d: ordering %v, primal graph's %v", seed, got, want)
+			}
+			if a, b := r1.Int63(), r2.Int63(); a != b {
+				t.Fatalf("seed %d: the two orderings left the rng in different states", seed)
+			}
+		}
+	}
+}

@@ -13,17 +13,18 @@ import (
 // "min-fill heuristic"; ties broken by rng, or lowest index when rng is
 // nil). This is the upper-bound heuristic used by QuickBB and A*-tw.
 func MinFillOrdering(g *hypergraph.Graph, rng *rand.Rand) []int {
-	return MinFillOrderingBudget(g, rng, nil)
+	return greedyOrdering(elimgraph.New(g), rng, nil, (*elimgraph.ElimGraph).FillCount)
 }
 
-// MinFillOrderingBudget is MinFillOrdering under a run budget: one work
-// unit per eliminated vertex. On budget exhaustion the greedy choice
-// degrades to index order for the remaining vertices, so the result is
-// always a complete, valid ordering (just a weaker one).
-func MinFillOrderingBudget(g *hypergraph.Graph, rng *rand.Rand, b *budget.B) []int {
-	return greedyOrdering(elimgraph.New(g), rng, b, func(e *elimgraph.ElimGraph, v int) int {
-		return e.FillCount(v)
-	})
+// MinFillOrderingBudget is MinFillOrdering on h's primal graph, built
+// straight from the hyperedges (elimgraph.FromHypergraph, equal to
+// elimgraph.New(h.PrimalGraph()), so the ordering is the same for the same
+// rng), under a run budget: one work unit per eliminated vertex. On budget
+// exhaustion the greedy choice degrades to index order for the remaining
+// vertices, so the result is always a complete, valid ordering (just a
+// weaker one). A nil b never stops.
+func MinFillOrderingBudget(h *hypergraph.Hypergraph, rng *rand.Rand, b *budget.B) []int {
+	return greedyOrdering(elimgraph.FromHypergraph(h), rng, b, (*elimgraph.ElimGraph).FillCount)
 }
 
 // greedyOrdering eliminates all vertices, always choosing a minimizer of

@@ -1,7 +1,8 @@
 // Package reduce implements the search-space reduction techniques of thesis
 // §4.4.3: simplicial and strongly-almost-simplicial vertices can be
-// eliminated immediately without increasing the treewidth, shrinking both
-// preprocessing instances and branch-and-bound / A* search trees.
+// eliminated immediately without increasing the treewidth, which the
+// branch-and-bound and A* searches apply node by node to shrink their
+// search trees.
 package reduce
 
 import (
@@ -29,28 +30,4 @@ func FindReduction(e *elimgraph.ElimGraph, lb int, allowAlmost bool) int {
 		}
 	}
 	return almost
-}
-
-// Preprocess eliminates simplicial vertices (and, when allowAlmost is true,
-// strongly almost simplicial vertices w.r.t. lb) from e until none remain.
-// It returns the eliminated vertices in order and the width floor they
-// impose: any elimination ordering starting with this prefix has width at
-// least the maximum elimination degree seen, and some optimal ordering does
-// start with it (thesis §4.4.3). The eliminations are left applied; call
-// e.Reset() to undo.
-//
-// test-only: TestPreprocessChordalEliminatesEverything; the searches apply
-// FindReduction node by node instead.
-func Preprocess(e *elimgraph.ElimGraph, lb int, allowAlmost bool) (prefix []int, widthFloor int) {
-	for {
-		v := FindReduction(e, lb, allowAlmost)
-		if v < 0 {
-			return prefix, widthFloor
-		}
-		d := e.Eliminate(v)
-		if d > widthFloor {
-			widthFloor = d
-		}
-		prefix = append(prefix, v)
-	}
 }

@@ -50,24 +50,6 @@ func TestFindReductionAlmostSimplicial(t *testing.T) {
 	}
 }
 
-func TestPreprocessChordalEliminatesEverything(t *testing.T) {
-	// A tree is chordal: simplicial eliminations alone empty it, and the
-	// width floor is the treewidth (1).
-	tr := hypergraph.NewGraph(7)
-	for _, ed := range [][2]int{{0, 1}, {0, 2}, {1, 3}, {1, 4}, {2, 5}, {2, 6}} {
-		tr.AddEdge(ed[0], ed[1])
-	}
-	e := elimgraph.New(tr)
-	prefix, floor := Preprocess(e, 0, false)
-	if len(prefix) != 7 {
-		t.Fatalf("preprocess eliminated %d of 7 vertices", len(prefix))
-	}
-	if floor != 1 {
-		t.Fatalf("width floor = %d, want 1", floor)
-	}
-	e.Reset()
-}
-
 // filled returns e's live filled graph as a simple graph: vertex ids are
 // kept, eliminated vertices are isolated.
 func filled(e *elimgraph.ElimGraph) *hypergraph.Graph {

@@ -311,7 +311,7 @@ func (m *ghwModel) remainderLB() int {
 func (m *ghwModel) completionCap() int { return m.ev.E.Live() }
 func (m *ghwModel) initial() (int, int, []int) {
 	lb := bounds.TwKscWidthFrom(bounds.MinorMinWidthElim(m.ev.E, m.rng), m.maxArity)
-	order := elim.MinFillOrdering(m.h.PrimalGraph(), m.rng)
+	order := elim.MinFillOrderingBudget(m.h, m.rng, nil)
 	// Greedy covers for the priming bound: always cheap, still an upper
 	// bound; the search's exact covers are capped by it from then on. The
 	// priming evaluator shares the search's cover engine, so its bags seed

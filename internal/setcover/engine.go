@@ -7,13 +7,16 @@
 package setcover
 
 import (
+	"math/bits"
 	"math/rand"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"hypertree/internal/bitset"
 	"hypertree/internal/budget"
+	"hypertree/internal/budget/faultinject"
 	"hypertree/internal/hypergraph"
 	"hypertree/internal/obs"
 )
@@ -196,15 +199,17 @@ func (e *Engine) observe() {
 
 // Scratch is the per-goroutine workspace of an engine's cover queries. It
 // draws its bag-sized bitsets from a pooled allocator and reuses the
-// candidate buffers, so the steady-state hot path performs no allocation.
-// A Scratch is not safe for concurrent use; each worker owns one.
+// candidate buffers and the exact search's state, so the steady-state hot
+// path performs no allocation. A Scratch is not safe for concurrent use;
+// each worker owns one.
 type Scratch struct {
 	pool      *bitset.Pool
 	bag       bitset.Set
 	uncovered bitset.Set
 	key       []byte
 	cand      []int
-	candSeen  []bool
+	edgeMark  []uint64 // loadBag's candidate bitset over hyperedges; zero between calls
+	touched   []int    // the edgeMark words loadBag set
 	candUsed  []bool
 	candBits  []bitset.Set
 	pos       []int32 // vertex -> bag position; -1 outside the bag
@@ -212,6 +217,7 @@ type Scratch struct {
 	cands     []candSet
 	posBuf    []int // backing store for the candidates' position lists
 	offs      []int // start offset of each candidate's positions in posBuf
+	exact     exactSearch
 }
 
 // NewScratch returns a fresh workspace for queries against e.
@@ -221,7 +227,7 @@ func (e *Engine) NewScratch() *Scratch {
 		pool:      p,
 		bag:       p.Get(),
 		uncovered: p.Get(),
-		candSeen:  make([]bool, e.h.M()),
+		edgeMark:  make([]uint64, bitset.Words(e.h.M())),
 		pos:       make([]int32, e.nv),
 	}
 	for i := range sc.pos {
@@ -231,27 +237,34 @@ func (e *Engine) NewScratch() *Scratch {
 }
 
 // loadBag fills sc.bag and sc.cand for the given bag: the bag's bitset and
-// the sorted indices of all hyperedges incident to it (the only useful
-// cover candidates).
+// the ascending indices of all hyperedges incident to it (the only useful
+// cover candidates). The candidates are marked in a bitset over the
+// hyperedges and read back from only the words the bag touched, so the
+// order costs no sort of the candidates and no scan of all hyperedges.
 func (e *Engine) loadBag(sc *Scratch, bag []int) {
 	sc.bag.Clear()
-	sc.cand = sc.cand[:0]
+	sc.touched = sc.touched[:0]
 	for _, v := range bag {
 		sc.bag.Add(v)
 		for _, ei := range e.h.IncidentEdges(v) {
-			if !sc.candSeen[ei] {
-				sc.candSeen[ei] = true
-				sc.cand = append(sc.cand, ei)
+			w := ei >> 6
+			if sc.edgeMark[w] == 0 {
+				sc.touched = append(sc.touched, w)
 			}
+			sc.edgeMark[w] |= 1 << (uint(ei) & 63)
 		}
-	}
-	for _, ei := range sc.cand {
-		sc.candSeen[ei] = false
 	}
 	// Canonical ascending order: greedy tie-breaking then depends only on
 	// the bag's vertex set, which keeps the memo cache consistent with
 	// recomputation.
-	insertionSortInts(sc.cand)
+	slices.Sort(sc.touched)
+	sc.cand = sc.cand[:0]
+	for _, w := range sc.touched {
+		for x := sc.edgeMark[w]; x != 0; x &= x - 1 {
+			sc.cand = append(sc.cand, w<<6+bits.TrailingZeros64(x))
+		}
+		sc.edgeMark[w] = 0
+	}
 }
 
 // GreedySize returns the size of a greedy cover of bag by hyperedges, or -1
@@ -259,6 +272,7 @@ func (e *Engine) loadBag(sc *Scratch, bag []int) {
 // returned even when rng would have tie-broken differently (any greedy
 // cover size is a valid upper bound).
 func (e *Engine) GreedySize(sc *Scratch, bag []int, rng *rand.Rand) int {
+	faultinject.Hit(faultinject.SiteCover)
 	if len(bag) == 0 {
 		return 0
 	}
@@ -329,6 +343,7 @@ func (e *Engine) greedySizeUncached(sc *Scratch, rng *rand.Rand) int {
 // lower bounds — are memoized by bag. b, when non-nil, is polled as the
 // search branches; a search it cuts also reports cap, and is not memoized.
 func (e *Engine) ExactSizeCapped(sc *Scratch, bag []int, cap int, b *budget.B) int {
+	faultinject.Hit(faultinject.SiteCover)
 	if len(bag) == 0 {
 		return 0
 	}
@@ -382,8 +397,9 @@ func (e *Engine) ExactSizeCapped(sc *Scratch, bag []int, cap int, b *budget.B) i
 }
 
 // exactUncached restricts the candidates to sc's loaded bag and runs the
-// shared branch-and-bound core (see exactCore for cap, enough and b). The
-// chosen cover is hyperedge indices, unsorted.
+// scratch's exact search (see exactSearch.run for cap, enough and b). The
+// chosen cover is hyperedge indices in pick order, in a slice the next
+// search through sc overwrites.
 func (e *Engine) exactUncached(sc *Scratch, cap, enough int, b *budget.B) (chosen []int, capped, cut bool) {
 	// Bag positions, ascending by vertex id.
 	sc.elems = sc.bag.AppendTo(sc.elems[:0])
@@ -419,8 +435,9 @@ func (e *Engine) exactUncached(sc *Scratch, cap, enough int, b *budget.B) (chose
 		}
 		sc.cands[i].elems = sc.posBuf[sc.offs[i]:end]
 	}
-	chosen, capped, cut = exactCore(sc.bag, ne, sc.cands, cap, enough, b)
-	// exactCore compacts cands in place during dedup/domination, so release
+	sc.uncovered.CopyFrom(sc.bag)
+	chosen, capped, cut = sc.exact.run(ne, sc.cands, sc.uncovered, cap, enough, b)
+	// The search compacts cands in place during dedup/domination, so release
 	// the sets recorded at allocation time, not through cands.
 	for _, bits := range sc.candBits {
 		sc.pool.Put(bits)
@@ -436,16 +453,18 @@ func (e *Engine) exactUncached(sc *Scratch, cap, enough int, b *budget.B) (chose
 // Unlike GreedySize it bypasses the memo cache; it serves the decomposition
 // builders, which need λ-sets, not just widths.
 func (e *Engine) GreedyCover(sc *Scratch, bag []int, rng *rand.Rand) []int {
+	faultinject.Hit(faultinject.SiteCover)
 	if len(bag) == 0 {
 		return []int{}
 	}
 	e.loadBag(sc, bag)
-	if e.greedySizeUncached(sc, rng) < 0 {
+	size := e.greedySizeUncached(sc, rng)
+	if size < 0 {
 		return nil
 	}
 	// The greedy marks its picks in candUsed; sc.cand is ascending, so the
 	// cover comes out sorted.
-	var out []int
+	out := make([]int, 0, size)
 	for i, used := range sc.candUsed[:len(sc.cand)] {
 		if used {
 			out = append(out, sc.cand[i])
@@ -457,18 +476,17 @@ func (e *Engine) GreedyCover(sc *Scratch, bag []int, rng *rand.Rand) []int {
 // ExactCover returns a minimum cover of bag as sorted hyperedge indices, or
 // nil if bag is uncoverable. b, when non-nil, bounds the search: it is
 // polled as the search branches, and a stopped budget cuts the search,
-// reported as cut with a nil cover. Like GreedyCover it bypasses the memo
-// cache.
+// reported as cut with the best cover the search met (at least a greedy
+// cover of the deduplicated, undominated candidates), so a cut cover is
+// valid but maybe not minimum. Like GreedyCover it bypasses the memo cache.
 func (e *Engine) ExactCover(sc *Scratch, bag []int, b *budget.B) (cover []int, cut bool) {
+	faultinject.Hit(faultinject.SiteCover)
 	if len(bag) == 0 {
 		return []int{}, false
 	}
 	e.loadBag(sc, bag)
 	chosen, _, cut := e.exactUncached(sc, 0, 0, b)
-	if chosen != nil {
-		insertionSortInts(chosen)
-	}
-	return chosen, cut
+	return sortedCopy(chosen), cut
 }
 
 // CoverWithin returns a cover of bag by at most k hyperedges as sorted
@@ -477,6 +495,7 @@ func (e *Engine) ExactCover(sc *Scratch, bag []int, b *budget.B) (cover []int, c
 // minimum, so a caller that already knows a k-cover exists (it scored the
 // bag at k) pays at most what that proof cost. It is never cut.
 func (e *Engine) CoverWithin(sc *Scratch, bag []int, k int) []int {
+	faultinject.Hit(faultinject.SiteCover)
 	if len(bag) == 0 {
 		return []int{}
 	}
@@ -485,25 +504,18 @@ func (e *Engine) CoverWithin(sc *Scratch, bag []int, k int) []int {
 	}
 	e.loadBag(sc, bag)
 	chosen, _, _ := e.exactUncached(sc, k+1, k, nil)
-	if chosen != nil {
-		insertionSortInts(chosen)
-	}
-	return chosen
+	return sortedCopy(chosen)
 }
 
-// insertionSortInts sorts small slices in place without sort.Ints's
-// interface overhead; candidate lists are usually tiny and nearly sorted
-// (incident-edge lists are ascending per vertex).
-func insertionSortInts(a []int) {
-	for i := 1; i < len(a); i++ {
-		x := a[i]
-		j := i - 1
-		for j >= 0 && a[j] > x {
-			a[j+1] = a[j]
-			j--
-		}
-		a[j+1] = x
+// sortedCopy returns a sorted copy of a cover the exact search returned in
+// its own storage, or nil for none.
+func sortedCopy(chosen []int) []int {
+	if chosen == nil {
+		return nil
 	}
+	out := slices.Clone(chosen)
+	slices.Sort(out)
+	return out
 }
 
 // ---- the memo cache ----

@@ -4,6 +4,7 @@ import (
 	"context"
 	"math/rand"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"testing"
@@ -200,10 +201,12 @@ func mapIdx(idx, chosen []int) []int {
 	return out
 }
 
-// A stopped budget cuts ExactCover at its first poll: no cover, cut
-// reported, whether the stop came from the deadline or a cancelled context.
-// A cut ExactSizeCapped prices the bag at its cap without memoizing that
-// (it is not a bound), so a later unbudgeted query still finds the minimum.
+// A stopped budget cuts ExactCover at its first poll, whether the stop came
+// from the deadline or a cancelled context: cut is reported, and the cover
+// is the search's greedy prime, the best it met (on K12 the prime, six
+// disjoint edges, is also minimum). A cut ExactSizeCapped prices the bag at
+// its cap without memoizing that (it is not a bound), so a later unbudgeted
+// query still finds the minimum.
 func TestExactCoverBudgetCut(t *testing.T) {
 	h := hypergraph.CliqueHypergraph(12)
 	eng := NewEngine(h, -1)
@@ -217,9 +220,11 @@ func TestExactCoverBudgetCut(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	canceled := budget.New(ctx, budget.Limits{})
+	prime, _, _ := refExact(eng, bag, 0, len(bag), nil)
+	slices.Sort(prime)
 	for _, b := range []*budget.B{stopped, canceled} {
-		if got, cut := eng.ExactCover(sc, bag, b); got != nil || !cut {
-			t.Fatalf("ExactCover under a stopped budget = %v (cut %v), want a cut", got, cut)
+		if got, cut := eng.ExactCover(sc, bag, b); !cut || len(got) != 6 || !slices.Equal(got, prime) {
+			t.Fatalf("ExactCover under a stopped budget = %v (cut %v), want a cut handing back the prime %v", got, cut, prime)
 		}
 	}
 	if canceled.Reason() != budget.StopCanceled {

@@ -18,7 +18,7 @@
 package setcover
 
 import (
-	"math/rand"
+	"slices"
 
 	"hypertree/internal/bitset"
 	"hypertree/internal/budget"
@@ -34,81 +34,61 @@ type candSet struct {
 	orig  int
 }
 
-// greedyBits runs the greedy cover over candidate bitsets, consuming
-// uncovered in place. It returns indices into cands (in pick order), or nil
-// if some element is uncoverable. The candidate iteration order and the
-// reservoir tie-breaking replicate the reference implementation (greedyRef
-// in the tests), so a shared rng advances identically on both paths.
-func greedyBits(uncovered bitset.Set, cands []candSet, rng *rand.Rand) []int {
-	var chosen []int
-	used := make([]bool, len(cands))
-	for uncovered.Any() {
-		best, bestGain, ties := -1, 0, 0
-		for i := range cands {
-			if used[i] {
-				continue
-			}
-			gain := cands[i].bits.AndCount(uncovered)
-			switch {
-			case gain > bestGain:
-				best, bestGain, ties = i, gain, 1
-			case gain == bestGain && gain > 0:
-				ties++
-				// Reservoir-sample among ties for the thesis's random
-				// tie-breaking.
-				if rng != nil && rng.Intn(ties) == 0 {
-					best = i
-				}
-			}
-		}
-		if best < 0 {
-			return nil // uncoverable
-		}
-		used[best] = true
-		chosen = append(chosen, best)
-		uncovered.AndNot(cands[best].bits)
-	}
-	return chosen
-}
-
 // pollEvery is how many branch-and-bound nodes pass between the budget polls
 // of a budgeted exact search. A node costs well under a microsecond, so a
 // stopped budget cuts the search within a fraction of a millisecond.
 const pollEvery = 256
 
-// exactCore is the Engine's branch-and-bound over restricted candidates.
-// universe holds the ne uncovered elements;
-// cands must be non-empty restrictions with elems listing each candidate's
-// element positions in 0..ne-1. It dedups equal candidates by bitset key,
-// drops dominated (strict-subset) candidates, primes the bound with a
-// greedy cover of the surviving candidates, and returns the chosen
-// candidates' orig fields (unsorted), or (nil, false) if some element is
-// uncoverable, or (nil, true) when cap > 0 and the optimum is >= cap.
+// exactSearch is the Engine's branch and bound over restricted candidates,
+// with its state kept between calls (each Scratch owns one), so a warmed
+// search allocates nothing: the element-to-candidate index is one CSR array
+// pair, the search is a method, and the dedup and greedy prime use the
+// arrays below.
+type exactSearch struct {
+	cands   []candSet
+	ne      int
+	maxSet  int
+	memOff  []int32 // element e lies in candidates mem[memOff[e]:memOff[e+1]]
+	mem     []int32
+	counts  []int32 // per element, how many chosen candidates hold it
+	covered int     // elements with a positive count
+	chosen  []int32
+	best    []int // the best cover met, as orig indices
+	bestLen int
+	found   bool // best holds a cover the cap did not censor
+	enough  int
+	b       *budget.B
+	polls   int
+	halt    bool // the budget cut the search, or a first fit was found
+	cut     bool
+	keys    []uint64 // dedup hash per candidate
+	used    []bool   // the greedy prime's picks
+}
+
+// run searches for a minimum cover of a universe of ne elements by cands,
+// which must be non-empty restrictions to it, with elems listing each
+// candidate's element positions in 0..ne-1; uncovered holds the universe
+// as a bitset and is consumed. It dedups equal candidates (keeping the
+// first), drops dominated (strict-subset) candidates, primes the bound with
+// a greedy cover of the survivors (each round the first largest gain wins)
+// and returns the chosen candidates' orig fields in pick order, or
+// (nil, false) if some element is uncoverable, or (nil, true) when cap > 0
+// and the optimum is >= cap. The returned slice is the search's own and is
+// overwritten by its next run.
 //
 // A positive enough turns the search into a first fit: it returns the first
 // cover of at most enough candidates it meets (the greedy prime, when that
 // is narrow enough) instead of proving a minimum. b, when non-nil, is
 // polled (Check) at the first node and then every pollEvery nodes; once it
-// reports stopped the search unwinds and returns cut = true with no result.
-// A nil b never cuts.
-func exactCore(universe bitset.Set, ne int, cands []candSet, cap, enough int, b *budget.B) (result []int, capped, cut bool) {
-	// Deduplicate by bitset key: equal restrictions are interchangeable.
-	seen := make(map[string]struct{}, len(cands))
-	var keyBuf []byte
-	kept := cands[:0]
-	for _, c := range cands {
-		keyBuf = c.bits.AppendKey(keyBuf[:0])
-		if _, dup := seen[string(keyBuf)]; dup {
-			continue
-		}
-		seen[string(keyBuf)] = struct{}{}
-		kept = append(kept, c)
-	}
-	cands = kept
+// reports stopped the search unwinds and returns cut = true with the best
+// cover it met, the prime at least (nil if a cap censored every cover it
+// met). A nil b never cuts.
+func (s *exactSearch) run(ne int, cands []candSet, uncovered bitset.Set, cap, enough int, b *budget.B) (result []int, capped, cut bool) {
+	cands = s.dedup(cands)
 	// Remove dominated candidates: a strict subset can always be replaced by
 	// its superset without growing the cover. Equal sets were just deduped,
 	// so only strictly smaller candidates need the subset test.
-	kept = cands[:0]
+	kept := cands[:0]
 	for i := range cands {
 		dominated := false
 		for j := range cands {
@@ -124,120 +104,193 @@ func exactCore(universe bitset.Set, ne int, cands []candSet, cap, enough int, b 
 			kept = append(kept, cands[i])
 		}
 	}
-	cands = kept
-
-	memberOf := make([][]int, ne)
-	maxSetSize := 0
-	for i := range cands {
-		for _, e := range cands[i].elems {
-			memberOf[e] = append(memberOf[e], i)
-		}
-		if len(cands[i].elems) > maxSetSize {
-			maxSetSize = len(cands[i].elems)
-		}
-	}
-	for e := 0; e < ne; e++ {
-		if len(memberOf[e]) == 0 {
-			return nil, false, false // element not coverable
-		}
+	s.cands, s.ne = kept, ne
+	if !s.index() {
+		return nil, false, false // element not coverable
 	}
 
-	// Prime with a greedy cover of the restricted, deduplicated candidates
-	// (every element is coverable here, so greedy cannot fail).
-	prime := greedyBits(universe.Clone(), cands, nil)
-	bestLen := len(prime)
-	best := make([]int, 0, bestLen)
-	for _, ci := range prime {
-		best = append(best, cands[ci].orig)
+	// Prime with a greedy cover of the surviving candidates (every element
+	// is coverable here, so greedy cannot fail).
+	s.prime(uncovered)
+	s.bestLen, s.found = len(s.best), true
+	if cap > 0 && s.bestLen > cap {
+		s.bestLen, s.found = cap, false
+		s.best = s.best[:0]
 	}
-	if cap > 0 && bestLen > cap {
-		bestLen = cap
-		best = nil
-	}
-	if best != nil && bestLen <= enough {
-		return best, false, false
+	if s.found && s.bestLen <= enough {
+		return s.best, false, false
 	}
 
-	// covered counts per element; coveredCount = elements with count > 0.
-	counts := make([]int, ne)
-	coveredCount := 0
-	var chosen []int
-	add := func(i int) {
-		for _, e := range cands[i].elems {
-			if counts[e] == 0 {
-				coveredCount++
-			}
-			counts[e]++
+	s.counts = resize(s.counts, ne)
+	s.covered = 0
+	s.chosen = s.chosen[:0]
+	s.enough, s.b, s.polls, s.halt, s.cut = enough, b, 0, false, false
+	s.dfs()
+	s.b = nil
+	if s.cut {
+		if !s.found {
+			return nil, false, true
 		}
-		chosen = append(chosen, i)
+		return s.best, false, true
 	}
-	undo := func(i int) {
-		for _, e := range cands[i].elems {
-			counts[e]--
-			if counts[e] == 0 {
-				coveredCount--
-			}
-		}
-		chosen = chosen[:len(chosen)-1]
-	}
-
-	polls := 0
-	halt := false // the budget cut the search, or a first fit was found
-	var dfs func()
-	dfs = func() {
-		if b != nil {
-			if polls%pollEvery == 0 && !b.Check() {
-				cut, halt = true, true
-			}
-			polls++
-		}
-		if halt {
-			return
-		}
-		if coveredCount == ne {
-			if len(chosen) < bestLen {
-				bestLen = len(chosen)
-				best = best[:0]
-				for _, ci := range chosen {
-					best = append(best, cands[ci].orig)
-				}
-				halt = bestLen <= enough
-			}
-			return
-		}
-		remaining := ne - coveredCount
-		lb := len(chosen) + (remaining+maxSetSize-1)/maxSetSize
-		if lb >= bestLen {
-			return
-		}
-		// Branch on the uncovered element with fewest candidates.
-		branch, branchDeg := -1, 1<<30
-		for e := 0; e < ne; e++ {
-			if counts[e] > 0 {
-				continue
-			}
-			if d := len(memberOf[e]); d < branchDeg {
-				branch, branchDeg = e, d
-			}
-		}
-		for _, si := range memberOf[branch] {
-			add(si)
-			dfs()
-			undo(si)
-			if halt {
-				return
-			}
-		}
-	}
-	dfs()
-	if cut {
-		return nil, false, true
-	}
-	if best == nil || (cap > 0 && bestLen >= cap) {
-		// Coverable (the memberOf check passed) but only at cap or above.
+	if !s.found || (cap > 0 && s.bestLen >= cap) {
+		// Coverable (the index check passed) but only at cap or above.
 		return nil, true, false
 	}
-	return best, false, false
+	return s.best, false, false
+}
+
+// dedup keeps the first of each group of equal candidates, in order,
+// comparing a hash of the bits before the bits themselves.
+func (s *exactSearch) dedup(cands []candSet) []candSet {
+	s.keys = s.keys[:0]
+	kept := cands[:0]
+	for _, c := range cands {
+		key := uint64(len(c.elems))
+		for _, w := range c.bits {
+			key = (key ^ w) * 0x100000001b3
+		}
+		dup := false
+		for j, k := range s.keys {
+			if k == key && slices.Equal(kept[j].bits, c.bits) {
+				dup = true
+				break
+			}
+		}
+		if !dup {
+			s.keys = append(s.keys, key)
+			kept = append(kept, c)
+		}
+	}
+	return kept
+}
+
+// index builds the element-to-candidate CSR index, each element's
+// candidates ascending, and the largest candidate's size. It reports false
+// when some element lies in no candidate.
+func (s *exactSearch) index() bool {
+	s.memOff = resize(s.memOff, s.ne+1)
+	s.maxSet = 0
+	for _, c := range s.cands {
+		for _, e := range c.elems {
+			s.memOff[e+1]++
+		}
+		s.maxSet = max(s.maxSet, len(c.elems))
+	}
+	for e := 0; e < s.ne; e++ {
+		if s.memOff[e+1] == 0 {
+			return false
+		}
+		s.memOff[e+1] += s.memOff[e]
+	}
+	s.mem = resize(s.mem, int(s.memOff[s.ne]))
+	next := resize(s.counts, s.ne) // a fill cursor per element; cleared again by run
+	copy(next, s.memOff[:s.ne])
+	for i, c := range s.cands {
+		for _, e := range c.elems {
+			s.mem[next[e]] = int32(i)
+			next[e]++
+		}
+	}
+	s.counts = next
+	return true
+}
+
+// prime sets best to a greedy cover of uncovered by the candidates, in
+// pick order: each round takes the first candidate of largest gain.
+func (s *exactSearch) prime(uncovered bitset.Set) {
+	s.used = resize(s.used, len(s.cands))
+	s.best = s.best[:0]
+	for uncovered.Any() {
+		best, bestGain := -1, 0
+		for i := range s.cands {
+			if s.used[i] {
+				continue
+			}
+			if gain := s.cands[i].bits.AndCount(uncovered); gain > bestGain {
+				best, bestGain = i, gain
+			}
+		}
+		s.used[best] = true
+		s.best = append(s.best, s.cands[best].orig)
+		uncovered.AndNot(s.cands[best].bits)
+	}
+}
+
+func (s *exactSearch) add(i int32) {
+	for _, e := range s.cands[i].elems {
+		if s.counts[e] == 0 {
+			s.covered++
+		}
+		s.counts[e]++
+	}
+	s.chosen = append(s.chosen, i)
+}
+
+func (s *exactSearch) undo(i int32) {
+	for _, e := range s.cands[i].elems {
+		s.counts[e]--
+		if s.counts[e] == 0 {
+			s.covered--
+		}
+	}
+	s.chosen = s.chosen[:len(s.chosen)-1]
+}
+
+func (s *exactSearch) dfs() {
+	if s.b != nil {
+		if s.polls%pollEvery == 0 && !s.b.Check() {
+			s.cut, s.halt = true, true
+		}
+		s.polls++
+	}
+	if s.halt {
+		return
+	}
+	if s.covered == s.ne {
+		if len(s.chosen) < s.bestLen {
+			s.bestLen, s.found = len(s.chosen), true
+			s.best = s.best[:0]
+			for _, ci := range s.chosen {
+				s.best = append(s.best, s.cands[ci].orig)
+			}
+			s.halt = s.bestLen <= s.enough
+		}
+		return
+	}
+	remaining := s.ne - s.covered
+	if len(s.chosen)+(remaining+s.maxSet-1)/s.maxSet >= s.bestLen {
+		return
+	}
+	// Branch on the uncovered element with fewest candidates.
+	branch, branchDeg := -1, int32(1<<30)
+	for e := 0; e < s.ne; e++ {
+		if s.counts[e] > 0 {
+			continue
+		}
+		if d := s.memOff[e+1] - s.memOff[e]; d < branchDeg {
+			branch, branchDeg = e, d
+		}
+	}
+	for _, si := range s.mem[s.memOff[branch]:s.memOff[branch+1]] {
+		s.add(si)
+		s.dfs()
+		s.undo(si)
+		if s.halt {
+			return
+		}
+	}
+}
+
+// resize returns buf with length n and every element zero, reusing its
+// array when it is large enough.
+func resize[T int32 | bool](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, n)
+	}
+	buf = buf[:n]
+	clear(buf)
+	return buf
 }
 
 // KSetCoverLowerBound returns the trivial k-set-cover lower bound: covering
